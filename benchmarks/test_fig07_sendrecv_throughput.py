@@ -5,7 +5,8 @@ indistinguishable (Coyote unified memory), and software MPI over RDMA peaks
 slightly lower.
 """
 
-from repro.bench import format_rows, run_fig07_sendrecv_throughput
+from repro.bench import run_fig07_sendrecv_throughput
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 SIZES = [65536, 1048576, 16 * 1048576, 64 * 1048576]
@@ -16,10 +17,7 @@ def test_fig07_sendrecv_throughput(benchmark):
         lambda: run_fig07_sendrecv_throughput(sizes=SIZES),
         rounds=1, iterations=1,
     )
-    emit(format_rows(
-        rows, ["size", "accl_f2f_gbps", "accl_h2h_gbps", "mpi_rdma_gbps"],
-        title="Figure 7 — send/recv throughput (Gb/s)",
-    ))
+    emit(ARTIFACTS["fig07"].render(rows))
     peak = rows[-1]
     benchmark.extra_info["accl_f2f_peak_gbps"] = peak["accl_f2f_gbps"]
     benchmark.extra_info["mpi_peak_gbps"] = peak["mpi_rdma_gbps"]

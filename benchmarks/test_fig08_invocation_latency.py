@@ -4,7 +4,8 @@ Paper shape: FPGA-kernel invocation is minimal; Coyote host invocation is a
 PCIe write + read (~2-3 us); XRT host invocation is significantly higher.
 """
 
-from repro.bench import format_rows, run_fig08_invocation_latency
+from repro.bench import run_fig08_invocation_latency
+from repro.bench.artifacts import ARTIFACTS
 from conftest import attach_point_metrics, emit
 
 
@@ -12,8 +13,7 @@ def test_fig08_invocation_latency(benchmark, sweep_runner):
     rows = benchmark.pedantic(run_fig08_invocation_latency,
                               kwargs={"runner": sweep_runner},
                               rounds=1, iterations=1)
-    emit(format_rows(rows, ["caller", "latency_us"],
-                     title="Figure 8 — CCLO NOP invocation latency (us)"))
+    emit(ARTIFACTS["fig08"].render(rows))
     attach_point_metrics(benchmark, sweep_runner, n_latest=3)
     by_caller = {r["caller"]: r["latency_us"] for r in rows}
     for caller, value in by_caller.items():

@@ -5,17 +5,14 @@ Paper shape: the PCIe transfer time dominates for small messages while the
 collective time dominates for large messages.
 """
 
-from repro.bench import format_rows, run_fig09_f2f_breakdown
+from repro.bench import run_fig09_f2f_breakdown
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 
 def test_fig09_mpi_f2f_breakdown(benchmark):
     rows = benchmark.pedantic(run_fig09_f2f_breakdown, rounds=1, iterations=1)
-    emit(format_rows(
-        rows,
-        ["size", "pcie_in", "collective", "pcie_out", "invocation", "total"],
-        title="Figure 9 — MPI F2F broadcast breakdown (us)",
-    ))
+    emit(ARTIFACTS["fig09"].render(rows))
     smallest, largest = rows[0], rows[-1]
     benchmark.extra_info["small_pcie_share"] = (
         (smallest["pcie_in"] + smallest["pcie_out"]) / smallest["total"])

@@ -9,7 +9,7 @@ presents.
 
 from repro import units
 from repro.bench import run_fig10_f2f_collectives
-from repro.bench.formats import format_rows
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 SIZES = [units.KIB, 16 * units.KIB, 256 * units.KIB, 4 * units.MIB]
@@ -20,22 +20,13 @@ def test_fig10_f2f_collectives(benchmark):
         lambda: run_fig10_f2f_collectives(sizes=SIZES),
         rounds=1, iterations=1,
     )
-    rows = []
     wins = 0
     cells = 0
-    for opcode, by_size in result.items():
-        for size_label, (accl, mpi) in by_size.items():
-            rows.append({
-                "collective": opcode, "size": size_label,
-                "accl_us": accl, "mpi_f2f_us": mpi,
-                "speedup": mpi / accl,
-            })
+    for by_size in result.values():
+        for accl, mpi in by_size.values():
             cells += 1
             wins += accl < mpi
-    emit(format_rows(
-        rows, ["collective", "size", "accl_us", "mpi_f2f_us", "speedup"],
-        title="Figure 10 — F2F collective latency, 8 ranks (us)",
-    ))
+    emit(ARTIFACTS["fig10"].render(result))
     benchmark.extra_info["accl_win_fraction"] = wins / cells
 
     # ACCL+ wins the overwhelming majority of operating points...

@@ -10,7 +10,7 @@ benefits and, in some cases, falls short of software MPI."
 
 from repro import units
 from repro.bench import run_fig11_h2h_collectives
-from repro.bench.formats import format_rows
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 SIZES = [units.KIB, 16 * units.KIB, 256 * units.KIB, 4 * units.MIB]
@@ -21,17 +21,7 @@ def test_fig11_h2h_collectives(benchmark):
         lambda: run_fig11_h2h_collectives(sizes=SIZES),
         rounds=1, iterations=1,
     )
-    rows = []
-    for opcode, by_size in result.items():
-        for size_label, (accl, mpi) in by_size.items():
-            rows.append({
-                "collective": opcode, "size": size_label,
-                "accl_us": accl, "mpi_us": mpi, "ratio": accl / mpi,
-            })
-    emit(format_rows(
-        rows, ["collective", "size", "accl_us", "mpi_us", "ratio"],
-        title="Figure 11 — H2H collective latency, 8 ranks (us)",
-    ))
+    emit(ARTIFACTS["fig11"].render(result))
 
     # Broadcast: ACCL+ ahead across a range of message sizes.
     bcast = result["bcast"]

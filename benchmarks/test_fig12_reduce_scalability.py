@@ -9,7 +9,8 @@ Paper shape:
   chain (4-8) and an optimized binomial at 8 nodes.
 """
 
-from repro.bench import format_series, run_fig12_reduce_scalability
+from repro.bench import run_fig12_reduce_scalability
+from repro.bench.artifacts import ARTIFACTS
 from conftest import attach_point_metrics, emit
 
 
@@ -17,8 +18,7 @@ def test_fig12_reduce_scalability(benchmark, sweep_runner):
     series = benchmark.pedantic(run_fig12_reduce_scalability,
                                 kwargs={"runner": sweep_runner},
                                 rounds=1, iterations=1)
-    emit(format_series(series, "ranks",
-                       title="Figure 12 — reduce latency vs ranks (us)"))
+    emit(ARTIFACTS["fig12"].render(series))
     attach_point_metrics(benchmark, sweep_runner, n_latest=28)
 
     accl_small = series["accl_8KiB"]

@@ -7,22 +7,13 @@ staging + invocation overhead compared to device applications.
 """
 
 from repro.bench import run_fig13_tcp_xrt
-from repro.bench.formats import format_rows
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 
 def test_fig13_tcp_xrt(benchmark):
     result = benchmark.pedantic(run_fig13_tcp_xrt, rounds=1, iterations=1)
-    rows = []
-    for opcode, by_size in result.items():
-        for size_label, vals in by_size.items():
-            rows.append({"collective": opcode, "size": size_label, **vals})
-    emit(format_rows(
-        rows,
-        ["collective", "size", "accl+_f2f_us", "accl_v1_us", "mpi_tcp_us",
-         "accl+_h2h_us"],
-        title="Figure 13 — TCP collectives on XRT, 4 ranks (us)",
-    ))
+    emit(ARTIFACTS["fig13"].render(result))
 
     for opcode, by_size in result.items():
         for size_label, vals in by_size.items():

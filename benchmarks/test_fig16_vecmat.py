@@ -8,18 +8,14 @@ Paper shape: ACCL+ generally yields lower matrix-vector *computation* time
 specific (size, ranks) configurations.
 """
 
-from repro.bench import format_rows, run_fig16_vecmat
+from repro.bench import run_fig16_vecmat
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 
 def test_fig16_vecmat(benchmark):
     rows = benchmark.pedantic(run_fig16_vecmat, rounds=1, iterations=1)
-    emit(format_rows(
-        rows,
-        ["fc_size", "ranks", "backend", "compute_us", "reduce_us",
-         "speedup", "correct"],
-        title="Figure 16 — distributed vector-matrix multiplication",
-    ))
+    emit(ARTIFACTS["fig16"].render(rows))
     assert all(r["correct"] for r in rows)
 
     def cell(size, ranks, backend):

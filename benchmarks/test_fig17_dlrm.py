@@ -8,7 +8,7 @@ for throughput, which inflates its latency.
 """
 
 from repro.bench import run_fig17_dlrm
-from repro.bench.formats import format_rows
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 
@@ -17,16 +17,7 @@ def test_fig17_dlrm(benchmark):
                                 rounds=1, iterations=1)
     accl = result["accl"]
     cpu_rows = result["cpu"]
-    emit(format_rows(
-        cpu_rows, ["batch", "latency_ms", "throughput"],
-        title="Figure 17 — CPU baseline (TF-Serving model)",
-    ))
-    emit(format_rows(
-        [{"latency_us": accl["latency_us"], "p99_us": accl["p99_us"],
-          "throughput": accl["throughput"], "correct": accl["correct"]}],
-        ["latency_us", "p99_us", "throughput", "correct"],
-        title="Figure 17 — ACCL+ DLRM on 10 FPGAs (streaming, no batching)",
-    ))
+    emit(ARTIFACTS["fig17"].render(result))
     assert accl["correct"], "pipeline output diverged from the reference"
 
     cpu_best_thr = result["cpu_best_throughput"]

@@ -10,7 +10,8 @@ Regenerated from the live selector.  Expected contents:
 | All-to-all | Linear     | Linear                          |
 """
 
-from repro.bench import format_rows, run_tab01_algorithm_table
+from repro.bench import run_tab01_algorithm_table
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 EXPECTED = {
@@ -24,10 +25,7 @@ EXPECTED = {
 def test_tab01_algorithm_table(benchmark):
     rows = benchmark.pedantic(run_tab01_algorithm_table,
                               rounds=1, iterations=1)
-    emit(format_rows(
-        rows, ["collective", "eager", "rndz_small", "rndz_large"],
-        title="Table 1 — collective algorithm selection",
-    ))
+    emit(ARTIFACTS["tab01"].render(rows))
     for row in rows:
         expected = EXPECTED[row["collective"]]
         got = (row["eager"], row["rndz_small"], row["rndz_large"])

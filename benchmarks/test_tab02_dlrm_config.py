@@ -6,7 +6,8 @@
 """
 
 from repro.apps.dlrm import DlrmConfig, DlrmModel
-from repro.bench.formats import format_rows
+from repro.bench import run_tab02_dlrm_config
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 
@@ -19,16 +20,7 @@ def build_and_describe():
 def test_tab02_dlrm_config(benchmark):
     config, model = benchmark.pedantic(build_and_describe,
                                        rounds=1, iterations=1)
-    emit(format_rows(
-        [{
-            "Tables": config.num_tables,
-            "Concat Vec Len": config.concat_len,
-            "FC Layers": str(config.fc_dims),
-            "Embed Size": f"{config.embed_bytes / 1e9:.0f}GB",
-        }],
-        ["Tables", "Concat Vec Len", "FC Layers", "Embed Size"],
-        title="Table 2 — target recommendation model",
-    ))
+    emit(ARTIFACTS["tab02"].render(run_tab02_dlrm_config()))
     assert config.num_tables == 100
     assert config.concat_len == 3200
     assert config.fc_dims == (2048, 512, 256)

@@ -6,16 +6,14 @@ comparatively lean, and DLRM FC1 exceeds a single U55C (it spans 8 FPGAs)
 with URAM and DSP as the bottleneck resources.
 """
 
-from repro.bench import format_rows, run_tab03_resources
+from repro.bench import run_tab03_resources
+from repro.bench.artifacts import ARTIFACTS
 from conftest import emit
 
 
 def test_tab03_resources(benchmark):
     rows = benchmark.pedantic(run_tab03_resources, rounds=1, iterations=1)
-    emit(format_rows(
-        rows, ["component", "CLB kLUT", "DSP", "BRAM", "URAM"],
-        title="Table 3 — resource utilization (% of U55C)",
-    ))
+    emit(ARTIFACTS["tab03"].render(rows))
     by_name = {r["component"]: r for r in rows}
 
     assert by_name["CCLO"]["CLB kLUT"] == 12.1

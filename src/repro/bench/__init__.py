@@ -6,9 +6,10 @@ artifact.  Internally an artifact is a list of independent
 :class:`~repro.bench.runner.SweepRunner` — optionally fanned out over a
 process pool (``jobs``) and memoized on disk
 (:class:`~repro.bench.cache.ResultCache`).  :mod:`repro.bench.formats`
-renders the returned rows/series as the text tables the benchmarks print.
-The pytest-benchmark targets live in ``benchmarks/`` at the repository
-root; ``python -m repro.bench`` is the standalone CLI.
+renders the returned rows/series as the text tables the benchmarks print,
+and :mod:`repro.bench.artifacts` declares each artifact once for every
+consumer.  The pytest-benchmark targets live in ``benchmarks/`` at the
+repository root; ``python -m repro.bench`` is the standalone CLI.
 """
 
 from repro.bench.cache import ResultCache, calibration_fingerprint, point_key

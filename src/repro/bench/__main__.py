@@ -1,178 +1,12 @@
 """CLI: regenerate evaluation artifacts without pytest.
 
-Usage::
-
-    python -m repro.bench list
-    python -m repro.bench fig07 fig08 tab03
-    python -m repro.bench all --jobs 8
-    python -m repro.bench all --no-cache --json BENCH_results.json
-    python -m repro.bench figX_scale --quick --shard 0/2 --json s0.json
-    python -m repro.bench merge s0.json s1.json --quick
-    python -m repro.bench profile fig07 --quick
-    python -m repro.bench profile fig08 --quick --obs
-    python -m repro.bench profile scale --memory --per-node
-    python -m repro.bench profile kernel
-    python -m repro.bench trace fig08 --trace-out trace.json
-    python -m repro.bench critpath fig07 --flamegraph-out flame.txt
-    python -m repro.bench critpath figX_scale --per-node \\
-        --arg n_nodes=256 --arg slow_link=fpga17.down
-    python -m repro.bench check
-    python -m repro.bench check fig07 --update
-    python -m repro.bench check --fidelity flow --json check_report.json
-    python -m repro.bench diff BENCH_ledger.json new_ledger.json --html d.html
-    python -m repro.bench dashboard fig07 --out fig07_dashboard.html
-    python -m repro.bench validate-fidelity fig07 --explain
-
-Options::
-
-    --jobs N      fan sweep points out over N worker processes (default 1,
-                  the fully sequential path); results are row-for-row
-                  identical at any N
-    --cache DIR   on-disk result cache directory (default .bench_cache);
-                  points are keyed by (artifact, parameters, calibration)
-                  so a warm re-run only re-renders tables
-    --no-cache    disable the cache for this run
-    --json OUT    write the per-point trajectory (wall-clock, simulated
-                  time, event counts) to OUT; ``all`` writes
-                  BENCH_results.json by default.  A per-op latency ledger
-                  (histograms keyed by artifact/collective/size/algorithm/
-                  nprocs/fidelity; see ``bench diff``) is persisted to a
-                  sibling ``*_ledger.json``, and its summary stats (op
-                  count, p50/p99 per artifact) land in the trajectory's
-                  ``ledger`` section
-    --profile-out PATH
-                  run under cProfile and dump pstats to PATH
-                  (inspect with ``python -m pstats PATH``)
-    --quick       artifact mode: reduced figX_scale slice (CI-sized); other
-                  artifacts run at full size
-    --shard I/N   execute only the sweep points whose cache key hashes to
-                  shard I of N (deterministic partition); out-of-shard
-                  points are skipped, the trajectory records per-point
-                  values, and ``bench merge`` later combines the shards
-
-``merge`` mode::
-
-    merge SHARD.json [SHARD.json ...]
-                  import the executed points of sharded trajectory files
-                  into the result cache, then re-run the artifacts they
-                  cover (every point a cache hit) and render the complete
-                  tables — row-identical to an unsharded run
-
-``profile`` mode (see :mod:`repro.bench.profile`)::
-
-    profile <artifact>|kernel|scale
-                               events/sec + ns/event for one artifact, the
-                               kernel microbenchmark suite, or the
-                               cluster-scale profile (1024-node fat-tree
-                               build + flow-fidelity allreduce)
-    --quick                    reduced sweep sized for a CI smoke job
-    --memory                   attach tracemalloc, report current/peak
-    --per-node                 scale profile: report construction bytes per
-                               node (tracemalloc delta across the cluster
-                               build / node count) and fold the scale block
-                               into BENCH_results.json's perf section
-    --obs                      also run with observability enabled; report
-                               the instrumentation overhead and, for traced
-                               artifacts, a phase-breakdown table
-
-``trace`` mode (see :mod:`repro.obs.capture`)::
-
-    trace <artifact>           replay the artifact's representative scenario
-                               with span tracing on; print per-collective
-                               phase breakdowns (uC / DMP / POE / wire)
-    --trace-out PATH           write Chrome trace-event JSON — open the file
-                               at https://ui.perfetto.dev
-    --metrics-out PATH         write the metrics registry as CSV
-    --json OUT                 write the per-op phase breakdowns as JSON
-    --flamegraph-out PATH      write collapsed-stack flamegraph lines
-    --arg KEY=VALUE            pass a scenario kwarg (repeatable); e.g.
-                               ``--arg n_nodes=64 --arg slow_link=fpga5.down``
-                               throttles matching links on figX_scale
-
-``critpath`` mode (see :mod:`repro.obs.critpath`)::
-
-    critpath <artifact>        replay the artifact's traced scenario and
-                               print each collective's critical path with
-                               per-wait-cause totals; the cause totals
-                               reconcile exactly against the phase buckets
-                               and the op's wall sim-time
-    --per-node                 instead of per-op paths, aggregate busy /
-                               blocked / critical-path time per node and
-                               per link, rank the top-k slowest and flag
-                               z-score stragglers (find the slow node in a
-                               256-node fabric)
-    --json OUT                 write the critical-path reports as JSON
-                               (plus the per-node report with --per-node)
-    --flamegraph-out PATH      write collapsed-stack flamegraph lines
-    --arg KEY=VALUE            scenario kwargs, as in trace mode
-
-``check`` mode (see :mod:`repro.bench.check`)::
-
-    check [scenario ...]       replay the traced scenarios and diff their
-                               metrics/perf snapshot against the committed
-                               baseline; exit 1 on any regression
-    --baseline PATH            baseline file (default:
-                               benchmarks/obs_baseline.json)
-    --update                   write the current collection as the new
-                               baseline instead of diffing
-    --tolerance X              override the default relative tolerance
-    --fidelity MODE            collect and compare under MODE
-                               (``packet``/``flow``; default ``packet``);
-                               the baseline stores one section per mode
-    --json OUT                 write a machine-readable report (per-metric
-                               observed/baseline/tolerance/verdict); on a
-                               failure the causal diff of the failing
-                               scenario's wait/phase metrics also prints
-
-``diff`` mode (see :mod:`repro.obs.diff`)::
-
-    diff <a.json> <b.json>     compare two saved runs — op ledgers
-                               (``BENCH_ledger.json``) or trace/critpath
-                               JSONs — and print a delta table ranked by
-                               regression magnitude, each row attributed
-                               to the wait-cause/phase buckets that moved;
-                               identical runs report zero deltas
-    --json OUT                 write the full diff document
-    --html OUT                 write the ranked table as a standalone page
-
-``dashboard`` mode (see :mod:`repro.obs.dashboard`)::
-
-    dashboard <artifact>       replay the artifact's traced scenario with
-                               tracing + continuous telemetry snapshots
-                               on, and render one self-contained HTML
-                               report: metric time-series, per-collective
-                               phase/wait-cause breakdowns, the fidelity
-                               decision log and a span flamegraph — no
-                               external assets, openable offline
-    --out PATH                 output file (default
-                               ``<artifact>_dashboard.html``)
-    --fidelity MODE            render under ``packet`` or ``flow``
-                               (default: the active ``$REPRO_FIDELITY``)
-    --diff RUN.json            diff the saved ledger/trace RUN.json against
-                               this run and embed the ranked delta table
-                               as a "Differential vs baseline" section
-    --arg KEY=VALUE            scenario kwargs, as in trace mode
-
-``validate-fidelity`` mode (see :mod:`repro.bench.validate`)::
-
-    validate-fidelity [artifact ...]
-                               replay artifacts at packet AND flow fidelity
-                               (cold, sequential) and diff the result trees
-                               against per-artifact tolerances; exit 1 on
-                               any deviation out of tolerance
-    --quick                    size/scale extremes only, CI-sized
-    --json OUT                 write the per-artifact reports as JSON
-    --explain                  instead of the tolerance diff, replay the
-                               named traced artifact(s) in both modes and
-                               attribute the packet-vs-flow divergence per
-                               op and per link (names the top contributor)
-
-``profile`` extras::
-
-    --update-baseline          after profiling, fold the report into
-                               benchmarks/perf_baseline.json under the
-                               active fidelity mode (symmetric with
-                               ``check --update``)
+``python -m repro.bench --help`` lists the subcommands and
+``python -m repro.bench COMMAND --help`` documents each one's flags.  A
+first word that is not a subcommand runs artifacts:
+``python -m repro.bench fig07 fig08 --jobs 2`` is
+``python -m repro.bench run fig07 fig08 --jobs 2``.  The artifacts and
+traced scenarios every subcommand accepts are declared once, in
+:mod:`repro.bench.artifacts`.
 """
 
 from __future__ import annotations
@@ -183,254 +17,219 @@ import json
 import sys
 import time
 
-from repro.bench import formats, harness
+from repro.bench import check as check_mod
+from repro.bench.artifacts import ARTIFACTS, SCENARIOS
 from repro.bench.cache import ResultCache
+from repro.bench.formats import format_rows
 from repro.bench.runner import ShardIncomplete, SweepRunner
 
 DEFAULT_CACHE_DIR = ".bench_cache"
 DEFAULT_JSON_OUT = "BENCH_results.json"
+DEFAULT_PERF_BASELINE = "benchmarks/perf_baseline.json"
+
+#: record fields a shard trajectory point carries into the result cache
+_MERGE_FIELDS = ("wall_s", "sim_s", "events", "events_ff", "dropped",
+                 "snapshots", "snap_dropped")
 
 
-def _fig07(runner, quick=False):
-    rows = harness.run_fig07_sendrecv_throughput(runner=runner)
-    return formats.format_rows(
-        rows, ["size", "accl_f2f_gbps", "accl_h2h_gbps", "mpi_rdma_gbps"],
-        title="Figure 7 — send/recv throughput (Gb/s)")
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
 
 
-def _fig08(runner, quick=False):
-    rows = harness.run_fig08_invocation_latency(runner=runner)
-    return formats.format_rows(rows, ["caller", "latency_us"],
-                               title="Figure 8 — invocation latency (us)")
+def _unknown(names, table, what: str) -> bool:
+    """Print the exit-2 diagnostic for any of *names* not in *table*."""
+    missing = [name for name in names if name not in table]
+    if missing:
+        print(f"unknown {what}: {', '.join(missing)}", file=sys.stderr)
+        print("available:", ", ".join(table), file=sys.stderr)
+    return bool(missing)
 
 
-def _fig09(runner, quick=False):
-    rows = harness.run_fig09_f2f_breakdown(runner=runner)
-    return formats.format_rows(
-        rows, ["size", "pcie_in", "collective", "pcie_out", "invocation",
-               "total"],
-        title="Figure 9 — MPI F2F broadcast breakdown (us)")
-
-
-def _collective_table(result, title):
-    rows = []
-    for opcode, by_size in result.items():
-        for size_label, (accl, mpi) in by_size.items():
-            rows.append({"collective": opcode, "size": size_label,
-                         "accl_us": accl, "mpi_us": mpi,
-                         "ratio": accl / mpi})
-    return formats.format_rows(
-        rows, ["collective", "size", "accl_us", "mpi_us", "ratio"],
-        title=title)
-
-
-def _fig10(runner, quick=False):
-    return _collective_table(harness.run_fig10_f2f_collectives(runner=runner),
-                             "Figure 10 — F2F collectives, 8 ranks (us)")
-
-
-def _fig11(runner, quick=False):
-    return _collective_table(harness.run_fig11_h2h_collectives(runner=runner),
-                             "Figure 11 — H2H collectives, 8 ranks (us)")
-
-
-def _fig12(runner, quick=False):
-    series = harness.run_fig12_reduce_scalability(runner=runner)
-    return formats.format_series(
-        series, "ranks", title="Figure 12 — reduce latency vs ranks (us)")
-
-
-def _fig13(runner, quick=False):
-    result = harness.run_fig13_tcp_xrt(runner=runner)
-    rows = []
-    for opcode, by_size in result.items():
-        for size_label, vals in by_size.items():
-            rows.append({"collective": opcode, "size": size_label, **vals})
-    return formats.format_rows(
-        rows, ["collective", "size", "accl+_f2f_us", "accl_v1_us",
-               "mpi_tcp_us", "accl+_h2h_us"],
-        title="Figure 13 — TCP on XRT, 4 ranks (us)")
-
-
-def _fig16(runner, quick=False):
-    rows = harness.run_fig16_vecmat(runner=runner)
-    return formats.format_rows(
-        rows, ["fc_size", "ranks", "backend", "compute_us", "reduce_us",
-               "speedup", "correct"],
-        title="Figure 16 — distributed vector-matrix multiplication")
-
-
-def _fig17(runner, quick=False):
-    result = harness.run_fig17_dlrm(runner=runner)
-    parts = [formats.format_rows(
-        result["cpu"], ["batch", "latency_ms", "throughput"],
-        title="Figure 17 — CPU baseline")]
-    accl = result["accl"]
-    parts.append(formats.format_rows(
-        [accl], ["latency_us", "p99_us", "throughput", "correct"],
-        title="Figure 17 — ACCL+ DLRM on 10 FPGAs"))
-    return "\n\n".join(parts)
-
-
-def _tab01(runner, quick=False):
-    rows = harness.run_tab01_algorithm_table(runner=runner)
-    return formats.format_rows(
-        rows, ["collective", "eager", "rndz_small", "rndz_large"],
-        title="Table 1 — algorithm selection")
-
-
-def _tab02(runner, quick=False):
-    rows = harness.run_tab02_dlrm_config(runner=runner)
-    return formats.format_rows(
-        rows, ["Tables", "Concat Vec Len", "FC Layers", "Embed Size"],
-        title="Table 2 — target recommendation model")
-
-
-def _tab03(runner, quick=False):
-    rows = harness.run_tab03_resources(runner=runner)
-    return formats.format_rows(
-        rows, ["component", "CLB kLUT", "DSP", "BRAM", "URAM"],
-        title="Table 3 — resource utilization (% of U55C)")
-
-
-#: ``--quick`` slice of the scale study: two small node counts at a size
-#: below the flow fast-forward floor — seconds of wall clock, CI-sized.
-FIGX_QUICK_KWARGS = {"node_counts": (8, 16), "size": 2 * 1024 * 1024}
-
-
-def _figX_scale(runner, quick=False):
-    kwargs = dict(FIGX_QUICK_KWARGS) if quick else {}
-    rows = harness.run_figX_scale(runner=runner, **kwargs)
-    return formats.format_rows(
-        rows, ["nodes", "collective", "algorithm", "size", "time_us",
-               "busbw_gbps"],
-        title="Figure X — collective completion vs cluster size (fat-tree)")
-
-
-ARTIFACTS = {
-    "fig07": _fig07, "fig08": _fig08, "fig09": _fig09, "fig10": _fig10,
-    "fig11": _fig11, "fig12": _fig12, "fig13": _fig13, "fig16": _fig16,
-    "fig17": _fig17, "figX_scale": _figX_scale,
-    "tab01": _tab01, "tab02": _tab02, "tab03": _tab03,
-}
-
-
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench", add_help=True,
-        description="Regenerate evaluation artifacts.")
-    parser.add_argument("names", nargs="*",
-                        help="artifact names, 'all', 'list', or "
-                             "'profile <artifact>|kernel'")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for the sweep (default: 1)")
-    parser.add_argument("--cache", default=DEFAULT_CACHE_DIR, metavar="DIR",
-                        help="result cache directory "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable result caching for this run")
-    parser.add_argument("--json", dest="json_out", nargs="?",
-                        const=DEFAULT_JSON_OUT, default=None, metavar="OUT",
-                        help="write the per-point trajectory to OUT "
-                             f"(default when given: {DEFAULT_JSON_OUT})")
-    parser.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="run under cProfile; dump pstats to PATH")
-    parser.add_argument("--shard", default=None, metavar="I/N",
-                        help="execute only the points whose cache key "
-                             "hashes to shard I of N; combine the shard "
-                             "trajectories with 'merge'")
-    parser.add_argument("--quick", action="store_true",
-                        help="profile mode / figX_scale: reduced, "
-                             "CI-sized sweep")
-    parser.add_argument("--memory", action="store_true",
-                        help="profile mode: attach tracemalloc")
-    parser.add_argument("--per-node", action="store_true",
-                        help="profile scale: report construction bytes per "
-                             "node and record the scale block in "
-                             f"{DEFAULT_JSON_OUT}; critpath mode: per-node/"
-                             "per-link outlier attribution with z-score "
-                             "straggler flagging")
-    parser.add_argument("--arg", action="append", dest="scenario_args",
-                        default=None, metavar="KEY=VALUE",
-                        help="trace/critpath/dashboard mode: pass a scenario "
-                             "kwarg (repeatable), e.g. --arg n_nodes=256 "
-                             "--arg slow_link=fpga5.down")
-    parser.add_argument("--html", dest="html_out", default=None,
-                        metavar="PATH",
-                        help="diff mode: write the ranked delta table as a "
-                             "standalone HTML page")
-    parser.add_argument("--diff", dest="diff_path", default=None,
-                        metavar="PATH",
-                        help="dashboard mode: diff this saved ledger/trace "
-                             "JSON against the rendered run and embed the "
-                             "ranked delta table as a section")
-    parser.add_argument("--obs", action="store_true",
-                        help="profile mode: measure observability overhead")
-    parser.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="trace mode: write Chrome trace JSON to PATH")
-    parser.add_argument("--metrics-out", default=None, metavar="PATH",
-                        help="trace mode: write the metrics registry CSV")
-    parser.add_argument("--flamegraph-out", default=None, metavar="PATH",
-                        help="trace/critpath mode: write collapsed-stack "
-                             "flamegraph lines to PATH")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="check mode: baseline file (default: "
-                             "benchmarks/obs_baseline.json)")
-    parser.add_argument("--update", action="store_true",
-                        help="check mode: rewrite the baseline from this run")
-    parser.add_argument("--tolerance", type=float, default=None, metavar="X",
-                        help="check mode: override the default relative "
-                             "tolerance")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="profile mode: record this report in "
-                             "benchmarks/perf_baseline.json under the "
-                             "active fidelity")
-    parser.add_argument("--fidelity", choices=("packet", "flow"),
-                        default=None, metavar="MODE",
-                        help="check/dashboard mode: run under MODE "
-                             "(packet or flow)")
-    parser.add_argument("--out", default=None, metavar="PATH",
-                        help="dashboard mode: output HTML file (default: "
-                             "<artifact>_dashboard.html)")
-    parser.add_argument("--explain", action="store_true",
-                        help="validate-fidelity mode: attribute the "
-                             "packet-vs-flow divergence per op and link")
-    return parser
-
+# ---------------------------------------------------------------------------
+# run / list / merge
+# ---------------------------------------------------------------------------
 
 def _perf_history(json_out: str) -> list:
-    """Carry the perf history of previous runs of *json_out* forward, so
-    the committed trajectory keeps its own before/after trail.
-
-    Every run appends its own entry before writing (see ``main``); files
-    written before that convention hold only their totals, so fold those
-    in once (deduplicated) when upgrading.
-    """
+    """The perf history of previous runs of *json_out*, so the committed
+    trajectory keeps its own before/after trail."""
     try:
         with open(json_out) as fh:
             previous = json.load(fh)
     except (OSError, ValueError):
         return []
-    history = list(previous.get("perf", {}).get("history", []))
-    last = history[-1] if history else {}
-    if "fidelity" not in last:
-        # Pre-convention file: its own run lives only in totals; fold it
-        # in once.  Self-appended entries always carry a fidelity tag.
-        totals = previous.get("totals", {})
-        wall = totals.get("wall_s", 0.0)
-        events = totals.get("events", 0)
-        if wall and events:
-            history.append({
-                "wall_s": wall,
-                "events": events,
-                "events_per_s": events / wall,
-                "jobs": previous.get("jobs"),
-            })
-    return history
+    return list(previous.get("perf", {}).get("history", []))
 
 
-DEFAULT_PERF_BASELINE = "benchmarks/perf_baseline.json"
+def _write_trajectory(json_out: str, runner: SweepRunner, names, wall: float,
+                      cache, jobs: int, sharded: bool) -> None:
+    from repro.bench.profile import perf_section
+    from repro.obs.ledger import ledger_path_for
 
+    history = _perf_history(json_out)
+    trajectory = runner.trajectory(include_values=sharded)
+    ledger = runner.ledger()
+    trajectory["ledger"] = ledger.summary()
+    trajectory["cli"] = {
+        "artifacts": names,
+        "wall_s": wall,
+        "cache_hits": 0 if cache is None else cache.hits,
+        "cache_misses": 0 if cache is None else cache.misses,
+    }
+    perf = perf_section(runner.records, wall)
+    # Every run appends itself, so the committed trajectory carries its
+    # own before/after perf trail across changes.
+    history.append({
+        "wall_s": wall,
+        "events": perf["events"],
+        "events_ff": perf["events_ff"],
+        "events_per_s": perf["events_per_s"],
+        "fidelity": perf["fidelity"],
+        "jobs": jobs,
+    })
+    perf["history"] = history[-10:]
+    trajectory["perf"] = perf
+    _write_json(json_out, trajectory)
+    print(f"wrote trajectory for {len(runner.records)} points "
+          f"to {json_out}", file=sys.stderr)
+    if ledger.ops:
+        ledger_out = ledger_path_for(json_out)
+        ledger.save(ledger_out)
+        print(f"wrote op ledger ({ledger.ops} ops, "
+              f"{len(ledger.entries)} entries) to {ledger_out}",
+              file=sys.stderr)
+
+
+def _print_summary(runner: SweepRunner, wall: float) -> None:
+    records = runner.records
+    events = sum(r.events for r in records if not r.cached)
+    events_ff = sum(r.events_ff for r in records if not r.cached)
+    run_wall = sum(r.wall_s for r in records if not r.cached)
+    rate = (events + events_ff) / run_wall / 1e3 if run_wall > 0 else 0.0
+    cached_n = sum(1 for r in records if r.cached)
+    # Sum per-point drop counts: the class-wide Tracer.total_dropped is
+    # per-process and undercounts when points ran in pool workers.
+    dropped = sum(r.dropped for r in records)
+    snap_dropped = sum(r.snap_dropped for r in records)
+    ff_note = f" (+{events_ff} fast-forwarded)" if events_ff else ""
+    print(f"all: {len(records)} points ({cached_n} cached), "
+          f"{events} events{ff_note} in {wall:.2f}s — "
+          f"{rate:.1f}k events/s, "
+          f"tracer.dropped={dropped}, "
+          f"snapshots.dropped={snap_dropped}", file=sys.stderr)
+
+
+def _sweep(names, cache, jobs: int, quick: bool, json_out, shard=None,
+           profile_out=None, summary: bool = False) -> int:
+    """Print each artifact's table from one runner; write the trajectory
+    (and its op ledger beside it) to *json_out* when given."""
+    runner = SweepRunner(jobs=jobs, cache=cache, shard=shard)
+    profiler = cProfile.Profile() if profile_out else None
+    start = time.perf_counter()
+    if profiler:
+        profiler.enable()
+    try:
+        for name in names:
+            artifact = ARTIFACTS[name]
+            try:
+                print(artifact.render(artifact.run(
+                    runner=runner, **artifact.kwargs(quick))))
+            except ShardIncomplete as exc:
+                print(f"[shard {shard[0]}/{shard[1]}] {name}: partial — "
+                      f"{exc.skipped} point(s) belong to other shards; "
+                      "combine the shard trajectories with "
+                      "`python -m repro.bench merge`")
+            print()
+    finally:
+        runner.close()
+        if profiler:
+            profiler.disable()
+            profiler.dump_stats(profile_out)
+    wall = time.perf_counter() - start
+    if profiler:
+        print(f"pstats written to {profile_out} "
+              f"(inspect: python -m pstats {profile_out})", file=sys.stderr)
+    if json_out:
+        _write_trajectory(json_out, runner, names, wall, cache, jobs,
+                          sharded=shard is not None)
+    if summary:
+        _print_summary(runner, wall)
+    return 0
+
+
+def _run(args) -> int:
+    run_all = args.names == ["all"]
+    names = list(ARTIFACTS) if run_all else args.names
+    if _unknown(names, ARTIFACTS, "artifacts"):
+        return 2
+    json_out = args.json_out or (DEFAULT_JSON_OUT if run_all else None)
+    if args.shard and json_out is None:
+        # A shard run's only durable product is its trajectory; always
+        # write one so `bench merge` has something to combine.
+        json_out = "BENCH_shard{}of{}.json".format(*args.shard)
+    cache = None if args.no_cache else ResultCache(args.cache)
+    return _sweep(names, cache, args.jobs, args.quick, json_out,
+                  shard=args.shard, profile_out=args.profile_out,
+                  summary=run_all)
+
+
+def _list(args) -> int:
+    rows = [{"artifact": a.name,
+             "quick": ", ".join(f"{k}={v}" for k, v in a.quick.items()),
+             "tolerance": f"{a.tolerance:g}",
+             "traced": "yes" if a.scenario else ""}
+            for a in ARTIFACTS.values()]
+    print(format_rows(rows, ["artifact", "quick", "tolerance", "traced"],
+                      title="artifacts (python -m repro.bench --help "
+                            "for the subcommands)"))
+    print("\ntraced scenarios:", ", ".join(SCENARIOS))
+    return 0
+
+
+def _merge(args) -> int:
+    """Combine sharded trajectory JSONs into the complete artifacts."""
+    cache = ResultCache(args.cache)
+    artifacts: list = []
+    imported = skipped = 0
+    for path in args.shards:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            print(f"cannot read shard trajectory {path}: {exc}",
+                  file=sys.stderr)
+            return 2
+        if doc.get("shard") is None:
+            print(f"warning: {path} was not written by a --shard run; "
+                  "importing its points anyway", file=sys.stderr)
+        for name, art in doc.get("artifacts", {}).items():
+            if name not in artifacts:
+                artifacts.append(name)
+            for point in art.get("points", []):
+                if point.get("skipped"):
+                    skipped += 1
+                    continue
+                if "value" not in point:
+                    print(f"warning: {path}: point without a recorded "
+                          "value (trajectory predates shard support?); "
+                          "it will re-execute", file=sys.stderr)
+                    continue
+                record = {"value": point["value"]}
+                record.update({field: point.get(field, 0)
+                               for field in _MERGE_FIELDS})
+                cache.put(point["key"], record)
+                imported += 1
+    print(f"merge: imported {imported} executed point(s) from "
+          f"{len(args.shards)} shard file(s) ({skipped} skipped entries); "
+          f"re-rendering {', '.join(artifacts)}", file=sys.stderr)
+    if _unknown(artifacts, ARTIFACTS, "artifacts"):
+        return 2
+    return _sweep(artifacts, cache, args.jobs, args.quick, args.json_out)
+
+
+# ---------------------------------------------------------------------------
+# profile / validate-fidelity
+# ---------------------------------------------------------------------------
 
 def _update_perf_baseline(report: dict, path: str) -> str:
     """Fold *report* into the committed perf baseline under the active
@@ -459,83 +258,58 @@ def _update_perf_baseline(report: dict, path: str) -> str:
     return fidelity
 
 
-def _profile_main(args) -> int:
+def _profile(args) -> int:
     from repro.bench import profile as profile_mod
 
-    if len(args.names) != 2:
-        print("usage: python -m repro.bench profile <artifact>|kernel|scale "
-              "[--quick] [--memory] [--per-node] [--profile-out PATH] "
-              "[--json OUT] [--update-baseline]",
-              file=sys.stderr)
-        return 2
-    try:
-        report = profile_mod.profile_artifact(
-            args.names[1], quick=args.quick,
-            profile_out=args.profile_out, memory=args.memory,
-            obs=args.obs, per_node=args.per_node)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    report = profile_mod.profile_artifact(
+        args.target, quick=args.quick, profile_out=args.profile_out,
+        memory=args.memory, obs=args.obs, per_node=args.per_node)
     print(profile_mod.render_report(report))
-    if report.get("artifact") == "scale" and args.per_node:
-        recorded = profile_mod.record_scale_block(report, DEFAULT_JSON_OUT)
-        if recorded:
+    if args.target == "scale" and args.per_node:
+        if profile_mod.record_scale_block(report, DEFAULT_JSON_OUT):
             print(f"recorded scale block in perf section of "
                   f"{DEFAULT_JSON_OUT}", file=sys.stderr)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+        _write_json(args.json_out, report)
         print(f"wrote profile report to {args.json_out}", file=sys.stderr)
     if args.update_baseline:
-        path = args.baseline or DEFAULT_PERF_BASELINE
-        fidelity = _update_perf_baseline(report, path)
-        print(f"updated {path} [{fidelity}/{args.names[1]}]",
+        fidelity = _update_perf_baseline(report, args.baseline)
+        print(f"updated {args.baseline} [{fidelity}/{args.target}]",
               file=sys.stderr)
     return 0
 
 
-def _validate_main(args) -> int:
+def _validate(args) -> int:
     from repro.bench import validate as validate_mod
 
     if args.explain:
-        names = args.names[1:]
-        if not names:
-            from repro.obs import capture
-
-            print("usage: python -m repro.bench validate-fidelity "
-                  "<artifact> --explain [--json OUT]", file=sys.stderr)
-            print("explainable:",
-                  ", ".join(capture.traceable_artifacts()), file=sys.stderr)
+        if not args.names:
+            print("--explain needs traced scenario names; available: "
+                  + ", ".join(SCENARIOS), file=sys.stderr)
+            return 2
+        if _unknown(args.names, SCENARIOS, "scenarios"):
             return 2
         reports = []
-        for name in names:
-            try:
-                report = validate_mod.explain_divergence(name)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
+        for name in args.names:
+            report = validate_mod.explain_divergence(name)
             print(validate_mod.render_explanation(report))
             print()
             reports.append(report)
         if args.json_out:
-            with open(args.json_out, "w") as fh:
-                json.dump({"schema": 1, "explanations": reports}, fh,
-                          indent=2, sort_keys=True)
+            _write_json(args.json_out,
+                        {"schema": 1, "explanations": reports})
             print(f"wrote {len(reports)} divergence explanations to "
                   f"{args.json_out}", file=sys.stderr)
         return 0
 
-    names = args.names[1:] or None
-    try:
-        reports = validate_mod.run_validation(names, quick=args.quick)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    names = sorted(args.names) if args.names else list(ARTIFACTS)
+    if _unknown(names, ARTIFACTS, "artifacts"):
         return 2
+    reports = [validate_mod.validate_artifact(name, quick=args.quick)
+               for name in names]
     print(validate_mod.render_validation(reports))
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump({"schema": 1, "reports": reports}, fh, indent=2,
-                      sort_keys=True)
+        _write_json(args.json_out, {"schema": 1, "reports": reports})
         print(f"wrote {len(reports)} validation reports to {args.json_out}",
               file=sys.stderr)
     bad = [r for r in reports if not r["ok"]]
@@ -550,27 +324,25 @@ def _validate_main(args) -> int:
     return 0
 
 
-def _scenario_kwargs(pairs) -> dict:
-    """Parse repeated ``--arg key=value`` into scenario kwargs; values
-    that parse as int/float are coerced, everything else stays a string."""
-    kwargs: dict = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise ValueError(f"--arg wants KEY=VALUE, got {pair!r}")
-        for cast in (int, float):
-            try:
-                value = cast(value)
-                break
-            except ValueError:
-                continue
-        kwargs[key] = value
-    return kwargs
+# ---------------------------------------------------------------------------
+# trace / critpath / dashboard / check / diff
+# ---------------------------------------------------------------------------
+
+def _capture(args, **kwargs):
+    """Replay ``args.scenario`` under a tracer; None (reported) when its
+    ``--arg`` values are rejected."""
+    from repro.obs import capture
+
+    try:
+        return capture.trace_artifact(args.scenario, **kwargs,
+                                      **dict(args.scenario_args))
+    except (ValueError, TypeError) as exc:
+        print(exc, file=sys.stderr)
+        return None
 
 
 def _warn_dropped(cap) -> None:
-    """Satellite of the incomplete-attribution fix: dropped spans no
-    longer vanish silently — every CLI consumer says so."""
+    """Dropped spans never vanish silently: every CLI consumer says so."""
     dropped = cap.tracer.spans_dropped
     if dropped:
         print(f"warning: {dropped} span(s) dropped at ring-buffer "
@@ -578,23 +350,19 @@ def _warn_dropped(cap) -> None:
               "tracer capacity or shrink the scenario)", file=sys.stderr)
 
 
-def _trace_main(args) -> int:
-    from repro.obs import capture
+def _write_flamegraph(cap, path: str) -> None:
+    from repro.obs.critpath import write_flamegraph
+
+    n = write_flamegraph(cap.tracer, path, cap.op_ids)
+    print(f"wrote {n} collapsed stacks to {path}", file=sys.stderr)
+
+
+def _trace(args) -> int:
     from repro.obs.export import (metrics_to_csv, render_phase_table,
                                   write_chrome_trace)
 
-    if len(args.names) != 2:
-        print("usage: python -m repro.bench trace <artifact> "
-              "[--trace-out PATH] [--metrics-out PATH] [--arg KEY=VALUE]",
-              file=sys.stderr)
-        print("traceable:", ", ".join(capture.traceable_artifacts()),
-              file=sys.stderr)
-        return 2
-    try:
-        cap = capture.trace_artifact(args.names[1],
-                                     **_scenario_kwargs(args.scenario_args))
-    except (KeyError, ValueError, TypeError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+    cap = _capture(args)
+    if cap is None:
         return 2
     _warn_dropped(cap)
 
@@ -618,37 +386,20 @@ def _trace_main(args) -> int:
     if args.json_out:
         doc = {"artifact": cap.artifact, "description": cap.description,
                "summary": summary, "ops": cap.breakdowns()}
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        _write_json(args.json_out, doc)
         print(f"wrote {len(doc['ops'])} per-op breakdowns to "
               f"{args.json_out}", file=sys.stderr)
     if args.flamegraph_out:
-        from repro.obs.critpath import write_flamegraph
-
-        n = write_flamegraph(cap.tracer, args.flamegraph_out, cap.op_ids)
-        print(f"wrote {n} collapsed stacks to {args.flamegraph_out}",
-              file=sys.stderr)
+        _write_flamegraph(cap, args.flamegraph_out)
     return 0
 
 
-def _critpath_main(args) -> int:
-    from repro.obs import capture
+def _critpath(args) -> int:
     from repro.obs.critpath import (critical_path, per_node_report,
-                                    render_critpath, render_per_node,
-                                    write_flamegraph)
+                                    render_critpath, render_per_node)
 
-    if len(args.names) != 2:
-        print("usage: python -m repro.bench critpath <artifact> "
-              "[--per-node] [--json OUT] [--flamegraph-out PATH] "
-              "[--arg KEY=VALUE]", file=sys.stderr)
-        print("traceable:", ", ".join(capture.traceable_artifacts()),
-              file=sys.stderr)
-        return 2
-    try:
-        cap = capture.trace_artifact(args.names[1],
-                                     **_scenario_kwargs(args.scenario_args))
-    except (KeyError, ValueError, TypeError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+    cap = _capture(args)
+    if cap is None:
         return 2
     _warn_dropped(cap)
 
@@ -669,130 +420,24 @@ def _critpath_main(args) -> int:
                "ops": reports}
         if per_node is not None:
             doc["per_node"] = per_node
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        _write_json(args.json_out, doc)
         print(f"wrote {len(reports)} critical-path reports to "
               f"{args.json_out}", file=sys.stderr)
     if args.flamegraph_out:
-        n = write_flamegraph(cap.tracer, args.flamegraph_out, cap.op_ids)
-        print(f"wrote {n} collapsed stacks to {args.flamegraph_out}",
-              file=sys.stderr)
+        _write_flamegraph(cap, args.flamegraph_out)
     return 0
 
 
-def _check_main(args) -> int:
-    from repro.bench import check as check_mod
-
-    baseline_path = args.baseline or check_mod.DEFAULT_BASELINE
-    scenarios = args.names[1:] or None
-    fidelity = args.fidelity or "packet"
-    current = check_mod.collect(scenarios, fidelity=fidelity)
-    if args.update:
-        previous = None
-        try:
-            previous = check_mod.load_baseline(baseline_path)
-        except (OSError, ValueError):
-            pass
-        check_mod.write_baseline(baseline_path, current, previous)
-        n = len(current["scenarios"])
-        print(f"wrote baseline for {n} scenario(s) [{fidelity}] to "
-              f"{baseline_path}")
-        return 0
-    try:
-        doc = check_mod.load_baseline(baseline_path)
-    except OSError:
-        print(f"no baseline at {baseline_path}; create one with "
-              "`python -m repro.bench check --update "
-              f"--fidelity {fidelity}`", file=sys.stderr)
-        return 2
-    baseline = check_mod.mode_view(doc, fidelity)
-    if not baseline["scenarios"]:
-        print(f"baseline at {baseline_path} has no '{fidelity}' section; "
-              "create one with `python -m repro.bench check --update "
-              f"--fidelity {fidelity}`", file=sys.stderr)
-        return 2
-    if scenarios:
-        baseline["scenarios"] = {
-            name: metrics
-            for name, metrics in baseline["scenarios"].items()
-            if name in set(scenarios)
-        }
-    rows = check_mod.compare(baseline, current, default_tol=args.tolerance)
-    print(check_mod.render_check_table(rows))
-    if args.json_out:
-        report = check_mod.report_doc(rows, fidelity, baseline_path)
-        with open(args.json_out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"wrote check report ({len(rows)} metrics) to "
-              f"{args.json_out}", file=sys.stderr)
-    bad = check_mod.violations(rows)
-    if bad:
-        from repro.obs.diff import render_check_attribution
-
-        print("causal attribution of failing scenario(s):", file=sys.stderr)
-        for scenario in sorted({row["scenario"] for row in bad}):
-            base_m = baseline["scenarios"].get(scenario) or {}
-            cur_m = current["scenarios"].get(scenario) or {}
-            print(render_check_attribution(scenario, base_m, cur_m),
-                  file=sys.stderr)
-        print(f"REGRESSION: {len(bad)} metric(s) out of tolerance "
-              f"[{fidelity}] (baseline: {baseline_path})", file=sys.stderr)
-        return 1
-    print(f"check ok: {len(rows)} metrics within tolerance "
-          f"[{fidelity}] (baseline: {baseline_path})")
-    return 0
-
-
-def _diff_main(args) -> int:
-    """``bench diff <a> <b>``: ranked regression deltas between two runs."""
-    from repro.obs.diff import diff_files, render_diff, render_diff_html
-
-    paths = args.names[1:]
-    if len(paths) != 2:
-        print("usage: python -m repro.bench diff <a.json> <b.json> "
-              "[--json OUT] [--html OUT]  (a/b: saved ledgers or "
-              "trace/critpath JSONs)", file=sys.stderr)
-        return 2
-    try:
-        doc = diff_files(paths[0], paths[1])
-    except (OSError, ValueError) as exc:
-        print(f"diff: {exc}", file=sys.stderr)
-        return 2
-    print(render_diff(doc))
-    if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"wrote diff ({len(doc['rows'])} deltas) to {args.json_out}",
-              file=sys.stderr)
-    if args.html_out:
-        with open(args.html_out, "w") as fh:
-            fh.write(render_diff_html(doc, standalone=True))
-        print(f"wrote diff HTML to {args.html_out}", file=sys.stderr)
-    return 0
-
-
-def _dashboard_main(args) -> int:
+def _dashboard(args) -> int:
     from repro import units
     from repro.network.fidelity import default_fidelity, fidelity_override
-    from repro.obs import capture
     from repro.obs.dashboard import render_dashboard
 
-    if len(args.names) != 2:
-        print("usage: python -m repro.bench dashboard <artifact> "
-              "[--out PATH] [--fidelity MODE] [--diff RUN.json] "
-              "[--arg KEY=VALUE]", file=sys.stderr)
-        print("traceable:", ", ".join(capture.traceable_artifacts()),
-              file=sys.stderr)
-        return 2
-    name = args.names[1]
+    name = args.scenario
     fidelity = args.fidelity or default_fidelity()
-    try:
-        with fidelity_override(fidelity):
-            cap = capture.trace_artifact(
-                name, telemetry=units.us(10),
-                **_scenario_kwargs(args.scenario_args))
-    except (KeyError, ValueError, TypeError) as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+    with fidelity_override(fidelity):
+        cap = _capture(args, telemetry=units.us(10))
+    if cap is None:
         return 2
     diff_doc = None
     if args.diff_path:
@@ -828,197 +473,299 @@ def _dashboard_main(args) -> int:
     return 0
 
 
-#: record fields a shard trajectory point carries into the result cache
-_MERGE_FIELDS = ("wall_s", "sim_s", "events", "events_ff", "dropped",
-                 "snapshots", "snap_dropped")
-
-
-def _merge_main(args) -> int:
-    """Combine sharded trajectory JSONs into the complete artifacts."""
-    shard_files = args.names[1:]
-    if not shard_files:
-        print("usage: python -m repro.bench merge SHARD.json [SHARD.json "
-              "...] [--cache DIR] [--json OUT] [--quick]", file=sys.stderr)
+def _check(args) -> int:
+    path, fidelity = args.baseline, args.fidelity
+    try:
+        doc = check_mod.load_baseline(path)
+    except OSError:
+        doc = None
+    recorded = check_mod.mode_view(doc, fidelity)["scenarios"] if doc else {}
+    names = args.scenarios or list(recorded)
+    if not names or not (recorded or args.update):
+        where = (f"no baseline at {path}" if doc is None else
+                 f"baseline at {path} has no '{fidelity}' section")
+        print(f"{where}; create one with `python -m repro.bench check "
+              f"SCENARIO ... --update --fidelity {fidelity}`",
+              file=sys.stderr)
         return 2
-    if args.no_cache:
-        print("merge needs a result cache to import shard records into; "
-              "drop --no-cache", file=sys.stderr)
+    if _unknown(names, SCENARIOS, "scenarios"):
         return 2
-    cache = ResultCache(args.cache)
-    artifacts: list = []
-    imported = skipped = 0
-    for path in shard_files:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read shard trajectory {path}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if doc.get("shard") is None:
-            print(f"warning: {path} was not written by a --shard run; "
-                  "importing its points anyway", file=sys.stderr)
-        for name, art in doc.get("artifacts", {}).items():
-            if name not in artifacts:
-                artifacts.append(name)
-            for point in art.get("points", []):
-                if point.get("skipped"):
-                    skipped += 1
-                    continue
-                if "value" not in point:
-                    print(f"warning: {path}: point without a recorded "
-                          "value (trajectory predates shard support?); "
-                          "it will re-execute", file=sys.stderr)
-                    continue
-                record = {"value": point["value"]}
-                record.update({field: point.get(field, 0)
-                               for field in _MERGE_FIELDS})
-                cache.put(point["key"], record)
-                imported += 1
-    print(f"merge: imported {imported} executed point(s) from "
-          f"{len(shard_files)} shard file(s) ({skipped} skipped entries); "
-          f"re-rendering {', '.join(artifacts)}", file=sys.stderr)
-    sub = list(artifacts)
-    sub += ["--cache", args.cache, "--jobs", str(args.jobs)]
-    if args.quick:
-        sub.append("--quick")
+    current = check_mod.collect(names, fidelity=fidelity)
+    if args.update:
+        check_mod.write_baseline(path, current, doc)
+        print(f"wrote baseline for {len(current['scenarios'])} scenario(s) "
+              f"[{fidelity}] to {path}")
+        return 0
+    baseline = check_mod.mode_view(doc, fidelity)
+    baseline["scenarios"] = {name: metrics
+                             for name, metrics in recorded.items()
+                             if name in names}
+    rows = check_mod.compare(baseline, current, default_tol=args.tolerance)
+    print(check_mod.render_check_table(rows))
     if args.json_out:
-        sub += ["--json", args.json_out]
-    return main(sub)
+        _write_json(args.json_out, check_mod.report_doc(rows, fidelity, path))
+        print(f"wrote check report ({len(rows)} metrics) to "
+              f"{args.json_out}", file=sys.stderr)
+    bad = check_mod.violations(rows)
+    if bad:
+        from repro.obs.diff import render_check_attribution
+
+        print("causal attribution of failing scenario(s):", file=sys.stderr)
+        for scenario in sorted({row["scenario"] for row in bad}):
+            base_m = baseline["scenarios"].get(scenario) or {}
+            cur_m = current["scenarios"].get(scenario) or {}
+            print(render_check_attribution(scenario, base_m, cur_m),
+                  file=sys.stderr)
+        print(f"REGRESSION: {len(bad)} metric(s) out of tolerance "
+              f"[{fidelity}] (baseline: {path})", file=sys.stderr)
+        return 1
+    print(f"check ok: {len(rows)} metrics within tolerance "
+          f"[{fidelity}] (baseline: {path})")
+    return 0
+
+
+def _diff(args) -> int:
+    from repro.obs.diff import diff_files, render_diff, render_diff_html
+
+    try:
+        doc = diff_files(args.a, args.b)
+    except (OSError, ValueError) as exc:
+        print(f"diff: {exc}", file=sys.stderr)
+        return 2
+    print(render_diff(doc))
+    if args.json_out:
+        _write_json(args.json_out, doc)
+        print(f"wrote diff ({len(doc['rows'])} deltas) to {args.json_out}",
+              file=sys.stderr)
+    if args.html_out:
+        with open(args.html_out, "w") as fh:
+            fh.write(render_diff_html(doc, standalone=True))
+        print(f"wrote diff HTML to {args.html_out}", file=sys.stderr)
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+def _shard(text: str):
+    """``I/N`` -> ``(I, N)`` with ``0 <= I < N``."""
+    index, _, count = text.partition("/")
+    if not (index.isdigit() and count.isdigit() and int(index) < int(count)):
+        raise argparse.ArgumentTypeError(
+            f"wants I/N with 0 <= I < N, got {text!r}")
+    return int(index), int(count)
+
+
+def _scenario_arg(pair: str):
+    """``KEY=VALUE`` -> ``(key, value)``; int/float values are coerced,
+    everything else stays a string."""
+    key, sep, value = pair.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"wants KEY=VALUE, got {pair!r}")
+    for cast in (int, float):
+        try:
+            return key, cast(value)
+        except ValueError:
+            continue
+    return key, value
+
+
+def _parser():
+    """The top-level parser and its subcommand parsers by name."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate the paper's evaluation artifacts and "
+                    "inspect the simulator that produces them.",
+        epilog="A first word that is not a COMMAND runs artifacts: "
+               "`python -m repro.bench fig07 fig08` is "
+               "`python -m repro.bench run fig07 fig08`.  With no "
+               "arguments the registry is listed.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def command(name, handler, description):
+        p = sub.add_parser(name, help=description, description=description)
+        p.set_defaults(handler=handler)
+        return p
+
+    def sweep_flags(p):
+        p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+                       help="worker processes for the sweep; rows are "
+                            "identical at any N (default: %(default)s)")
+        p.add_argument("--cache", default=DEFAULT_CACHE_DIR, metavar="DIR",
+                       help="result cache; points are keyed by (artifact, "
+                            "parameters, calibration), so a warm re-run "
+                            "only re-renders (default: %(default)s)")
+        p.add_argument("--quick", action="store_true",
+                       help="run each artifact's declared CI-sized slice "
+                            "(artifacts without one run at full size)")
+        p.add_argument("--json", dest="json_out", nargs="?",
+                       const=DEFAULT_JSON_OUT, metavar="OUT",
+                       help="write the per-point trajectory to OUT "
+                            f"(default when given: {DEFAULT_JSON_OUT}) and "
+                            "the per-op latency ledger beside it "
+                            "(*_ledger.json)")
+
+    def json_flag(p, what):
+        p.add_argument("--json", dest="json_out", metavar="OUT",
+                       help=f"write {what} as JSON to OUT")
+
+    def scenario(p):
+        p.add_argument("scenario", choices=SCENARIOS, metavar="SCENARIO",
+                       help="traced scenario: %(choices)s")
+        p.add_argument("--arg", dest="scenario_args", action="append",
+                       type=_scenario_arg, default=[], metavar="KEY=VALUE",
+                       help="scenario kwarg (repeatable), e.g. "
+                            "--arg n_nodes=256 --arg slow_link=fpga5.down "
+                            "throttles matching links on figX_scale")
+
+    def flamegraph(p):
+        p.add_argument("--flamegraph-out", metavar="PATH",
+                       help="write collapsed-stack flamegraph lines")
+
+    p = command("run", _run, "regenerate artifacts through the sweep engine")
+    p.add_argument("names", nargs="+", metavar="ARTIFACT",
+                   help="artifact names, or 'all' for every artifact "
+                        f"(which writes {DEFAULT_JSON_OUT} by default): "
+                        + ", ".join(ARTIFACTS))
+    sweep_flags(p)
+    p.add_argument("--no-cache", action="store_true",
+                   help="disable the result cache for this run")
+    p.add_argument("--profile-out", metavar="PATH",
+                   help="run under cProfile and dump pstats to PATH")
+    p.add_argument("--shard", type=_shard, metavar="I/N",
+                   help="execute only the points whose cache key hashes to "
+                        "shard I of N; combine the shard trajectories "
+                        "with 'merge'")
+
+    command("list", _list, "list the artifact registry and traced scenarios")
+
+    p = command("merge", _merge,
+                "import the executed points of sharded trajectories into "
+                "the cache and render the complete artifacts, row-identical "
+                "to an unsharded run")
+    p.add_argument("shards", nargs="+", metavar="SHARD.json")
+    sweep_flags(p)
+
+    p = command("profile", _profile,
+                "events/sec and ns/event of one artifact (cold cache), the "
+                "kernel microbenchmarks, or the cluster-scale profile")
+    p.add_argument("target", choices=[*ARTIFACTS, "kernel", "scale"],
+                   metavar="TARGET", help="%(choices)s")
+    p.add_argument("--quick", action="store_true",
+                   help="the artifact's declared CI-sized slice; smaller "
+                        "microbenchmarks; 128 nodes for scale")
+    p.add_argument("--memory", action="store_true",
+                   help="attach tracemalloc and report current/peak")
+    p.add_argument("--per-node", action="store_true",
+                   help="scale: report construction bytes per node and "
+                        f"record the scale block in {DEFAULT_JSON_OUT}")
+    p.add_argument("--obs", action="store_true",
+                   help="also run with observability on and report its "
+                        "overhead (plus a phase breakdown when traced)")
+    p.add_argument("--profile-out", metavar="PATH",
+                   help="run under cProfile and dump pstats to PATH")
+    json_flag(p, "the profile report")
+    p.add_argument("--update-baseline", action="store_true",
+                   help="fold the report into --baseline under the active "
+                        "fidelity")
+    p.add_argument("--baseline", default=DEFAULT_PERF_BASELINE,
+                   metavar="PATH",
+                   help="perf baseline for --update-baseline "
+                        "(default: %(default)s)")
+
+    p = command("validate-fidelity", _validate,
+                "replay artifacts at packet and flow fidelity (cold, "
+                "sequential) and diff the results against each artifact's "
+                "tolerance; exit 1 on any deviation")
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help="artifacts (default: all) or, with --explain, "
+                        "traced scenarios")
+    p.add_argument("--quick", action="store_true",
+                   help="run each artifact's declared CI-sized slice")
+    json_flag(p, "the per-artifact reports")
+    p.add_argument("--explain", action="store_true",
+                   help="instead, replay the traced scenarios in both modes "
+                        "and attribute the divergence per op and per link")
+
+    p = command("trace", _trace,
+                "replay a traced scenario and print per-collective phase "
+                "breakdowns (uC / DMP / POE / wire)")
+    scenario(p)
+    p.add_argument("--trace-out", metavar="PATH",
+                   help="write Chrome trace-event JSON (open at "
+                        "https://ui.perfetto.dev)")
+    p.add_argument("--metrics-out", metavar="PATH",
+                   help="write the metrics registry as CSV")
+    json_flag(p, "the per-op phase breakdowns")
+    flamegraph(p)
+
+    p = command("critpath", _critpath,
+                "replay a traced scenario and print each collective's "
+                "critical path with per-wait-cause totals")
+    scenario(p)
+    p.add_argument("--per-node", action="store_true",
+                   help="instead, aggregate busy/blocked/critical time per "
+                        "node and link and flag z-score stragglers")
+    json_flag(p, "the critical-path reports")
+    flamegraph(p)
+
+    p = command("dashboard", _dashboard,
+                "replay a traced scenario with telemetry on and render one "
+                "self-contained HTML report")
+    scenario(p)
+    p.add_argument("--out", metavar="PATH",
+                   help="output file (default: <scenario>_dashboard.html)")
+    p.add_argument("--fidelity", choices=("packet", "flow"),
+                   help="render under this mode (default: $REPRO_FIDELITY)")
+    p.add_argument("--diff", dest="diff_path", metavar="RUN.json",
+                   help="embed the ranked delta table of a saved "
+                        "ledger/trace JSON against this run")
+
+    p = command("check", _check,
+                "replay traced scenarios and diff their metrics against the "
+                "committed baseline; exit 1 on any regression")
+    p.add_argument("scenarios", nargs="*", metavar="SCENARIO",
+                   help="scenarios to replay (default: those the baseline "
+                        "holds for the mode): " + ", ".join(SCENARIOS))
+    p.add_argument("--baseline", default=check_mod.DEFAULT_BASELINE,
+                   metavar="PATH", help="baseline file (default: %(default)s)")
+    p.add_argument("--update", action="store_true",
+                   help="write this collection into the baseline instead "
+                        "of diffing")
+    p.add_argument("--tolerance", type=float, metavar="X",
+                   help="override the baseline's default relative tolerance")
+    p.add_argument("--fidelity", choices=("packet", "flow"), default="packet",
+                   help="collect and compare under this mode "
+                        "(default: %(default)s)")
+    json_flag(p, "the per-metric verdicts")
+
+    p = command("diff", _diff,
+                "rank the per-op deltas between two saved runs (op ledgers "
+                "or trace/critpath JSONs) by regression magnitude")
+    p.add_argument("a", metavar="A.json")
+    p.add_argument("b", metavar="B.json")
+    json_flag(p, "the full diff document")
+    p.add_argument("--html", dest="html_out", metavar="OUT",
+                   help="write the ranked table as a standalone HTML page")
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _parser().parse_args(argv)
-    if not args.names or args.names[0] == "list":
-        print(__doc__.strip())
-        print("\navailable artifacts:", ", ".join(sorted(ARTIFACTS)))
-        return 0
-    if args.names[0] == "profile":
-        return _profile_main(args)
-    if args.names[0] == "trace":
-        return _trace_main(args)
-    if args.names[0] == "critpath":
-        return _critpath_main(args)
-    if args.names[0] == "check":
-        return _check_main(args)
-    if args.names[0] == "diff":
-        return _diff_main(args)
-    if args.names[0] == "dashboard":
-        return _dashboard_main(args)
-    if args.names[0] == "validate-fidelity":
-        return _validate_main(args)
-    if args.names[0] == "merge":
-        return _merge_main(args)
-    run_all = args.names == ["all"]
-    names = sorted(ARTIFACTS) if run_all else args.names
-    unknown = [n for n in names if n not in ARTIFACTS]
-    if unknown:
-        print(f"unknown artifacts: {', '.join(unknown)}", file=sys.stderr)
-        print("available:", ", ".join(sorted(ARTIFACTS)), file=sys.stderr)
-        return 2
-
-    shard = None
-    if args.shard:
-        try:
-            index, count = (int(part) for part in args.shard.split("/"))
-            shard = (index, count)
-            if not 0 <= index < count:
-                raise ValueError
-        except ValueError:
-            print(f"--shard wants I/N with 0 <= I < N, got {args.shard!r}",
-                  file=sys.stderr)
-            return 2
-
-    cache = None if args.no_cache else ResultCache(args.cache)
-    runner = SweepRunner(jobs=args.jobs, cache=cache, shard=shard)
-    profiler = cProfile.Profile() if args.profile_out else None
-    incomplete: list = []
-    start = time.perf_counter()
-    if profiler:
-        profiler.enable()
+    parser, commands = _parser()
+    if argv and argv[0] not in commands and argv[0] not in ("-h", "--help"):
+        argv.insert(0, "run")
     try:
-        for name in names:
-            try:
-                print(ARTIFACTS[name](runner, quick=args.quick))
-            except ShardIncomplete as exc:
-                incomplete.append(name)
-                print(f"[shard {shard[0]}/{shard[1]}] {name}: partial — "
-                      f"{exc.skipped} point(s) belong to other shards; "
-                      "combine the shard trajectories with "
-                      "`python -m repro.bench merge`")
-            print()
-    finally:
-        runner.close()
-        if profiler:
-            profiler.disable()
-            profiler.dump_stats(args.profile_out)
-    wall = time.perf_counter() - start
-    if profiler:
-        print(f"pstats written to {args.profile_out} "
-              f"(inspect: python -m pstats {args.profile_out})",
-              file=sys.stderr)
-
-    json_out = args.json_out or (DEFAULT_JSON_OUT if run_all else None)
-    if shard is not None and json_out is None:
-        # A shard run's only durable product is its trajectory; always
-        # write one so `bench merge` has something to combine.
-        json_out = f"BENCH_shard{shard[0]}of{shard[1]}.json"
-    if json_out:
-        from repro.bench.profile import perf_section
-        from repro.obs.ledger import ledger_path_for
-
-        history = _perf_history(json_out)
-        trajectory = runner.trajectory(include_values=shard is not None)
-        ledger = runner.ledger()
-        trajectory["ledger"] = ledger.summary()
-        trajectory["cli"] = {
-            "artifacts": names,
-            "wall_s": wall,
-            "cache_hits": 0 if cache is None else cache.hits,
-            "cache_misses": 0 if cache is None else cache.misses,
-        }
-        perf = perf_section(runner.records, wall)
-        # Every run appends itself, so the committed trajectory carries
-        # its own before/after perf trail across PRs.
-        history.append({
-            "wall_s": wall,
-            "events": perf["events"],
-            "events_ff": perf["events_ff"],
-            "events_per_s": perf["events_per_s"],
-            "fidelity": perf["fidelity"],
-            "jobs": args.jobs,
-        })
-        perf["history"] = history[-10:]
-        trajectory["perf"] = perf
-        with open(json_out, "w") as fh:
-            json.dump(trajectory, fh, indent=2, sort_keys=True)
-        print(f"wrote trajectory for {len(runner.records)} points "
-              f"to {json_out}", file=sys.stderr)
-        if ledger.ops:
-            ledger_out = ledger_path_for(json_out)
-            ledger.save(ledger_out)
-            print(f"wrote op ledger ({ledger.ops} ops, "
-                  f"{len(ledger.entries)} entries) to {ledger_out}",
-                  file=sys.stderr)
-    if run_all:
-        events = sum(r.events for r in runner.records if not r.cached)
-        events_ff = sum(r.events_ff for r in runner.records if not r.cached)
-        run_wall = sum(r.wall_s for r in runner.records if not r.cached)
-        equivalent = events + events_ff
-        rate = equivalent / run_wall / 1e3 if run_wall > 0 else 0.0
-        cached_n = sum(1 for r in runner.records if r.cached)
-        # Sum per-point drop counts: the class-wide Tracer.total_dropped is
-        # per-process and undercounts when points ran in pool workers.
-        dropped = sum(r.dropped for r in runner.records)
-        snap_dropped = sum(r.snap_dropped for r in runner.records)
-        ff_note = f" (+{events_ff} fast-forwarded)" if events_ff else ""
-        print(f"all: {len(runner.records)} points ({cached_n} cached), "
-              f"{events} events{ff_note} in {wall:.2f}s — "
-              f"{rate:.1f}k events/s, "
-              f"tracer.dropped={dropped}, "
-              f"snapshots.dropped={snap_dropped}", file=sys.stderr)
-    return 0
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # report against the subcommand's own usage
+            commands[args.command].error(
+                f"unrecognized arguments: {' '.join(extra)}")
+    except SystemExit as exc:  # usage errors exit 2, --help exits 0
+        return exc.code
+    if args.command is None:
+        return _list(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

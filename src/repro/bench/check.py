@@ -23,11 +23,11 @@ fast-forward accounting::
       }
     }
 
-Schema-1 baselines (a flat ``"scenarios"`` section) load transparently as
-the ``packet`` mode of a schema-2 document.  Tolerance lookup is
-most-specific-first: ``<scenario>.<metric>``, then ``<metric>``, then
-``default_tolerance``.  Refresh with ``python -m repro.bench check
---update [--fidelity flow]`` after an intentional change.
+Given no scenario names, ``bench check`` replays the scenarios the
+baseline holds for the mode.  Tolerance lookup is most-specific-first:
+``<scenario>.<metric>``, then ``<metric>``, then ``default_tolerance``.
+Refresh with ``python -m repro.bench check --update [--fidelity flow]``
+after an intentional change.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 DEFAULT_BASELINE = "benchmarks/obs_baseline.json"
 DEFAULT_TOLERANCE = 0.02
-DEFAULT_SCENARIOS = ("fig07", "fig08", "allreduce", "fig12")
 
 #: registry gauges summed (over their label sets) into scenario metrics;
 #: kernel_events_processed is deliberately absent — it is class-global and
@@ -56,9 +55,9 @@ _GAUGE_TOTALS = (
 )
 
 
-def collect(scenarios: Optional[Sequence[str]] = None,
+def collect(scenarios: Sequence[str],
             fidelity: str = "packet") -> Dict[str, Any]:
-    """Run the traced scenarios at *fidelity* and build one mode's
+    """Run the named traced scenarios at *fidelity* and build one mode's
     scenario section (plus the mode tag).
 
     The fidelity is forced for the collection regardless of
@@ -69,9 +68,8 @@ def collect(scenarios: Optional[Sequence[str]] = None,
     from repro.obs import capture
     from repro.obs.export import attribute_op
 
-    names = list(scenarios) if scenarios else list(DEFAULT_SCENARIOS)
     with fidelity_override(fidelity):
-        return _collect(names, fidelity, capture, attribute_op)
+        return _collect(scenarios, fidelity, capture, attribute_op)
 
 
 def _collect(names, fidelity, capture, attribute_op) -> Dict[str, Any]:
@@ -224,19 +222,8 @@ def mode_view(baseline: Dict[str, Any], fidelity: str) -> Dict[str, Any]:
 
 
 def load_baseline(path: str) -> Dict[str, Any]:
-    """Load a baseline, migrating schema 1 (flat ``scenarios`` = packet
-    fidelity) to the schema-2 ``modes`` layout in memory."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("schema", 1) < 2 and "modes" not in doc:
-        doc = {
-            "schema": 2,
-            "default_tolerance": doc.get("default_tolerance",
-                                         DEFAULT_TOLERANCE),
-            "tolerances": doc.get("tolerances", {}),
-            "modes": {"packet": doc.get("scenarios", {})},
-        }
-    return doc
+        return json.load(fh)
 
 
 def write_baseline(path: str, doc: Dict[str, Any],

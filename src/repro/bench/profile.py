@@ -157,36 +157,6 @@ def run_microbenchmarks(quick: bool = False) -> List[Dict[str, Any]]:
 
 
 # ---------------------------------------------------------------------------
-# artifact profiles
-# ---------------------------------------------------------------------------
-
-#: ``--quick`` keyword overrides per artifact: small enough for a CI smoke
-#: run, large enough that the events/sec figure is stable (~100k events).
-_QUICK_KWARGS: Dict[str, Dict[str, Any]] = {
-    "fig07": {"sizes": [64 * units.KIB, units.MIB, 16 * units.MIB]},
-    "fig16": {"sizes": (2048, 4096)},
-    "figX_scale": {"node_counts": (8, 16), "size": 2 * units.MIB},
-}
-
-
-def _artifact_functions() -> Dict[str, Callable]:
-    from repro.bench import harness
-
-    return {
-        "fig07": harness.run_fig07_sendrecv_throughput,
-        "fig08": harness.run_fig08_invocation_latency,
-        "fig09": harness.run_fig09_f2f_breakdown,
-        "fig10": harness.run_fig10_f2f_collectives,
-        "fig11": harness.run_fig11_h2h_collectives,
-        "fig12": harness.run_fig12_reduce_scalability,
-        "fig13": harness.run_fig13_tcp_xrt,
-        "fig16": harness.run_fig16_vecmat,
-        "fig17": harness.run_fig17_dlrm,
-        "figX_scale": harness.run_figX_scale,
-    }
-
-
-# ---------------------------------------------------------------------------
 # cluster-scale profile (``profile scale``)
 # ---------------------------------------------------------------------------
 
@@ -303,6 +273,7 @@ def profile_artifact(
     metric/span counts, and — for artifacts with a traced scenario — a
     per-collective phase breakdown.
     """
+    from repro.bench.artifacts import ARTIFACTS
     from repro.bench.runner import SweepRunner
 
     if name == "kernel":
@@ -311,12 +282,8 @@ def profile_artifact(
     if name == "scale":
         return profile_scale(quick=quick, per_node=per_node)
 
-    functions = _artifact_functions()
-    if name not in functions:
-        raise KeyError(
-            f"unknown artifact {name!r}; profileable: "
-            f"{', '.join(sorted(functions))}, kernel, scale")
-    kwargs = dict(_QUICK_KWARGS.get(name, {})) if quick else {}
+    artifact = ARTIFACTS[name]
+    kwargs = artifact.kwargs(quick)
     runner = SweepRunner(jobs=1, cache=None)  # profiling wants cold points
 
     profiler = cProfile.Profile() if profile_out else None
@@ -326,7 +293,7 @@ def profile_artifact(
         profiler.enable()
     try:
         measured = measure(
-            lambda: functions[name](runner=runner, **kwargs), name)
+            lambda: artifact.run(runner=runner, **kwargs), name)
     finally:
         if profiler:
             profiler.disable()
@@ -343,8 +310,7 @@ def profile_artifact(
         profiler.dump_stats(profile_out)
         report["profile_out"] = profile_out
     if obs:
-        report["obs"] = _measure_obs_overhead(name, functions[name], kwargs,
-                                              report)
+        report["obs"] = _measure_obs_overhead(artifact, kwargs, report)
     return report
 
 
@@ -355,9 +321,9 @@ def profile_artifact(
 _OBS_TELEMETRY_CADENCE = units.us(50)
 
 
-def _measure_obs_overhead(name: str, fn, kwargs: Dict[str, Any],
+def _measure_obs_overhead(artifact, kwargs: Dict[str, Any],
                           baseline: Dict[str, Any]) -> Dict[str, Any]:
-    """Re-run *fn* with observability enabled; quantify the cost.
+    """Re-run *artifact* with observability enabled; quantify the cost.
 
     Two instrumented passes isolate the two cost sources: spans only
     (record-only tracing, no extra heap events), then spans + continuous
@@ -366,9 +332,9 @@ def _measure_obs_overhead(name: str, fn, kwargs: Dict[str, Any],
     *against*, so the reported overheads are if anything pessimistic.
     """
     from repro.bench.runner import SweepRunner
-    from repro.obs import capture
     from repro.obs import runtime as obs_runtime
 
+    name, fn = artifact.name, artifact.run
     bundle = obs_runtime.enable()
     try:
         runner = SweepRunner(jobs=1, cache=None)
@@ -417,9 +383,8 @@ def _measure_obs_overhead(name: str, fn, kwargs: Dict[str, Any],
         "overhead_pct": ((obs_rate / tm_rate - 1.0) * 100.0
                          if tm_rate > 0 else 0.0),
     }
-    if name in capture.traceable_artifacts():
-        cap = capture.trace_artifact(name)
-        block["breakdowns"] = cap.breakdowns()
+    if artifact.scenario is not None:
+        block["breakdowns"] = artifact.scenario().breakdowns()
     return block
 
 

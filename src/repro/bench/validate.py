@@ -6,74 +6,23 @@ reproduce its packet-fidelity numbers within a tight per-artifact
 tolerance.  This module replays artifacts twice — once per fidelity, cold
 (no cache), sequential — and recursively diffs the two result trees.
 
-Tolerances are per artifact and deliberately asymmetric:
-
-- artifacts with no multi-segment network traffic (the tables, fig08's
-  NOP invocations) must be **bit-identical** — a nonzero deviation there
-  means the flow machinery engaged where it has no business engaging;
-- wire-bound artifacts allow a small relative tolerance covering the two
-  documented approximations (bulk retransmission-buffer charging on TCP,
-  collapsed cut-through landings on RDMA WRITE bursts).
+Tolerances are per artifact (:attr:`repro.bench.artifacts.Artifact.tolerance`)
+and deliberately asymmetric: artifacts with no multi-segment network
+traffic must be **bit-identical** (a nonzero deviation there means the
+flow machinery engaged where it has no business engaging); wire-bound
+ones allow a small relative tolerance covering the documented flow
+approximations.
 
 Exit status is nonzero on any violation, so CI can gate on it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro import units
 from repro.bench.cache import jsonable
 from repro.network.fidelity import fidelity_override
 from repro.sim.kernel import Environment
-
-#: maximum allowed relative deviation, flow vs packet, per artifact.
-#: 0.0 means bit-identical.
-TOLERANCES: Dict[str, float] = {
-    "fig07": 1e-3,   # p2p: idle paths exact; the n_msgs=4 contended point
-                     # carries a one-sub-burst fallback-boundary residue
-    "fig08": 0.0,    # NOP invocations never segment
-    "fig09": 2e-3,   # bcast breakdown (PCIe legs exact, collective approx)
-    "fig10": 5e-3,   # F2F collectives (RDMA landing collapse)
-    "fig11": 1e-2,   # H2H collectives: PCIe-staged chunks add a handshake
-                     # per chunk, each worth one control-slotting residue
-    "fig12": 5e-3,   # reduce scalability
-    "fig13": 1e-2,   # TCP: bulk retx-buffer charging is the loosest model
-    "fig16": 5e-3,   # vecmat: analytic compute + reduce
-    "fig17": 5e-3,   # DLRM pipeline
-    "figX_scale": 1e-2,  # large-fabric collectives: 16 MiB messages sit
-                         # above the flow fast-forward floor, so the
-                         # whole-message algorithms take the analytic path
-    "tab01": 0.0,    # pure selector table
-    "tab02": 0.0,    # static config table
-    "tab03": 0.0,    # static resource table
-}
-
-#: ``--quick`` overrides: the size/scale extremes only, sized for a CI
-#: smoke job (small = latency-dominated, large = bandwidth-dominated).
-QUICK_KWARGS: Dict[str, Dict[str, Any]] = {
-    "fig07": {"sizes": [64 * units.KIB, 256 * units.MIB]},
-    "fig09": {"sizes": [4 * units.KIB, 64 * units.MIB]},
-    "fig10": {"sizes": [16 * units.KIB, 4 * units.MIB]},
-    "fig11": {"sizes": [16 * units.KIB, 4 * units.MIB]},
-    "fig12": {"rank_range": [2, 8]},
-    "fig13": {"sizes": [16 * units.KIB, 16 * units.MIB]},
-    "fig16": {"sizes": [4096], "rank_counts": [2, 8]},
-    "fig17": {"n_inferences": 8},
-    "figX_scale": {"node_counts": [16, 64]},
-}
-
-
-def artifact_functions() -> Dict[str, Callable]:
-    """Every artifact, including the tables (superset of the profiler's)."""
-    from repro.bench import harness
-    from repro.bench.profile import _artifact_functions
-
-    functions = dict(_artifact_functions())
-    functions["tab01"] = harness.run_tab01_algorithm_table
-    functions["tab02"] = harness.run_tab02_dlrm_config
-    functions["tab03"] = harness.run_tab03_resources
-    return functions
 
 
 def _compare(a: Any, b: Any, rtol: float, path: str,
@@ -136,25 +85,20 @@ def _run_fidelity(fn: Callable, kwargs: Dict[str, Any],
 
 def validate_artifact(name: str, quick: bool = False) -> Dict[str, Any]:
     """Replay *name* at both fidelities and diff the result trees."""
-    functions = artifact_functions()
-    if name not in functions:
-        raise KeyError(
-            f"unknown artifact {name!r}; validatable: "
-            f"{', '.join(sorted(functions))}")
-    rtol = TOLERANCES[name]
-    kwargs = dict(QUICK_KWARGS.get(name, {})) if quick else {}
-    packet, events_packet, _ = _run_fidelity(functions[name], kwargs,
-                                             "packet")
-    flow, events_flow, ff_flow = _run_fidelity(functions[name], kwargs,
-                                               "flow")
+    from repro.bench.artifacts import ARTIFACTS
+
+    artifact = ARTIFACTS[name]
+    kwargs = artifact.kwargs(quick)
+    packet, events_packet, _ = _run_fidelity(artifact.run, kwargs, "packet")
+    flow, events_flow, ff_flow = _run_fidelity(artifact.run, kwargs, "flow")
     violations: List[str] = []
     stats: Dict[str, Any] = {"leaves": 0, "max_rel": 0.0,
                              "max_rel_path": ""}
-    _compare(packet, flow, rtol, name, violations, stats)
+    _compare(packet, flow, artifact.tolerance, name, violations, stats)
     return {
         "artifact": name,
         "quick": quick,
-        "tolerance": rtol,
+        "tolerance": artifact.tolerance,
         "leaves": stats["leaves"],
         "max_rel": stats["max_rel"],
         "max_rel_path": stats["max_rel_path"],
@@ -164,19 +108,6 @@ def validate_artifact(name: str, quick: bool = False) -> Dict[str, Any]:
         "violations": violations,
         "ok": not violations,
     }
-
-
-def run_validation(names: Optional[Sequence[str]] = None,
-                   quick: bool = False) -> List[Dict[str, Any]]:
-    """Validate *names* (default: every artifact) in sorted order."""
-    functions = artifact_functions()
-    targets = sorted(names) if names else sorted(functions)
-    unknown = [n for n in targets if n not in functions]
-    if unknown:
-        raise KeyError(
-            f"unknown artifacts: {', '.join(unknown)}; validatable: "
-            f"{', '.join(sorted(functions))}")
-    return [validate_artifact(name, quick=quick) for name in targets]
 
 
 def explain_divergence(name: str, top: int = 5) -> Dict[str, Any]:
@@ -193,11 +124,6 @@ def explain_divergence(name: str, top: int = 5) -> Dict[str, Any]:
     """
     from repro.obs import capture
     from repro.obs.export import attribute_op
-
-    if name not in capture.traceable_artifacts():
-        raise KeyError(
-            f"--explain needs a traced scenario; available: "
-            f"{', '.join(capture.traceable_artifacts())}")
 
     def _reports(mode: str):
         with fidelity_override(mode):

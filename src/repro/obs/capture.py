@@ -1,8 +1,8 @@
 """Traced replays of small evaluation scenarios (the ``bench trace`` CLI).
 
 The sweep artifacts (fig07 …) run thousands of collectives — too much to
-look at in a trace viewer.  ``trace_artifact(name)`` instead replays one
-*representative* scenario of an artifact with a span tracer attached and
+look at in a trace viewer.  Each ``trace_*`` function here instead replays
+one *representative* scenario of an artifact with a span tracer attached and
 returns the capture: open the exported Chrome JSON in Perfetto to see the
 collective's uC / DMP / POE / wire phases laid out per node, or read the
 :func:`~repro.obs.export.phase_breakdown` table the CLI prints.
@@ -75,7 +75,7 @@ def _drain(cluster, requests, obs: Optional[Observability] = None) -> None:
                                  [r.event for r in requests]))
 
 
-def _trace_fig08(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
+def trace_fig08(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
     """Invocation latency: host nop calls — pure uC dispatch, no wire."""
     cluster, obs, drivers = _traced_cluster(2, telemetry=telemetry)
     for driver in drivers:
@@ -85,7 +85,7 @@ def _trace_fig08(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
         obs, obs.tracer.op_ids(), n_nodes=2)
 
 
-def _trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
+def trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
     """Send/recv throughput: a small (eager), a large (rendezvous) and a
     bulk (flow-eligible) transfer, back to back — the eager/rendezvous
     protocol switch and, under ``REPRO_FIDELITY=flow``, the burst
@@ -106,9 +106,9 @@ def _trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
         obs, obs.tracer.op_ids(), n_nodes=2)
 
 
-def _trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
-                     telemetry: Optional[float] = None,
-                     **_: Any) -> TraceCapture:
+def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
+                    telemetry: Optional[float] = None,
+                    **_: Any) -> TraceCapture:
     """One cluster-wide allreduce — the richest per-phase picture."""
     cluster, obs, drivers = _traced_cluster(n_nodes, telemetry=telemetry)
     data = np.ones(nbytes // 4, dtype=np.float32)
@@ -120,9 +120,9 @@ def _trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
         obs, obs.tracer.op_ids(), n_nodes=n_nodes)
 
 
-def _trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
-                 telemetry: Optional[float] = None,
-                 **_: Any) -> TraceCapture:
+def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
+                telemetry: Optional[float] = None,
+                **_: Any) -> TraceCapture:
     """Bulk reduce to a root: ring chunks at the flow admission floor.
 
     A 32 MiB reduce across 4 nodes moves 8 MiB ring chunks — exactly the
@@ -162,12 +162,12 @@ def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
     return hits
 
 
-def _trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
-                      fabric: str = "fattree",
-                      slow_link: Optional[str] = None,
-                      slow_factor: float = 8.0,
-                      telemetry: Optional[float] = None,
-                      **_: Any) -> TraceCapture:
+def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
+                     fabric: str = "fattree",
+                     slow_link: Optional[str] = None,
+                     slow_factor: float = 8.0,
+                     telemetry: Optional[float] = None,
+                     **_: Any) -> TraceCapture:
     """One scale-study leg under a tracer: bcast + two allreduces on a
     real multi-tier fabric.
 
@@ -216,26 +216,15 @@ def _trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
                         n_nodes=n_nodes)
 
 
-_SCENARIOS = {
-    "fig08": _trace_fig08,
-    "fig07": _trace_fig07,
-    "allreduce": _trace_allreduce,
-    "fig10": _trace_allreduce,
-    "fig12": _trace_fig12,
-    "figX_scale": _trace_figX_scale,
-}
-
-
-def traceable_artifacts() -> List[str]:
-    return sorted(_SCENARIOS)
-
-
 def trace_artifact(name: str, **kwargs: Any) -> TraceCapture:
-    """Replay artifact *name*'s representative scenario under a tracer."""
+    """Replay scenario *name* (see :data:`repro.bench.artifacts.SCENARIOS`)
+    under a tracer."""
+    from repro.bench.artifacts import SCENARIOS
+
     try:
-        fn = _SCENARIOS[name]
+        fn = SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"no traced scenario for {name!r}; available: "
-            f"{', '.join(traceable_artifacts())}") from None
+            f"{', '.join(SCENARIOS)}") from None
     return fn(**kwargs)

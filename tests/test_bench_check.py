@@ -87,19 +87,6 @@ class TestCompare:
 
 
 class TestBaselineSchema2:
-    def test_schema1_baseline_migrates_to_packet_mode(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps({
-            "schema": 1, "default_tolerance": 0.05,
-            "tolerances": {"spans": 0.0},
-            "scenarios": {"fig08": {"ops": 2.0}},
-        }))
-        doc = check_mod.load_baseline(str(path))
-        assert doc["schema"] == 2
-        assert doc["modes"] == {"packet": {"fig08": {"ops": 2.0}}}
-        assert doc["default_tolerance"] == 0.05
-        assert doc["tolerances"] == {"spans": 0.0}
-
     def test_mode_view_shapes_for_compare(self):
         doc = {"schema": 2, "default_tolerance": 0.01,
                "tolerances": {"spans": 0.0},

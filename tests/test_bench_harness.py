@@ -1,5 +1,7 @@
 """Tests of the benchmark harness plumbing and CLI (fast artifacts only)."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import format_rows, format_series
@@ -10,7 +12,9 @@ from repro.bench.harness import (
     run_tab01_algorithm_table,
     run_tab03_resources,
 )
-from repro.bench.__main__ import ARTIFACTS, main
+from repro.bench.__main__ import _parser, main
+from repro.bench.artifacts import ARTIFACTS, SCENARIOS
+from repro.obs import capture
 from repro.platform.base import BufferLocation
 from repro import units
 
@@ -96,12 +100,6 @@ class TestCli:
         assert "recursive_doubling" in out
         assert "DLRM FC1" in out
 
-    def test_artifact_registry_covers_all_figures(self):
-        expected = {"fig07", "fig08", "fig09", "fig10", "fig11", "fig12",
-                    "fig13", "fig16", "fig17", "figX_scale",
-                    "tab01", "tab02", "tab03"}
-        assert set(ARTIFACTS) == expected
-
     def test_tab02_regenerates_dlrm_config(self, capsys):
         assert main(["tab02"]) == 0
         out = capsys.readouterr().out
@@ -127,3 +125,111 @@ class TestCli:
         assert main(["tab03", "--cache", cache_dir]) == 0
         warm = capsys.readouterr().out
         assert warm == cold  # cache hit renders identical rows
+
+    @pytest.mark.parametrize("argv", [
+        ["tab01", "--fidelity", "flow"],
+        ["trace", "fig08", "--update"],
+        ["trace", "fig08", "--jobs", "4"],
+        ["check", "fig08", "--quick"],
+        ["profile", "fig08", "--shard", "0/2"],
+        ["merge", "s.json", "--no-cache"],
+        ["diff", "a.json", "b.json", "--per-node"],
+        ["validate-fidelity", "fig08", "--baseline", "b.json"],
+    ])
+    def test_flag_of_another_subcommand_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_help_exits_0(self, capsys):
+        _, commands = _parser()
+        assert main(["--help"]) == 0
+        for name in commands:
+            assert main([name, "--help"]) == 0
+            assert f"python -m repro.bench {name}" in capsys.readouterr().out
+
+    def test_profile_table_quick(self, capsys):
+        assert main(["profile", "tab01", "--quick"]) == 0
+        assert "tab01 (--quick): 1 points" in capsys.readouterr().out
+
+    def test_bare_artifact_routes_to_run(self, capsys):
+        assert main(["run", "fig08", "--no-cache"]) == 0
+        explicit = capsys.readouterr().out
+        assert main(["fig08", "--no-cache"]) == 0
+        assert capsys.readouterr().out == explicit
+        assert "Figure 8" in explicit
+
+
+@pytest.fixture
+def stub_registry(monkeypatch):
+    """Swap every artifact's run/render and every traced scenario for
+    instant stand-ins; returns the (artifact, run kwargs) call log."""
+    calls = []
+    for name, artifact in list(ARTIFACTS.items()):
+        def run(runner, _name=name, **kwargs):
+            calls.append((_name, kwargs))
+            return _name
+
+        monkeypatch.setitem(ARTIFACTS, name, dataclasses.replace(
+            artifact, run=run, render=str))
+    for name in list(SCENARIOS):
+        monkeypatch.setitem(SCENARIOS, name, capture.trace_fig08)
+    return calls
+
+
+class TestRegistry:
+    """Every subcommand accepts exactly the registry's names."""
+
+    def test_list_and_all_cover_the_registry(self, stub_registry, tmp_path,
+                                             capsys):
+        assert list(ARTIFACTS) == [
+            "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "fig13",
+            "fig16", "fig17", "figX_scale", "tab01", "tab02", "tab03"]
+        assert main(["list"]) == 0
+        table, scenarios = capsys.readouterr().out.strip().split("\n\n")
+        assert [line.split()[0] for line in table.splitlines()[3:]] == list(
+            ARTIFACTS)
+        assert scenarios == "traced scenarios: " + ", ".join(SCENARIOS)
+        assert main(["all", "--no-cache",
+                     "--json", str(tmp_path / "t.json")]) == 0
+        assert capsys.readouterr().out.split() == list(ARTIFACTS)
+
+    def test_profile_and_validate_accept_exactly_the_artifacts(
+            self, stub_registry, capsys):
+        for name in ARTIFACTS:
+            assert main(["profile", name]) == 0
+        assert main(["validate-fidelity"]) == 0
+        assert [name for name, _ in stub_registry] == (
+            list(ARTIFACTS) + [n for n in ARTIFACTS for _ in range(2)])
+        assert main(["profile", "allreduce"]) == 2
+        assert main(["validate-fidelity", "allreduce"]) == 2
+
+    def test_traced_subcommands_accept_exactly_the_scenarios(
+            self, stub_registry, tmp_path, capsys):
+        baseline = str(tmp_path / "baseline.json")
+        html = str(tmp_path / "dashboard.html")
+        for name in SCENARIOS:
+            assert main(["trace", name]) == 0
+            assert main(["critpath", name]) == 0
+            assert main(["dashboard", name, "--out", html]) == 0
+            assert main(["validate-fidelity", "--explain", name]) == 0
+        assert main(["check", *SCENARIOS, "--update",
+                     "--baseline", baseline]) == 0
+        # no names: every scenario the baseline holds for the mode
+        assert main(["check", "--baseline", baseline]) == 0
+        assert "check ok" in capsys.readouterr().out
+        for argv in (["trace", "fig09"], ["critpath", "fig09"],
+                     ["dashboard", "fig09"],
+                     ["validate-fidelity", "--explain", "fig09"],
+                     ["check", "fig09", "--baseline", baseline]):
+            assert main(argv) == 2
+
+    def test_quick_selects_one_slice_everywhere(self, stub_registry,
+                                                tmp_path, capsys):
+        assert main(["all", "--quick", "--no-cache",
+                     "--json", str(tmp_path / "t.json")]) == 0
+        for name in ARTIFACTS:
+            assert main(["profile", name, "--quick"]) == 0
+        assert main(["validate-fidelity", "--quick"]) == 0
+        assert len(stub_registry) == 4 * len(ARTIFACTS)
+        for name, kwargs in stub_registry:
+            assert kwargs == dict(ARTIFACTS[name].quick), name

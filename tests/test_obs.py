@@ -21,7 +21,8 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs import runtime as obs_runtime
-from repro.obs.capture import trace_artifact, traceable_artifacts
+from repro.bench.artifacts import SCENARIOS
+from repro.obs.capture import trace_artifact
 from repro.sim.monitor import percentile_of
 from tests.helpers import make_cluster
 
@@ -354,8 +355,7 @@ class TestClusterWiring:
 
 class TestCapture:
     def test_traceable_artifacts_listed(self):
-        names = traceable_artifacts()
-        assert "fig08" in names and "fig07" in names
+        assert "fig08" in SCENARIOS and "fig07" in SCENARIOS
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError):
