@@ -24,6 +24,7 @@ CLI::
 from __future__ import annotations
 
 import cProfile
+import gc
 import time
 import tracemalloc
 from typing import Any, Callable, Dict, List, Optional
@@ -175,9 +176,12 @@ def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
     Builds a ``nodes``-host large fabric under ``tracemalloc`` (the
     construction cost the memory-lean refactor targets), then runs one
     16 MiB ``reduce_bcast`` allreduce across all hosts at flow fidelity.
-    ``per_node`` adds the ``bytes_per_node`` figure that ``bench profile
-    --memory --per-node`` commits to the perf section of
-    ``BENCH_results.json``.
+    ``per_node`` adds the figures that ``bench profile --memory
+    --per-node`` commits to the perf section of ``BENCH_results.json``:
+    ``bytes_per_node`` for construction and ``run_bytes_per_node`` for
+    the run-time state (pipe busy history, TLB mappings, lazily peered
+    queue pairs) that one untimed allreduce leaves on the built cluster.
+    The timed allreduce runs on a fresh cluster without ``tracemalloc``.
     """
     from repro.bench.harness import accl_collective_time, \
         scale_topology_factory
@@ -192,23 +196,28 @@ def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
         return build_fpga_cluster(n, topology_factory=factory,
                                   peering="lazy", **kw)
 
-    tracemalloc.start()
-    base, _ = tracemalloc.get_traced_memory()
-    t0 = time.perf_counter()
-    cluster = builder(nodes, protocol="rdma", platform="coyote")
-    build_s = time.perf_counter() - t0
-    built, _ = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    build_bytes = built - base
-    del cluster
+    def run_allreduce(cluster_builder) -> float:
+        return accl_collective_time(
+            "allreduce", SCALE_ALLREDUCE_BYTES, n_nodes=nodes,
+            sync_protocol="rndz", algorithm="reduce_bcast",
+            cluster_builder=cluster_builder)
 
     with fidelity_override("flow"):
-        measured = measure(
-            lambda: accl_collective_time(
-                "allreduce", SCALE_ALLREDUCE_BYTES, n_nodes=nodes,
-                sync_protocol="rndz", algorithm="reduce_bcast",
-                cluster_builder=builder),
-            f"scale-allreduce-{nodes}")
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        t0 = time.perf_counter()
+        cluster = builder(nodes, protocol="rdma", platform="coyote")
+        build_s = time.perf_counter() - t0
+        built, _ = tracemalloc.get_traced_memory()
+        if per_node:
+            run_allreduce(lambda *_, **__: cluster)
+            gc.collect()
+            ran, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        build_bytes = built - base
+        del cluster
+        measured = measure(lambda: run_allreduce(builder),
+                           f"scale-allreduce-{nodes}")
     allreduce = measured["report"]
     allreduce.update(size=SCALE_ALLREDUCE_BYTES, algorithm="reduce_bcast",
                      fidelity="flow", time_s=measured["value"])
@@ -224,6 +233,7 @@ def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
     }
     if per_node:
         report["bytes_per_node"] = build_bytes / nodes
+        report["run_bytes_per_node"] = (ran - built) / nodes
     return report
 
 
@@ -246,7 +256,7 @@ def record_scale_block(report: Dict[str, Any],
     perf["scale"] = {
         key: report[key]
         for key in ("nodes", "fabric", "build_s", "build_bytes",
-                    "bytes_per_node", "allreduce")
+                    "bytes_per_node", "run_bytes_per_node", "allreduce")
         if key in report
     }
     with open(json_out, "w") as fh:
@@ -423,7 +433,9 @@ def render_report(report: Dict[str, Any]) -> str:
             f"{report['build_bytes'] / 2**20:.1f} MiB tracemalloc delta")
         if "bytes_per_node" in report:
             lines.append(
-                f"  bytes/node: {report['bytes_per_node'] / 1024:.1f} KiB")
+                f"  bytes/node: {report['bytes_per_node'] / 1024:.1f} KiB "
+                f"built, {report['run_bytes_per_node'] / 1024:.1f} KiB "
+                "more after one allreduce")
         ar = report["allreduce"]
         equivalent = ar["events"] + ar["events_ff"]
         lines.append(

@@ -132,8 +132,8 @@ class Event:
             raise SimulationError("event value is not yet available")
         return self._value
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Trigger the event successfully, scheduling callbacks after *delay*."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Trigger the event successfully; callbacks run at the current time."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
@@ -142,13 +142,10 @@ class Event:
             self._scheduled = True
             env = self.env
             env._seq += 1
-            if delay == 0.0:
-                env._bucket.append((env._seq, self))
-            else:
-                heappush(env._heap, (env._now + delay, env._seq, self))
+            env._bucket.append((env._seq, self))
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception; waiters will see it raised."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -160,10 +157,7 @@ class Event:
             self._scheduled = True
             env = self.env
             env._seq += 1
-            if delay == 0.0:
-                env._bucket.append((env._seq, self))
-            else:
-                heappush(env._heap, (env._now + delay, env._seq, self))
+            env._bucket.append((env._seq, self))
         return self
 
     def defuse(self) -> None:
@@ -284,7 +278,7 @@ class Process(Event):
         wakeup._value = Interrupt(cause)
         wakeup._defused = True
         wakeup.callbacks = self._resume
-        self.env._schedule(wakeup, 0.0)
+        self.env._schedule(wakeup)
 
     def _bootstrap(self) -> None:
         self._advance(True, None)
@@ -317,12 +311,12 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                env._schedule(self, 0.0)
+                env._schedule(self)
                 return
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                env._schedule(self, 0.0)
+                env._schedule(self)
                 return
 
             if next_event.__class__ is float:
@@ -469,15 +463,13 @@ class Environment:
         """Current simulation time in seconds."""
         return self._now
 
-    def _schedule(self, event: Event, delay: float) -> None:
+    def _schedule(self, event: Event) -> None:
+        """Queue *event*'s callbacks to run at the current time."""
         if event._scheduled:
             return
         event._scheduled = True
         self._seq += 1
-        if delay == 0.0:
-            self._bucket.append((self._seq, event))
-        else:
-            heappush(self._heap, (self._now + delay, self._seq, event))
+        self._bucket.append((self._seq, event))
 
     def schedule_callback(self, delay: float, fn: Callable, *args: Any) -> None:
         """Run ``fn(*args)`` after *delay* (for non-process components).
@@ -486,12 +478,18 @@ class Environment:
         :class:`Event` is constructed, only a tuple on the heap (or, for a
         zero delay, in the now-bucket).  The callback cannot be waited on;
         components that need a waitable handle should use :meth:`timeout`.
+        A negative or NaN *delay* raises :class:`SimulationError`: the clock
+        never moves backwards.
         """
-        self._seq += 1
         if delay == 0.0:
+            self._seq += 1
             self._bucket.append((self._seq, (fn, args)))
-        else:
+        elif delay > 0.0:
+            self._seq += 1
             heappush(self._heap, (self._now + delay, self._seq, (fn, args)))
+        else:
+            raise SimulationError(
+                f"cannot schedule a callback after delay {delay!r}")
 
     def schedule_callback_at(self, time: float, fn: Callable,
                              *args: Any) -> None:

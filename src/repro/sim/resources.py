@@ -10,10 +10,15 @@ costs O(1) events regardless of its size.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 from repro.sim.kernel import Environment, Event
+
+#: end of the open busy interval before a pipe's first transfer; every
+#: record starts at or after time 0, so the first one always opens anew
+_NO_BUSY = float("-inf")
 
 
 class Resource:
@@ -72,7 +77,7 @@ class BandwidthResource:
     """
 
     __slots__ = ("env", "rate", "overhead", "name", "_free_at", "_busy_time",
-                 "_bytes_moved", "_busy_intervals")
+                 "_bytes_moved", "_busy_start", "_busy_end", "_busy_history")
 
     def __init__(
         self,
@@ -92,22 +97,40 @@ class BandwidthResource:
         self._free_at = 0.0
         self._busy_time = 0.0
         self._bytes_moved = 0
-        # Busy time in timestamped form: merged, non-overlapping
-        # [start, end] occupancy intervals, sorted by start.  Back-to-back
-        # transfers extend the last interval, so the list only grows at
-        # idle gaps and windowed queries stay cheap.
-        self._busy_intervals: List[List[float]] = []
+        # Busy time in timestamped form: merged, non-overlapping occupancy
+        # intervals, sorted by start.  Back-to-back transfers extend the
+        # open interval [_busy_start, _busy_end]; an idle gap closes it
+        # onto _busy_history as two doubles, so the history costs 16 B
+        # per gap and holds no Python object the cyclic GC would walk.
+        # The array is created on the first gap, so building a cluster
+        # allocates none.
+        self._busy_start = _NO_BUSY
+        self._busy_end = _NO_BUSY
+        self._busy_history: Optional[array] = None
 
     @property
     def bytes_moved(self) -> int:
         return self._bytes_moved
 
     def _record_busy(self, start: float, finish: float) -> None:
-        if self._busy_intervals and start <= self._busy_intervals[-1][1]:
-            last = self._busy_intervals[-1]
-            last[1] = max(last[1], finish)
-        else:
-            self._busy_intervals.append([start, finish])
+        """Add occupancy ``[start, finish]`` to the busy history.
+
+        A record that starts inside the open interval only extends its
+        end; any other closes the open interval and opens a new one.
+        """
+        end = self._busy_end
+        if start <= end:
+            if finish > end:
+                self._busy_end = finish
+            return
+        if end != _NO_BUSY:
+            history = self._busy_history
+            if history is None:
+                history = self._busy_history = array("d")
+            history.append(self._busy_start)
+            history.append(end)
+        self._busy_start = start
+        self._busy_end = finish
 
     def utilization(self, since: float = 0.0) -> float:
         """Fraction of wall time the pipe was busy in ``[since, now]``.
@@ -120,10 +143,16 @@ class BandwidthResource:
         if elapsed <= 0:
             return 0.0
         busy = 0.0
-        for start, end in reversed(self._busy_intervals):
-            if end <= since:
-                break
-            busy += max(0.0, min(end, now) - max(start, since))
+        end = self._busy_end
+        if end > since:
+            busy += max(0.0, min(end, now) - max(self._busy_start, since))
+            history = self._busy_history
+            if history is not None:
+                for i in range(len(history) - 2, -1, -2):
+                    end = history[i + 1]
+                    if end <= since:
+                        break
+                    busy += max(0.0, min(end, now) - max(history[i], since))
         return min(1.0, busy / elapsed)
 
     def busy_until(self) -> float:
@@ -145,7 +174,8 @@ class BandwidthResource:
         event — for components that aggregate several pipe stages analytically.
 
         This is the hottest non-kernel function in a sweep (every segment on
-        every link lands here), so the busy-interval merge is inlined.
+        every link lands here), so the busy-interval merge is inlined; only
+        an idle gap calls :meth:`_record_busy`.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -157,14 +187,12 @@ class BandwidthResource:
         self._free_at = finish
         self._busy_time += duration
         self._bytes_moved += nbytes
-        intervals = self._busy_intervals
-        if intervals:
-            last = intervals[-1]
-            if start <= last[1]:
-                if finish > last[1]:
-                    last[1] = finish
-                return finish
-        intervals.append([start, finish])
+        end = self._busy_end
+        if start <= end:
+            if finish > end:
+                self._busy_end = finish
+        else:
+            self._record_busy(start, finish)
         return finish
 
     def register_metrics(self, registry, name: Optional[str] = None,

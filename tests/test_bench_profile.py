@@ -73,6 +73,34 @@ class TestProfileArtifact:
         assert report["quick"] is True
 
 
+class TestScaleProfile:
+    def test_per_node_reports_run_time_bytes_beside_construction(
+            self, tmp_path):
+        report = profile_mod.profile_scale(nodes=16, per_node=True)
+        assert report["nodes"] == 16
+        assert report["bytes_per_node"] == report["build_bytes"] / 16
+        # The allreduce's busy history, TLB mappings and lazily peered queue
+        # pairs stay on the cluster: about one construction's worth per
+        # node, where one list per idle gap held ~4x that.
+        run_bytes = report["run_bytes_per_node"]
+        assert 0 < run_bytes < 2 * report["bytes_per_node"]
+        assert report["allreduce"]["time_s"] > 0
+        assert "more after one allreduce" in profile_mod.render_report(report)
+
+        trajectory = tmp_path / "BENCH_results.json"
+        trajectory.write_text(json.dumps({"perf": {"wall_s": 1.0}}))
+        assert profile_mod.record_scale_block(report, str(trajectory))
+        perf = json.loads(trajectory.read_text())["perf"]
+        assert perf["wall_s"] == 1.0
+        assert perf["scale"]["run_bytes_per_node"] == run_bytes
+        assert perf["scale"]["bytes_per_node"] == report["bytes_per_node"]
+
+    def test_without_per_node_reports_no_per_node_bytes(self):
+        report = profile_mod.profile_scale(nodes=16)
+        assert "bytes_per_node" not in report
+        assert "run_bytes_per_node" not in report
+
+
 class TestCli:
     def test_profile_kernel_quick(self, capsys):
         assert bench_main(["profile", "kernel", "--quick"]) == 0

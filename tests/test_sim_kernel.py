@@ -284,6 +284,40 @@ def test_schedule_callback():
     assert fired == [2.0]
 
 
+@pytest.mark.parametrize("delay", [-0.5, -1e-300, float("-inf"),
+                                   float("nan")])
+def test_schedule_callback_rejects_delay_that_would_rewind_time(delay):
+    env = Environment()
+    fired = []
+    env.run(until=1.0)
+    env.schedule_callback(2.0, lambda: fired.append(env.now))
+    env.schedule_callback(0.0, lambda: fired.append(env.now))
+    pending = (env.peek(), len(env._heap), len(env._bucket), env._seq)
+    with pytest.raises(SimulationError):
+        env.schedule_callback(delay, lambda: fired.append(env.now))
+    assert env.now == 1.0
+    assert (env.peek(), len(env._heap), len(env._bucket), env._seq) == pending
+    env.run()
+    assert fired == [1.0, 3.0]
+    assert env.now == 3.0
+
+
+def test_event_trigger_takes_no_delay():
+    """Triggered events fire at the current time: there is no delay
+    argument that could schedule them in the past."""
+    env = Environment()
+    env.run(until=1.0)
+    ev, bad = env.event(), env.event()
+    with pytest.raises(TypeError):
+        ev.succeed(None, delay=-0.75)
+    with pytest.raises(TypeError):
+        bad.fail(RuntimeError("x"), delay=-0.75)
+    assert not ev.triggered and not bad.triggered
+    ev.succeed("v")
+    env.run()
+    assert env.now == 1.0 and ev.processed and ev.value == "v"
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     env.timeout(7)

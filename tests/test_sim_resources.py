@@ -1,5 +1,8 @@
 """Unit tests for Resource, BandwidthResource and TokenBucket."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.sim import BandwidthResource, Environment, Resource
@@ -257,8 +260,43 @@ def test_bandwidth_back_to_back_transfers_merge_busy_intervals():
 
     env.process(proc())
     env.run()
-    assert len(pipe._busy_intervals) == 1
-    assert pipe.utilization() == pytest.approx(1.0)
+    # No gap between the transfers: every window of the run is fully busy.
+    for since in (0.0, 0.5, 1.0, 2.5, 3.999):
+        assert pipe.utilization(since) == 1.0
+
+
+def test_bandwidth_busy_history_grows_by_two_doubles_per_idle_gap():
+    """Run-time memory stays bounded: an idle gap adds at most 20 B to the
+    pipe's busy history and no object for the cyclic GC to walk."""
+    gaps = 10_000
+
+    def idle_gaps(env, pipe, n):
+        for _ in range(n):
+            yield pipe.transfer(100)    # busy for 1 s ...
+            yield 1.0                   # ... then idle for 1 s
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        env = Environment()
+        pipe = BandwidthResource(env, rate_bytes_per_s=100.0)
+        # Warm up: the first gap creates the pipe's one history array.
+        env.process(idle_gaps(env, pipe, 100))
+        env.run()
+        gc.collect()
+        traced_before = tracemalloc.get_traced_memory()[0]
+        tracked_before = len(gc.get_objects())
+        env.process(idle_gaps(env, pipe, gaps))
+        env.run()
+        gc.collect()
+        tracked_grown = len(gc.get_objects()) - tracked_before
+        traced_grown = tracemalloc.get_traced_memory()[0] - traced_before
+    finally:
+        tracemalloc.stop()
+    assert env.now == 2.0 * (100 + gaps)
+    assert pipe.utilization() == 0.5
+    assert traced_grown <= 20 * gaps, f"{traced_grown / gaps:.1f} B per gap"
+    assert tracked_grown <= 16
 
 
 def test_token_bucket_large_head_request_blocks_later_small_ones():
