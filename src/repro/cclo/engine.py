@@ -23,7 +23,7 @@ from repro.errors import CcloError
 from repro.platform.base import BasePlatform, BufferLocation
 from repro.protocols.base import BasePoe, MessageHeader
 from repro.protocols.rdma import RdmaPoe
-from repro.sim import Channel, Environment, Event, all_of
+from repro.sim import Channel, Environment, Event
 from repro.cclo.config_mem import CcloConfig, CommunicatorConfig, ConfigMemory
 from repro.cclo.dmp import DataMovementProcessor
 from repro.cclo.microcontroller import (
@@ -225,7 +225,8 @@ class CcloEngine:
             "nbytes": nbytes,
             "written": Event(self.env),
             "data": None,
-            "landings": [],
+            # completion time of the latest cut-through segment landing
+            "landed_at": None,
         }
         return target_id
 
@@ -252,11 +253,22 @@ class CcloEngine:
         )
 
     def _rndz_segment_landing(self, header: MessageHeader, nbytes: int) -> None:
-        """Cut-through landing: charge memory per WRITE segment on arrival."""
+        """Cut-through landing: charge memory per WRITE segment on arrival.
+
+        The memory pipes are charged now, but no event is created: the
+        drain only waits for the last landing, so only the latest
+        completion time is kept.
+        """
         descriptor = header.meta
         entry = self._rndz_targets.get(descriptor.target_id)
-        if entry is not None and entry["view"] is not None:
-            entry["landings"].append(entry["view"].device_write(nbytes))
+        if entry is None or entry["view"] is None:
+            return
+        buffer = entry["view"].buffer
+        landed_at = self.env._now + buffer.platform.device_access_delay(
+            buffer, nbytes, "write")
+        last = entry["landed_at"]
+        if last is None or landed_at > last:
+            entry["landed_at"] = landed_at
 
     def _rndz_write_proc(self, entry: dict, nbytes: int, data: Any):
         view = entry["view"]
@@ -265,9 +277,18 @@ class CcloEngine:
             # Stream-destined WRITE: route to the kernel stream port.
             yield self.noc.route("rx", "kernel", nbytes)
             yield self.kernel_data_out.put((nbytes, data))
-        elif entry["landings"]:
-            # Segments landed as they arrived; drain the last of them.
-            yield all_of(self.env, entry["landings"])
+        elif entry["landed_at"] is not None:
+            # Segments landed as they arrived; drain the last of them.  A
+            # callback at the absolute completion time resumes at exactly
+            # that float (a relative sleep could round it).
+            landed_at = entry["landed_at"]
+            env = self.env
+            if landed_at > env._now:
+                landed = Event(env)
+                env.schedule_callback_at(landed_at, landed.succeed)
+                yield landed
+            else:
+                yield 0.0
             if data is not None:
                 view.set_array(np.asarray(data))
         else:

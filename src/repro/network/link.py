@@ -37,7 +37,7 @@ class Link:
     # Large fabrics build thousands of links; a fixed attribute layout
     # drops the per-instance __dict__.
     __slots__ = (
-        "env", "rate", "latency", "name", "coalesce", "_pipe", "_sink",
+        "env", "rate", "latency", "name", "_pipe", "_sink", "_forwarding",
         "_burst_sink", "_burst_at_tail", "_last_owner", "_train",
         "_train_prev", "_train_tail", "_intr_free", "_convoy",
         "_convoy_token", "_relay", "segments_carried", "_in_flight",
@@ -50,7 +50,6 @@ class Link:
         rate: float = units.gbps(100),
         latency: float = units.ns(500),
         name: str = "link",
-        coalesce: bool = True,
     ):
         if latency < 0:
             raise ValueError(f"negative latency: {latency}")
@@ -58,9 +57,11 @@ class Link:
         self.rate = rate
         self.latency = latency
         self.name = name
-        self.coalesce = coalesce
         self._pipe = BandwidthResource(env, rate, name=f"{name}.pipe")
         self._sink: Optional[Callable[[Segment], None]] = None
+        # Port-to-port latency of a switch sink, added to every delivery
+        # (see connect).
+        self._forwarding = 0.0
         self._burst_sink: Optional[Callable[[Burst], None]] = None
         self._burst_at_tail = False
         # Message descriptor (segment/burst ``meta``) of the traffic that
@@ -102,10 +103,10 @@ class Link:
         # have interleaved the late arrivals.
         self._relay: Optional[Tuple[Burst, float]] = None
         self.segments_carried = 0
-        # Delivery pump state (coalesced path): in-flight segments with their
-        # delivery times.  The pipe is FIFO and the latency constant, so
-        # delivery times are strictly increasing within one link and a single
-        # self-rescheduling heap entry can drain the queue in order.
+        # Delivery pump state: in-flight segments with their delivery times.
+        # The pipe is FIFO and the latency constant, so delivery times never
+        # decrease within one link and a single self-rescheduling heap entry
+        # can drain the queue in order.
         self._in_flight: Deque[Tuple[float, Segment]] = deque()
         self._pump_scheduled = False
         # Span tracing (None = disabled): bound via bind_tracer.
@@ -136,19 +137,28 @@ class Link:
         spans (record-only; ``None`` deactivates)."""
         self._span_tracer = span_tracer
 
-    def connect(self, sink: Callable[[Segment], None]) -> None:
-        """Attach the receiving side; exactly one sink per link."""
+    def connect(self, sink: Callable[[Segment], None],
+                forwarding_latency: float = 0.0) -> None:
+        """Attach the receiving side; exactly one sink per link.
+
+        *forwarding_latency* is the fixed port-to-port latency of a switch
+        sink.  The link adds it to every delivery, segment and burst head
+        alike, so the switch can forward on arrival and a switch hop costs
+        one kernel event instead of two.
+        """
         if self._sink is not None:
             raise NetworkError(f"link {self.name!r} already has a sink")
         self._sink = sink
+        self._forwarding = forwarding_latency
 
     def connect_burst(self, sink: Callable[[Burst], None],
                       at_tail: bool = False) -> None:
         """Attach the receiver of fast-forwarded bursts (flow fidelity).
 
         ``at_tail=False`` (switch hops) hands the burst over when its *head*
-        segment arrives, so the next hop admits or expands it at the same
-        instant the packet-level first segment would have shown up.
+        segment arrives, plus the forwarding latency given to
+        :meth:`connect`, so the next hop admits or expands it at the same
+        instant the packet-level first segment would have reached it.
         ``at_tail=True`` (the terminal downlink) delivers at the *last*
         segment's arrival — the moment packet-level reassembly would have
         completed — saving the extra head-to-tail callback.
@@ -185,7 +195,8 @@ class Link:
 
         Returns the simulation time at which the last byte leaves the
         transmitter (useful for senders that pace subsequent segments).
-        Delivery to the sink happens ``latency`` later.
+        Delivery to the sink happens ``latency`` (plus a switch sink's
+        forwarding latency) later.
         """
         if self._sink is None:
             raise NetworkError(f"link {self.name!r} has no sink connected")
@@ -220,21 +231,27 @@ class Link:
         egress_done = self._pipe.reserve(segment.wire_bytes)
         self._last_owner = segment.meta
         self.segments_carried += 1
-        deliver_at = egress_done + self.latency
-        if self.coalesce:
-            # A back-to-back segment train keeps one heap entry alive instead
-            # of one per segment: the pump delivers each segment at its exact
-            # reserved time, so timing and per-link order are unchanged.  The
-            # stored fire time reproduces the relative path's float rounding
-            # (now + (deliver_at - now)) bit-for-bit.
-            fire_at = env.now + (deliver_at - env.now)
-            self._in_flight.append((fire_at, segment))
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
-                env.schedule_callback_at(fire_at, self._pump)
-        else:
-            env.schedule_callback(deliver_at - env.now, self._sink, segment)
+        self._deliver(env._now, egress_done, segment)
         return egress_done
+
+    def _deliver(self, now: float, egress_done: float,
+                 segment: Segment) -> None:
+        """Queue *segment* for its sink, one latency after *egress_done*.
+
+        A back-to-back segment train keeps one heap entry alive instead of
+        one per segment: the pump delivers each segment at its exact
+        reserved time, so timing and per-link order are unchanged.  The
+        fire time keeps the float rounding of a relative schedule,
+        ``now + (deliver_at - now)``, and then adds a switch sink's
+        forwarding latency: bit for bit the time a link delivery followed
+        by a separately deferred switch send would reach.
+        """
+        deliver_at = egress_done + self.latency
+        fire_at = now + (deliver_at - now) + self._forwarding
+        self._in_flight.append((fire_at, segment))
+        if not self._pump_scheduled:
+            self._pump_scheduled = True
+            self.env.schedule_callback_at(fire_at, self._pump)
 
     def _pump(self) -> None:
         in_flight = self._in_flight
@@ -282,8 +299,7 @@ class Link:
         Returns the egress-complete time, or a negative value when *now*
         falls outside every recorded train window.
         """
-        env = self.env
-        now = env._now
+        now = self.env._now
         start = self._train_boundary(now)
         if start < 0.0:
             return -1.0
@@ -309,15 +325,7 @@ class Link:
                     self.name, "wait:link_busy", now, start,
                     phase="wait", op_id=op, cause="link_busy",
                     nbytes=segment.wire_bytes)
-        deliver_at = egress_done + self.latency
-        if self.coalesce:
-            fire_at = now + (deliver_at - now)
-            self._in_flight.append((fire_at, segment))
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
-                env.schedule_callback_at(fire_at, self._pump)
-        else:
-            env.schedule_callback(deliver_at - now, self._sink, segment)
+        self._deliver(now, egress_done, segment)
         return egress_done
 
     def send_burst(self, burst: Burst) -> float:
@@ -399,12 +407,21 @@ class Link:
             return None
         return self._single_burst(burst)
 
-    def _burst_target(self) -> Callable[[Burst], None]:
-        """Delivery callback for a carried burst: the plain sink, or the
-        tracing wrapper that first records this hop's synthetic wire span."""
+    def _deliver_burst(self, burst: Burst) -> None:
+        """Hand a carried burst to the burst sink: at its last segment's
+        arrival for a terminal downlink, else at its head's arrival plus a
+        switch sink's forwarding latency.  The callback is the plain sink,
+        or the tracing wrapper that first records this hop's synthetic wire
+        span."""
+        if self._burst_at_tail:
+            at = burst.last_at
+        else:
+            at = burst.head_at + self._forwarding
         if self._span_tracer is not None:
-            return self._traced_burst_sink
-        return self._burst_sink
+            sink = self._traced_burst_sink
+        else:
+            sink = self._burst_sink
+        self.env.schedule_callback_at(at, sink, burst)
 
     def _traced_burst_sink(self, burst: Burst) -> None:
         """Deliver a carried burst, recording the elided wire interval as a
@@ -464,9 +481,7 @@ class Link:
         burst.head_at = f_head + latency
         burst.spacing = step
         burst.last_at = f_last + latency
-        self.env.schedule_callback_at(
-            burst.last_at if self._burst_at_tail else burst.head_at,
-            self._burst_target(), burst)
+        self._deliver_burst(burst)
         return f_pen
 
     def _convoy_send(self, burst: Burst) -> Optional[float]:
@@ -538,9 +553,7 @@ class Link:
         self._last_owner = owner
         self.segments_carried += n
         Environment.total_events_fast_forwarded += n - 1
-        env.schedule_callback_at(
-            burst.last_at if self._burst_at_tail else burst.head_at,
-            self._burst_target(), burst)
+        self._deliver_burst(burst)
         return f_pen
 
     def _convoy_form(self, burst: Burst, dur: float) -> Optional[dict]:
@@ -700,9 +713,7 @@ class Link:
         burst.spacing = step
         burst.last_at = f_last + latency
         self._flow_decision("convoy:carry", burst)
-        self.env.schedule_callback_at(
-            burst.last_at if self._burst_at_tail else burst.head_at,
-            self._burst_target(), burst)
+        self._deliver_burst(burst)
         return f_pen
 
     def _expand_burst(self, burst: Burst) -> float:

@@ -5,6 +5,13 @@ up on the egress :class:`~repro.network.link.Link` of the destination port,
 which is exactly where in-cast congestion (the paper's motivation for
 tree-based reduce/gather at large sizes) materializes.
 
+The forwarding latency costs no kernel event of its own.  Each ingress link
+is wired with :meth:`Switch.connect_ingress`, which makes the link deliver
+every segment (and every flow-mode burst head) at its arrival time plus the
+forwarding latency; the switch then routes and hands it to the egress link
+in the same callback.  The egress send runs at the same float time as a
+separately deferred send would: one kernel event per switch hop.
+
 Routing resolves in three stages, cheapest and most specific first:
 
 1. exact per-address entries (:meth:`Switch.attach` — the ports endpoints
@@ -98,29 +105,30 @@ class Switch:
             )
         return egress
 
+    def connect_ingress(self, link: Link) -> None:
+        """Make *link* deliver its segments and bursts into this switch,
+        each ``forwarding_latency`` after it arrives."""
+        link.connect(self.ingress, self.forwarding_latency)
+        link.connect_burst(self.ingress_burst)
+
     def ingress(self, segment: Segment) -> None:
-        """Entry point wired as the sink of every endpoint's uplink."""
+        """Forward *segment*; runs at its arrival plus the forwarding
+        latency (see :meth:`connect_ingress`)."""
         egress = self._route(segment.src, segment.dst)
         self.segments_forwarded += 1
-        self.env.schedule_callback(self.forwarding_latency, egress.send, segment)
+        egress.send(segment)
 
     def ingress_burst(self, burst: Burst) -> None:
         """Forward a fast-forwarded train (flow fidelity) in one step.
 
-        Invoked when the burst's head segment arrives; routing uses the same
-        (src, dst) flow hash as per-segment forwarding, so ECMP placement is
-        identical.  One forwarding callback replaces ``n_segments`` of them;
-        the egress link decides whether the train stays analytic or expands.
+        Runs at the head segment's arrival plus the forwarding latency;
+        routing uses the same (src, dst) flow hash as per-segment
+        forwarding, so ECMP placement is identical.  Every segment's
+        availability shifts by the same fixed latency, and the egress link
+        decides whether the train stays analytic or expands.
         """
         egress = self._route(burst.src, burst.dst)
         self.segments_forwarded += burst.n_segments
-        Environment.total_events_fast_forwarded += burst.n_segments - 1
-        self.env.schedule_callback(
-            self.forwarding_latency, self._forward_burst, egress, burst)
-
-    def _forward_burst(self, egress: Link, burst: Burst) -> None:
-        # Runs at head arrival + forwarding latency: shift every segment's
-        # availability by the same fixed delay and hand off.
         latency = self.forwarding_latency
         burst.head_at += latency
         burst.last_at += latency

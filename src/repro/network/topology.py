@@ -76,10 +76,8 @@ class FabricTopology:
         """Wire a duplex switch-to-switch connection; returns (a->b, b->a)."""
         up = self._link(up_name, rate)
         down = self._link(down_name, rate)
-        up.connect(b.ingress)
-        down.connect(a.ingress)
-        up.connect_burst(b.ingress_burst)
-        down.connect_burst(a.ingress_burst)
+        b.connect_ingress(up)
+        a.connect_ingress(down)
         return up, down
 
     def _edge_switch_for(self, address: int) -> Switch:
@@ -98,11 +96,10 @@ class FabricTopology:
         ep = Endpoint(self.env, address, name=name)
         uplink = self._link(f"{ep.name}.up")
         downlink = self._link(f"{ep.name}.down")
-        uplink.connect(edge.ingress)
+        edge.connect_ingress(uplink)
         downlink.connect(ep.deliver)
-        # Burst wiring mirrors the segment wiring; bursts only flow when a
-        # protocol engine on a flow-fidelity endpoint creates them.
-        uplink.connect_burst(edge.ingress_burst)
+        # Bursts only flow when a protocol engine on a flow-fidelity
+        # endpoint creates them; the endpoint takes one at its tail.
         downlink.connect_burst(ep.deliver_burst, at_tail=True)
         ep.fidelity = self.fidelity
         ep.attach_uplink(uplink)

@@ -171,8 +171,9 @@ class BasePlatform:
     Subclass contract:
 
     - :meth:`allocate` creates a platform-specific buffer;
-    - :meth:`device_access` routes a CCLO access to the right memory/PCIe
-      pipes and returns a completion event;
+    - :meth:`device_access_delay` routes a CCLO access to the right
+      memory/PCIe pipes and returns the delay until it completes
+      (:meth:`device_access` wraps it in a completion event);
     - :attr:`host_invocation_latency` / :attr:`kernel_invocation_latency`
       calibrate Figure 8;
     - :meth:`requires_staging` says whether host-resident data must be
@@ -204,6 +205,14 @@ class BasePlatform:
 
     def device_access(self, buffer: BaseBuffer, nbytes: int,
                       direction: str) -> Event:
+        """Charge a CCLO access; the event fires when it completes."""
+        return self.env.timeout(
+            self.device_access_delay(buffer, nbytes, direction))
+
+    def device_access_delay(self, buffer: BaseBuffer, nbytes: int,
+                            direction: str) -> float:
+        """Charge a CCLO access to the memory/PCIe pipes it crosses and
+        return the delay until it completes."""
         raise NotImplementedError
 
     def requires_staging(self, buffer: BaseBuffer) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 from repro.errors import PlatformError
 from repro.memory import Memory, PcieLink, hbm_stack, host_dram
 from repro.platform.base import BaseBuffer, BasePlatform, BufferLocation
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro import units
 
 
@@ -130,8 +130,8 @@ class CoyotePlatform(BasePlatform):
         return CoyoteBuffer(self, nbytes, location, array,
                             eager_map=eager_map)
 
-    def device_access(self, buffer: BaseBuffer, nbytes: int,
-                      direction: str) -> Event:
+    def device_access_delay(self, buffer: BaseBuffer, nbytes: int,
+                            direction: str) -> float:
         """Route a CCLO access through the TLB to the right memory."""
         if buffer.platform is not self:
             raise PlatformError("buffer belongs to a different platform")
@@ -149,8 +149,7 @@ class CoyotePlatform(BasePlatform):
             self.tlb.translate(first_page + i) for i in range(pages_touched)
         )
         if buffer.location is BufferLocation.DEVICE:
-            mem_delay = self.device_memory.access_delay(nbytes)
-            return self.env.timeout(translate + mem_delay)
+            return translate + self.device_memory.access_delay(nbytes)
         # Host memory: the access crosses PCIe and touches DRAM; both pipes
         # are charged, completion follows the slower one.
         dram_delay = self.host_memory.access_delay(nbytes)
@@ -158,7 +157,7 @@ class CoyotePlatform(BasePlatform):
             pcie_delay = self.pcie.dma_h2d_delay(nbytes)  # host -> FPGA
         else:
             pcie_delay = self.pcie.dma_d2h_delay(nbytes)  # FPGA -> host
-        return self.env.timeout(translate + max(dram_delay, pcie_delay))
+        return translate + max(dram_delay, pcie_delay)
 
     def requires_staging(self, buffer: BaseBuffer) -> bool:
         return False  # unified memory: the CCLO reaches host pages directly

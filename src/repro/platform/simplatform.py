@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import PlatformError
 from repro.memory.model import Memory
 from repro.platform.base import BaseBuffer, BasePlatform, BufferLocation
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro import units
 
 
@@ -49,12 +49,12 @@ class SimPlatform(BasePlatform):
     def allocate(self, nbytes, location=BufferLocation.DEVICE, array=None):
         return SimBuffer(self, nbytes, location, array)
 
-    def device_access(self, buffer: BaseBuffer, nbytes: int,
-                      direction: str) -> Event:
+    def device_access_delay(self, buffer: BaseBuffer, nbytes: int,
+                            direction: str) -> float:
         if buffer.platform is not self:
             raise PlatformError("buffer belongs to a different platform")
         if nbytes > buffer.nbytes:
             raise PlatformError(
                 f"access of {nbytes}B exceeds buffer of {buffer.nbytes}B"
             )
-        return self.env.timeout(0.0)
+        return 0.0

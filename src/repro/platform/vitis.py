@@ -72,8 +72,8 @@ class VitisPlatform(BasePlatform):
     def allocate(self, nbytes, location=BufferLocation.DEVICE, array=None):
         return VitisBuffer(self, nbytes, location, array)
 
-    def device_access(self, buffer: BaseBuffer, nbytes: int,
-                      direction: str) -> Event:
+    def device_access_delay(self, buffer: BaseBuffer, nbytes: int,
+                            direction: str) -> float:
         if buffer.platform is not self:
             raise PlatformError("buffer belongs to a different platform")
         if nbytes > buffer.nbytes:
@@ -88,7 +88,7 @@ class VitisPlatform(BasePlatform):
                 "partitioned memory: host buffer must be staged to device "
                 "memory before the CCLO can read it (call stage_in)"
             )
-        return self.env.timeout(self.device_memory.access_delay(nbytes))
+        return self.device_memory.access_delay(nbytes)
 
     def requires_staging(self, buffer: BaseBuffer) -> bool:
         return buffer.location is BufferLocation.HOST

@@ -90,7 +90,8 @@ class BasePoe:
     Subclasses set class attributes (``protocol_name``, ``mtu``,
     ``poe_latency``) and may override hooks:
 
-    - :meth:`_tx_flow_control` -- yield before each segment (window/credits).
+    - :meth:`_tx_flow_control` -- an event to wait on before each segment
+      (window/credits), or ``None``.
     - :meth:`_on_segment_delivered` -- receive-side accounting (acks).
     - :meth:`_deliver` -- how a completed message reaches the consumer.
     """
@@ -301,18 +302,17 @@ class BasePoe:
                 chunk = min(remaining, segment_bytes) if remaining else 0
                 if pace is not None and chunk > 0:
                     yield pace.take(chunk)
-                if tracer is not None:
+                gate = self._tx_flow_control(header, chunk)
+                if gate is not None:
                     t_fc = env.now
-                    yield from self._tx_flow_control(header, chunk)
-                    if env.now > t_fc:
+                    yield gate
+                    if tracer is not None and env.now > t_fc:
                         tracer.span_complete(
                             f"{self._trace_node}.poe",
                             f"wait:{self.flow_control_cause}",
                             t_fc, env.now, phase="wait",
                             op_id=getattr(header.meta, "op_id", -1),
                             cause=self.flow_control_cause, dst=dst_addr)
-                else:
-                    yield from self._tx_flow_control(header, chunk)
                 segment = Segment(
                     src=address,
                     dst=dst_addr,
@@ -324,7 +324,9 @@ class BasePoe:
                     seqno=seqno,
                 )
                 egress_done = endpoint_send(segment)
-                yield from self._tx_post_segment(header, segment)
+                post = self._tx_post_segment(header, segment)
+                if post is not None:
+                    yield post
                 remaining -= chunk
                 seqno += 1
                 sent_any = True
@@ -345,15 +347,17 @@ class BasePoe:
                 nbytes=header.nbytes, dst=header.dst_addr)
         return header
 
-    def _tx_flow_control(self, header: MessageHeader, chunk: int):
-        """Subclass hook: yield until *chunk* bytes may enter the wire."""
-        return
-        yield  # pragma: no cover — makes this a generator
+    def _tx_flow_control(self, header: MessageHeader,
+                         chunk: int) -> Optional[Event]:
+        """Subclass hook: an event that fires once *chunk* bytes may enter
+        the wire, or ``None`` to send at once."""
+        return None
 
-    def _tx_post_segment(self, header: MessageHeader, segment: Segment):
-        """Subclass hook: per-segment bookkeeping (e.g. retx buffering)."""
-        return
-        yield  # pragma: no cover
+    def _tx_post_segment(self, header: MessageHeader,
+                         segment: Segment) -> Optional[Event]:
+        """Subclass hook: per-segment bookkeeping (e.g. retx buffering);
+        an event return delays the next segment until it fires."""
+        return None
 
     # -- flow-fidelity fast-forward ----------------------------------------
 

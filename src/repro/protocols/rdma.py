@@ -181,10 +181,12 @@ class RdmaPoe(BasePoe):
 
     # -- flow control -------------------------------------------------------------
 
-    def _tx_flow_control(self, header: MessageHeader, chunk: int):
+    def _tx_flow_control(self, header: MessageHeader,
+                         chunk: int) -> Optional[Event]:
         qp = self._by_remote[header.dst_addr]
         if chunk > 0:
-            yield qp.credits.take(chunk)
+            return qp.credits.take(chunk)
+        return None
 
     def _flow_tx_ready(self, header: MessageHeader) -> bool:
         # Credits are transparent only when untouched: the bucket is full,

@@ -142,16 +142,20 @@ class TcpPoe(BasePoe):
             session=sess.session_id, pace=pace,
         )
 
-    def _tx_flow_control(self, header: MessageHeader, chunk: int):
+    def _tx_flow_control(self, header: MessageHeader,
+                         chunk: int) -> Optional[Event]:
         session = self._by_remote[header.dst_addr]
         if chunk > 0:
-            yield session.window.take(chunk)
+            return session.window.take(chunk)
+        return None
 
-    def _tx_post_segment(self, header: MessageHeader, segment: Segment):
+    def _tx_post_segment(self, header: MessageHeader,
+                         segment: Segment) -> Optional[Event]:
         # Retransmission buffering: the segment is mirrored into POE-private
         # FPGA memory; that write shares the memory port with everyone else.
         if self.retx_memory is not None and segment.payload_bytes > 0:
-            yield self.retx_memory.write(segment.payload_bytes)
+            return self.retx_memory.write(segment.payload_bytes)
+        return None
 
     def _flow_tx_ready(self, header: MessageHeader) -> bool:
         # The window is transparent only when untouched and large enough

@@ -205,11 +205,19 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
         # Inlined Event.__init__ + scheduling: timeouts are the most
         # frequently constructed event type, so the super() call and the
-        # separate _schedule call are worth folding away.
+        # separate _schedule call are worth folding away.  A negative or
+        # NaN delay fails both comparisons and raises before anything is
+        # scheduled.
+        if delay == 0.0:
+            env._seq += 1
+            env._bucket.append((env._seq, self))
+        elif delay > 0.0:
+            env._seq += 1
+            heappush(env._heap, (env._now + delay, env._seq, self))
+        else:
+            raise ValueError(f"invalid timeout delay: {delay!r}")
         self.env = env
         self.callbacks = _NO_CALLBACKS
         self._value = value
@@ -217,11 +225,6 @@ class Timeout(Event):
         self._scheduled = True
         self._defused = False
         self.delay = delay
-        env._seq += 1
-        if delay == 0.0:
-            env._bucket.append((env._seq, self))
-        else:
-            heappush(env._heap, (env._now + delay, env._seq, self))
 
 
 class Process(Event):
@@ -323,22 +326,26 @@ class Process(Event):
                 # Plain-delay sleep: schedule the wakeup as a callback tuple.
                 # Only exact floats take this path: ints stay rejected below
                 # so an accidental `yield n` does not silently become a
-                # year-long sleep.
-                if next_event < 0:
-                    raise SimulationError(
-                        f"process {self.name!r} yielded a negative delay: "
-                        f"{next_event!r}"
-                    )
-                self._sleep_token += 1
-                self._target = _SLEEPING
-                env._seq += 1
-                if next_event == 0.0:
-                    env._bucket.append(
-                        (env._seq, (self._wake, (self._sleep_token,))))
-                else:
+                # year-long sleep.  A negative or NaN delay fails both
+                # comparisons and raises before anything is scheduled.
+                if next_event > 0.0:
+                    self._sleep_token += 1
+                    self._target = _SLEEPING
+                    env._seq += 1
                     heappush(env._heap, (env._now + next_event, env._seq,
                                          (self._wake, (self._sleep_token,))))
-                return
+                    return
+                if next_event == 0.0:
+                    self._sleep_token += 1
+                    self._target = _SLEEPING
+                    env._seq += 1
+                    env._bucket.append(
+                        (env._seq, (self._wake, (self._sleep_token,))))
+                    return
+                raise SimulationError(
+                    f"process {self.name!r} yielded an invalid delay: "
+                    f"{next_event!r}"
+                )
             if not isinstance(next_event, Event):
                 raise SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
@@ -498,16 +505,18 @@ class Environment:
         Components that pre-compute a future timestamp (e.g. a link's
         delivery pump) use this to fire at exactly that float, avoiding the
         re-rounding a relative ``now + (time - now)`` round trip would add.
+        A *time* before now, or NaN, raises :class:`SimulationError`.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
-            )
-        self._seq += 1
-        if time == self._now:
+        if time > self._now:
+            self._seq += 1
+            heappush(self._heap, (time, self._seq, (fn, args)))
+        elif time == self._now:
+            self._seq += 1
             self._bucket.append((self._seq, (fn, args)))
         else:
-            heappush(self._heap, (time, self._seq, (fn, args)))
+            raise SimulationError(
+                f"cannot schedule at {time!r}: current time is {self._now}"
+            )
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that succeeds after *delay* seconds."""

@@ -298,3 +298,44 @@ class TestSelectorUnit:
         selector, comm, params = self.make()
         with pytest.raises(CollectiveError):
             selector.choose(CollectiveArgs(opcode="scan"), comm, params)
+
+
+class TestRendezvousLanding:
+    """Cut-through WRITE landings create no event per segment; the drain
+    still completes at the last landing's completion time, bit for bit."""
+
+    @pytest.mark.parametrize("location", ["device", "host"])
+    def test_written_fires_at_latest_landing(self, location):
+        from repro.cluster import build_fpga_cluster
+        from repro.platform.base import BufferLocation
+
+        cluster = build_fpga_cluster(2, protocol="rdma", platform="coyote")
+        env = cluster.env
+        sender, receiver = cluster.engine(0), cluster.engine(1)
+        platform = cluster.nodes[1].platform
+        nbytes = 1 * units.MIB
+        buf = platform.allocate(nbytes, BufferLocation(location))
+        target_id = receiver.register_rndz_target(buf.view(), nbytes)
+        written = receiver._rndz_targets[target_id]["written"]
+        calls, landed, fired = [], [], []
+        access_delay = platform.device_access_delay
+
+        def spy(buffer, n, direction):
+            # The completion time a per-segment Timeout would have had.
+            delay = access_delay(buffer, n, direction)
+            calls.append(env.now)
+            landed.append(env.now + delay)
+            return delay
+
+        platform.device_access_delay = spy
+        written.add_callback(lambda ev: fired.append(env.now))
+        sender.poe.post_write(receiver.address, nbytes, BufferDescriptor(
+            node_addr=receiver.address, target_id=target_id, nbytes=nbytes))
+        env.run()
+        assert len(landed) == nbytes // sender.poe.segment_bytes
+        # The drain starts one POE latency after the last segment lands.
+        # HBM has finished every landing by then; host memory behind PCIe
+        # is still landing, so the drain waits for the latest completion.
+        drain_at = calls[-1] + receiver.poe.poe_latency
+        assert (max(landed) > drain_at) == (location == "host")
+        assert fired == [max(max(landed), drain_at)]

@@ -10,9 +10,6 @@ boundaries, control-segment slotting).  The full per-artifact check is
 at unit and kernel level so regressions localize.
 """
 
-import random
-from types import SimpleNamespace
-
 import pytest
 
 from repro import units
@@ -25,7 +22,6 @@ from repro.errors import ConfigurationError
 from repro.network import Link, Segment
 from repro.network.fidelity import default_fidelity, fidelity_override
 from repro.network.packet import Burst
-from repro.obs.spans import SpanTracer
 from repro.sim import Environment
 
 
@@ -329,45 +325,3 @@ class TestLinkBurstPath:
         assert res["j"] is None
         assert len(bursts) == 1 and not segments
         assert bursts[0].spacing == pytest.approx(dur)  # still solid
-
-
-class TestCoalesceOffUnderTracing:
-    """``Link(coalesce=False)`` with a bound span tracer must be
-    observationally identical to the coalesced pump — same arrival log,
-    same recorded wait spans."""
-
-    def _run(self, coalesce: bool, train):
-        env = Environment()
-        link = Link(env, rate=units.gbps(10), latency=units.us(1),
-                    coalesce=coalesce)
-        tracer = SpanTracer()
-        link.bind_tracer(tracer)
-        arrivals = []
-        link.connect(lambda seg: arrivals.append((env.now,
-                                                  seg.payload_bytes)))
-        meta = SimpleNamespace(meta=SimpleNamespace(op_id=7))
-
-        def sender():
-            for payload, gap in train:
-                link.send(Segment(0, 1, payload_bytes=payload, meta=meta))
-                if gap > 0.0:
-                    yield gap
-
-        env.process(sender())
-        env.run()
-        spans = [(s.component, s.name, s.t0, s.t1)
-                 for s in tracer.completed_spans]
-        return arrivals, spans, env.now
-
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_arrivals_and_spans_identical(self, seed):
-        rng = random.Random(seed)
-        train = [(rng.randint(1, Link.MAX_SEGMENT_BYTES),
-                  rng.choice([0.0, 0.0, units.us(rng.uniform(0.5, 20))]))
-                 for _ in range(60)]
-        a_on, s_on, end_on = self._run(True, train)
-        a_off, s_off, end_off = self._run(False, train)
-        assert a_on == a_off
-        assert s_on == s_off
-        assert end_on == end_off
-        assert any(name == "wait:link_busy" for _, name, _, _ in s_on)

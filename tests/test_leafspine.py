@@ -58,6 +58,35 @@ class TestFabric:
         assert (topo.one_way_base_latency(cross_leaf=True)
                 > topo.one_way_base_latency(cross_leaf=False))
 
+    def test_switch_hop_costs_one_kernel_event(self):
+        """A cross-leaf segment crosses four links and three switches in
+        four kernel events: each switch forwards inside its ingress
+        link's delivery, which already includes the forwarding latency."""
+        env, topo = make_topo(ports_per_leaf=2)
+        a = topo.add_endpoint(0)
+        b = topo.add_endpoint(2)
+        got = []
+        b.on_receive(lambda seg: got.append(env.now))
+        seg = Segment(0, 2, payload_bytes=1024)
+        before = Environment.total_events_processed
+        a.send(seg)
+        env.run()
+        assert Environment.total_events_processed - before == 4
+        link = a.uplink
+        serialization = link._pipe.overhead + seg.wire_bytes / link._pipe.rate
+        forwarding = topo._spines[0].forwarding_latency
+        # Per hop: the link delivers at now + (egress + latency - now) and
+        # a switch forwards one forwarding latency later, with the same
+        # two roundings as two separately scheduled events.
+        t = 0.0
+        for hop in range(4):
+            t = t + (t + serialization + link.latency - t)
+            if hop < 3:
+                t = t + forwarding
+        assert got == [t]
+        assert t == pytest.approx(4 * (serialization + link.latency)
+                                  + 3 * forwarding, rel=1e-12)
+
     def test_leaf_mapping(self):
         _, topo = make_topo(ports_per_leaf=4)
         assert topo.leaf_of(0) == 0

@@ -1,9 +1,9 @@
-"""Tests pinning the PR-2 performance fast paths to baseline behavior.
+"""Tests pinning the performance fast paths to baseline behavior.
 
-Every optimization here has a slower, simpler twin (uncoalesced link
-delivery, ``payload_mode="functional"``, event-object sleeps); these tests
-assert the fast paths are *observationally identical* to the twins —
-same delivery order, same timestamps, same simulated totals.
+Every optimization here has a slower, simpler twin (one heap entry per
+delivered segment, ``payload_mode="functional"``, event-object sleeps);
+these tests assert the fast paths are *observationally identical* to the
+twins — same delivery order, same timestamps, same simulated totals.
 """
 
 import random
@@ -19,12 +19,22 @@ from repro.sim import Environment, Interrupt
 from repro.sim.kernel import SimulationError
 
 
-def _run_segment_train(coalesce: bool, train):
+class _PerSegmentLink(Link):
+    """The pump's reference: one heap entry per delivered segment, at the
+    relative delay a plain schedule computes."""
+
+    __slots__ = ()
+
+    def _deliver(self, now, egress_done, segment):
+        deliver_at = egress_done + self.latency
+        self.env.schedule_callback(deliver_at - now, self._sink, segment)
+
+
+def _run_segment_train(link_cls, train):
     """Drive one link with a (payload, gap) train; returns the arrival
     log ``[(time, payload), ...]`` and the final simulation time."""
     env = Environment()
-    link = Link(env, rate=units.gbps(10), latency=units.us(1),
-                coalesce=coalesce)
+    link = link_cls(env, rate=units.gbps(10), latency=units.us(1))
     arrivals = []
     link.connect(lambda seg: arrivals.append((env.now, seg.payload_bytes)))
 
@@ -40,8 +50,8 @@ def _run_segment_train(coalesce: bool, train):
 
 
 class TestLinkCoalescing:
-    """The coalesced delivery pump must be indistinguishable from one
-    heap entry per segment."""
+    """The link's delivery pump must be indistinguishable from one heap
+    entry per segment."""
 
     @pytest.mark.parametrize("seed", [1, 7, 42, 1234])
     def test_randomized_trains_identical(self, seed):
@@ -57,32 +67,33 @@ class TestLinkCoalescing:
             gap = rng.choice([0.0, 0.0, 0.0, units.us(rng.uniform(0.1, 50))])
             train.append((payload, gap))
 
-        coalesced, end_c = _run_segment_train(True, train)
-        uncoalesced, end_u = _run_segment_train(False, train)
-        assert coalesced == uncoalesced
-        assert end_c == end_u
+        pumped, end_p = _run_segment_train(Link, train)
+        reference, end_r = _run_segment_train(_PerSegmentLink, train)
+        assert pumped == reference
+        assert end_p == end_r
 
     def test_back_to_back_burst_single_heap_entry_timing(self):
         # Worked example: 3 segments at 1000 B/s, zero gap.  Wire size is
         # payload + Ethernet header; each serializes after the previous.
         env = Environment()
-        link = Link(env, rate=1000.0, latency=0.5, coalesce=True)
+        link = Link(env, rate=1000.0, latency=0.5)
         arrivals = []
         link.connect(lambda seg: arrivals.append(env.now))
         from repro.network.packet import ETHERNET_HEADER_BYTES
         payload = 1000 - ETHERNET_HEADER_BYTES
         for _ in range(3):
             link.send(Segment(0, 1, payload_bytes=payload, mtu=4000))
+        assert len(env._heap) == 1
         env.run()
         assert arrivals == [pytest.approx(1.5), pytest.approx(2.5),
                             pytest.approx(3.5)]
 
     def test_pump_reschedules_after_idle_gap(self):
         train = [(1000, units.us(500)), (1000, 0.0)]
-        coalesced, end_c = _run_segment_train(True, train)
-        uncoalesced, end_u = _run_segment_train(False, train)
-        assert coalesced == uncoalesced
-        assert end_c == end_u
+        pumped, end_p = _run_segment_train(Link, train)
+        reference, end_r = _run_segment_train(_PerSegmentLink, train)
+        assert pumped == reference
+        assert end_p == end_r
 
 
 class TestMaxSegmentBoundary:

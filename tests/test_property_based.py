@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import units
 from repro.cclo.match import MatchTable
 from repro.collectives.util import block_ranges
+from repro.network import Link, Switch
 from repro.network.packet import ETHERNET_HEADER_BYTES, Segment
 from repro.sim import BandwidthResource, Environment, Monitor
 from repro.sim.resources import TokenBucket
@@ -254,6 +255,203 @@ class TestUnitsProperties:
                 break
         else:
             pytest.fail(f"unparseable: {text}")
+
+
+class _DeferringSwitch(Switch):
+    """Reference switch: its ingress link delivers at arrival, and the
+    switch defers the egress send by the forwarding latency as a kernel
+    event of its own (two events per switch hop)."""
+
+    __slots__ = ()
+
+    def connect_ingress(self, link):
+        link.connect(self.ingress)
+
+    def ingress(self, segment):
+        egress = self._route(segment.src, segment.dst)
+        self.segments_forwarded += 1
+        self.env.schedule_callback(self.forwarding_latency, egress.send,
+                                   segment)
+
+
+class _LoggedLink(Link):
+    """Records every send: the order segments enter each egress FIFO."""
+
+    __slots__ = ("sends",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sends = []
+
+    def send(self, segment):
+        self.sends.append((self.env.now, segment.src, segment.seqno))
+        return super().send(segment)
+
+
+_HOSTS_PER_LEAF = 2
+_N_HOSTS = 2 * _HOSTS_PER_LEAF
+
+
+def _two_tier_run(switch_cls, trains):
+    """Run segment trains through a two-leaf, two-spine fabric built from
+    *switch_cls*; ``trains[src]`` is ``(start, [(dst, payload, gap)])``.
+    Returns each host's arrival log, each link's send log and bytes, and
+    the number of kernel events dispatched."""
+    env = Environment()
+    links = []
+
+    def link(name):
+        made = _LoggedLink(env, name=name)
+        links.append(made)
+        return made
+
+    leaves = [switch_cls(env, name=f"leaf{i}") for i in range(2)]
+    spines = [switch_cls(env, name=f"spine{j}") for j in range(2)]
+    for spine in spines:
+        spine.set_resolver(lambda dst: dst // _HOSTS_PER_LEAF)
+    for i, leaf in enumerate(leaves):
+        for j, spine in enumerate(spines):
+            up = link(f"leaf{i}.up{j}")
+            spine.connect_ingress(up)
+            leaf.add_default_route(up)
+            down = link(f"spine{j}.down{i}")
+            leaf.connect_ingress(down)
+            spine.attach_block(i, down)
+    arrivals = {}
+    uplinks = {}
+    for host in range(_N_HOSTS):
+        leaf = leaves[host // _HOSTS_PER_LEAF]
+        uplinks[host] = link(f"h{host}.up")
+        leaf.connect_ingress(uplinks[host])
+        log = arrivals[host] = []
+        down = link(f"h{host}.down")
+        down.connect(lambda seg, log=log: log.append(
+            (env.now, seg.src, seg.seqno)))
+        leaf.attach(host, down)
+
+    def sender(src, start, train):
+        if start > 0.0:
+            yield start
+        for seqno, (dst, payload, gap) in enumerate(train):
+            uplinks[src].send(Segment(src, dst, payload_bytes=payload,
+                                      seqno=seqno))
+            if gap > 0.0:
+                yield gap
+
+    for src, (start, train) in sorted(trains.items()):
+        env.process(sender(src, start, train))
+    before = Environment.total_events_processed
+    env.run()
+    return (arrivals, [(ln.name, ln.sends, ln.bytes_carried) for ln in links],
+            Environment.total_events_processed - before)
+
+
+# A coarse grid of payloads, gaps and start offsets: equal sizes sent at
+# equal instants from different hosts reach a shared egress together.
+_train_item = st.tuples(st.integers(0, _N_HOSTS - 1),
+                        st.sampled_from([0, 64, 1024, 9000, 32 * 1024]),
+                        st.sampled_from([0.0, 0.0, units.ns(600),
+                                         units.us(1), units.us(3)]))
+_trains = st.dictionaries(
+    st.integers(0, _N_HOSTS - 1),
+    st.tuples(st.sampled_from([0.0, 0.0, units.ns(600), units.us(2)]),
+              st.lists(_train_item, min_size=1, max_size=12)),
+    min_size=1, max_size=_N_HOSTS)
+
+#: hosts 0 and 1 (leaf 0) and 2 and 3 (leaf 1) cross-send equal trains at
+#: t=0: segments meet at shared egresses at the same instant.
+_SAME_INSTANT = {0: (0.0, [(2, 1024, 0.0)] * 3),
+                 1: (0.0, [(2, 1024, 0.0)] * 3),
+                 2: (0.0, [(0, 1024, 0.0), (1, 64, 0.0)]),
+                 3: (0.0, [(0, 1024, 0.0), (1, 64, 0.0)])}
+
+#: host 2 sends its second segment while the first is inside leaf 1's
+#: forwarding window, at the instant host 3 sends its first: both reach
+#: h0.down at one instant, in the opposite order to the reference.
+_TIE_SWAP = {2: (0.0, [(0, 0, units.ns(600)), (0, 0, 0.0)]),
+             3: (units.ns(600), [(0, 0, 0.0)])}
+
+
+def _first_divergence(folded_links, ref_links):
+    """Earliest ``(time, name, folded_sends, ref_sends)`` at which a
+    link's send log differs between the two runs, or ``None``."""
+    first = None
+    for (name, sends, _), (_, ref_sends, _) in zip(folded_links, ref_links):
+        for got, want in zip(sends, ref_sends):
+            if got != want:
+                at = min(got[0], want[0])
+                if first is None or at < first[0]:
+                    first = (at, name, sends, ref_sends)
+                break
+    return first
+
+
+class TestSwitchForwardingProperties:
+    """A switch hop in one kernel event (the ingress link delivers at
+    arrival plus the forwarding latency) against the two-event design that
+    defers the egress send.  Every send runs at the same float time; only
+    the order of sends at one instant on one link can differ, because a
+    link's pending delivery is rescheduled one forwarding latency later
+    than the reference's.  Bytes per link never differ."""
+
+    @staticmethod
+    def _normalize(trains):
+        # A host does not send to itself: redirect to the next host.
+        return {src: (start, [(dst if dst != src else (src + 1) % _N_HOSTS,
+                               payload, gap)
+                              for dst, payload, gap in train])
+                for src, (start, train) in trains.items()}
+
+    @staticmethod
+    def _switch_hops(trains):
+        return sum(1 if src // _HOSTS_PER_LEAF == dst // _HOSTS_PER_LEAF
+                   else 3
+                   for src, (_, train) in trains.items()
+                   for dst, _, _ in train)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(trains=_trains)
+    @example(trains=_SAME_INSTANT)
+    @example(trains=_TIE_SWAP)
+    def test_same_send_times_as_deferred_send_switch(self, trains):
+        trains = self._normalize(trains)
+        folded, folded_links, folded_events = _two_tier_run(Switch, trains)
+        ref, ref_links, ref_events = _two_tier_run(_DeferringSwitch, trains)
+        assert ref_events - folded_events == self._switch_hops(trains)
+        assert ([b for _, _, b in folded_links]
+                == [b for _, _, b in ref_links])
+        first = _first_divergence(folded_links, ref_links)
+        if first is None:
+            assert folded == ref
+            return
+        # Up to the first difference both runs are identical, so it must
+        # be the same set of segments sent at one instant, reordered.
+        at, _, sends, ref_sends = first
+        assert sorted(x for x in sends if x[0] == at) == \
+            sorted(x for x in ref_sends if x[0] == at)
+        assert [x for x in sends if x[0] < at] == \
+            [x for x in ref_sends if x[0] < at]
+
+    def test_same_instant_arrivals_at_shared_egress_match(self):
+        folded, links, _ = _two_tier_run(Switch, _SAME_INSTANT)
+        ref, ref_links, _ = _two_tier_run(_DeferringSwitch, _SAME_INSTANT)
+        # links where two hosts' segments are sent at one instant
+        shared = {name for name, sends, _ in links for t, _, _ in sends
+                  if len({src for u, src, _ in sends if u == t}) > 1}
+        assert {"h0.down", "h2.down"} <= shared
+        assert folded == ref
+        assert links == ref_links
+
+    def test_tie_break_can_move_within_one_instant(self):
+        folded, links, _ = _two_tier_run(Switch, _TIE_SWAP)
+        ref, ref_links, _ = _two_tier_run(_DeferringSwitch, _TIE_SWAP)
+        at, name, sends, ref_sends = _first_divergence(links, ref_links)
+        assert name == "h0.down"
+        assert [x[1:] for x in sends if x[0] == at] == [(3, 0), (2, 1)]
+        assert [x[1:] for x in ref_sends if x[0] == at] == [(2, 1), (3, 0)]
+        assert sorted(t for t, _, _ in folded[0]) == \
+            sorted(t for t, _, _ in ref[0])
 
 
 class TestProtocolProperties:

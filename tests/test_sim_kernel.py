@@ -302,6 +302,54 @@ def test_schedule_callback_rejects_delay_that_would_rewind_time(delay):
     assert env.now == 3.0
 
 
+def _pending_state(env):
+    return (env.now, env.peek(), len(env._heap), len(env._bucket), env._seq)
+
+
+def _env_with_pending_work():
+    env = Environment()
+    env.run(until=1.0)
+    env.schedule_callback(2.0, lambda: None)
+    env.schedule_callback(0.0, lambda: None)
+    return env
+
+
+def test_timeout_rejects_nan_delay():
+    env = _env_with_pending_work()
+    before = _pending_state(env)
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    assert _pending_state(env) == before
+
+
+@pytest.mark.parametrize("time", [0.5, float("-inf"), float("nan")])
+def test_schedule_callback_at_rejects_past_or_nan_time(time):
+    env = _env_with_pending_work()
+    before = _pending_state(env)
+    with pytest.raises(SimulationError):
+        env.schedule_callback_at(time, lambda: None)
+    assert _pending_state(env) == before
+
+
+def test_process_rejects_nan_sleep():
+    env = Environment()
+    env.run(until=1.0)
+    env.schedule_callback(2.0, lambda: None)
+
+    def proc():
+        yield float("nan")
+
+    env.process(proc())
+    with pytest.raises(SimulationError):
+        env.run()
+    # The bootstrap ran at t=1 and raised before scheduling its wakeup:
+    # only the callback at t=3 is left, and the clock is intact.
+    assert (env.now, env.peek(), len(env._heap), len(env._bucket)) == \
+        (1.0, 3.0, 1, 0)
+    env.run()
+    assert env.now == 3.0
+
+
 def test_event_trigger_takes_no_delay():
     """Triggered events fire at the current time: there is no delay
     argument that could schedule them in the past."""

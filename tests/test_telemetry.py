@@ -106,18 +106,15 @@ class TestFlowReconciliation:
 
 class TestTimingInvarianceFlow:
     """Satellite: observability on == off must be sim-time identical in
-    flow fidelity too — including the uncoalesced link pump."""
+    flow fidelity too."""
 
     @staticmethod
-    def _run_sendrecv(with_obs: bool, coalesce: bool = True) -> float:
+    def _run_sendrecv(with_obs: bool) -> float:
         from repro.cluster.builder import build_fpga_cluster
         from repro.driver.api import attach_drivers
         from repro.obs.runtime import attach
 
         cluster = build_fpga_cluster(2, protocol="rdma", platform="coyote")
-        if not coalesce:
-            for link in cluster.topology.iter_links():
-                link.coalesce = False
         if with_obs:
             attach(cluster)
         drivers = attach_drivers(cluster)
@@ -138,12 +135,6 @@ class TestTimingInvarianceFlow:
     def test_flow_instrumentation_is_record_only(self):
         with fidelity_override("flow"):
             assert self._run_sendrecv(True) == self._run_sendrecv(False)
-
-    def test_flow_coalesce_off_is_record_only(self):
-        with fidelity_override("flow"):
-            on = self._run_sendrecv(True, coalesce=False)
-            off = self._run_sendrecv(False, coalesce=False)
-        assert on == off
 
 
 class TestTelemetrySession:
