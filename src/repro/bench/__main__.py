@@ -25,7 +25,6 @@ from repro.bench.runner import ShardIncomplete, SweepRunner
 
 DEFAULT_CACHE_DIR = ".bench_cache"
 DEFAULT_JSON_OUT = "BENCH_results.json"
-DEFAULT_PERF_BASELINE = "benchmarks/perf_baseline.json"
 
 #: record fields a shard trajectory point carries into the result cache
 _MERGE_FIELDS = ("wall_s", "sim_s", "events", "events_ff", "dropped",
@@ -83,7 +82,6 @@ def _write_trajectory(json_out: str, runner: SweepRunner, names, wall: float,
         "wall_s": wall,
         "events": perf["events"],
         "events_ff": perf["events_ff"],
-        "events_per_s": perf["events_per_s"],
         "fidelity": perf["fidelity"],
         "jobs": jobs,
     })
@@ -101,20 +99,20 @@ def _write_trajectory(json_out: str, runner: SweepRunner, names, wall: float,
 
 
 def _print_summary(runner: SweepRunner, wall: float) -> None:
+    from repro.bench.profile import perf_section
+
     records = runner.records
-    events = sum(r.events for r in records if not r.cached)
-    events_ff = sum(r.events_ff for r in records if not r.cached)
-    run_wall = sum(r.wall_s for r in records if not r.cached)
-    rate = (events + events_ff) / run_wall / 1e3 if run_wall > 0 else 0.0
+    perf = perf_section(records, wall)
     cached_n = sum(1 for r in records if r.cached)
     # Sum per-point drop counts: the class-wide Tracer.total_dropped is
     # per-process and undercounts when points ran in pool workers.
     dropped = sum(r.dropped for r in records)
     snap_dropped = sum(r.snap_dropped for r in records)
+    events_ff = perf["events_ff"]
     ff_note = f" (+{events_ff} fast-forwarded)" if events_ff else ""
     print(f"all: {len(records)} points ({cached_n} cached), "
-          f"{events} events{ff_note} in {wall:.2f}s — "
-          f"{rate:.1f}k events/s, "
+          f"{perf['events']} events{ff_note} in {wall:.2f}s — "
+          f"{perf['ns_per_event']:.0f} ns/event, "
           f"tracer.dropped={dropped}, "
           f"snapshots.dropped={snap_dropped}", file=sys.stderr)
 
@@ -231,33 +229,6 @@ def _merge(args) -> int:
 # profile / validate-fidelity
 # ---------------------------------------------------------------------------
 
-def _update_perf_baseline(report: dict, path: str) -> str:
-    """Fold *report* into the committed perf baseline under the active
-    fidelity mode (and artifact name), preserving the other entries."""
-    from repro.network.fidelity import default_fidelity
-
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        doc = {"schema": 2, "modes": {}}
-    doc.setdefault("schema", 2)
-    modes = doc.setdefault("modes", {})
-    fidelity = default_fidelity()
-    slot = modes.setdefault(fidelity, {})
-    name = report.get("artifact", "kernel")
-    slot[name] = {
-        key: report[key]
-        for key in ("wall_s", "events", "events_ff", "events_per_s",
-                    "ns_per_event", "quick", "points", "microbenchmarks")
-        if key in report
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return fidelity
-
-
 def _profile(args) -> int:
     from repro.bench import profile as profile_mod
 
@@ -272,10 +243,6 @@ def _profile(args) -> int:
     if args.json_out:
         _write_json(args.json_out, report)
         print(f"wrote profile report to {args.json_out}", file=sys.stderr)
-    if args.update_baseline:
-        fidelity = _update_perf_baseline(report, args.baseline)
-        print(f"updated {args.baseline} [{fidelity}/{args.target}]",
-              file=sys.stderr)
     return 0
 
 
@@ -648,15 +615,18 @@ def _parser():
     sweep_flags(p)
 
     p = command("profile", _profile,
-                "events/sec and ns/event of one artifact (cold cache), the "
-                "kernel microbenchmarks, or the cluster-scale profile")
-    p.add_argument("target", choices=[*ARTIFACTS, "kernel", "scale"],
+                "wall time, real and fast-forwarded kernel events and ns per "
+                "real event of one artifact (cold cache), or the "
+                "cluster-scale profile")
+    p.add_argument("target", choices=[*ARTIFACTS, "scale"],
                    metavar="TARGET", help="%(choices)s")
     p.add_argument("--quick", action="store_true",
-                   help="the artifact's declared CI-sized slice; smaller "
-                        "microbenchmarks; 128 nodes for scale")
+                   help="the artifact's declared CI-sized slice; 128 nodes "
+                        "for scale")
     p.add_argument("--memory", action="store_true",
-                   help="attach tracemalloc and report current/peak")
+                   help="attach tracemalloc and report current/peak (scale "
+                        "always traces construction memory, so this has no "
+                        "effect there)")
     p.add_argument("--per-node", action="store_true",
                    help="scale: report construction bytes per node and "
                         f"record the scale block in {DEFAULT_JSON_OUT}")
@@ -666,13 +636,6 @@ def _parser():
     p.add_argument("--profile-out", metavar="PATH",
                    help="run under cProfile and dump pstats to PATH")
     json_flag(p, "the profile report")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="fold the report into --baseline under the active "
-                        "fidelity")
-    p.add_argument("--baseline", default=DEFAULT_PERF_BASELINE,
-                   metavar="PATH",
-                   help="perf baseline for --update-baseline "
-                        "(default: %(default)s)")
 
     p = command("validate-fidelity", _validate,
                 "replay artifacts at packet and flow fidelity (cold, "

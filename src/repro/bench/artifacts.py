@@ -82,8 +82,7 @@ def _render_fig17(result) -> str:
 
 
 #: name -> declaration, in ``bench all`` order.  The ``--quick`` slices
-#: are small enough for a CI smoke run, large enough that a profile's
-#: events/sec figure is stable (~100k events).  Tolerances: artifacts with
+#: are small enough for a CI smoke run.  Tolerances: artifacts with
 #: no multi-segment traffic must be bit-identical across fidelities;
 #: wire-bound ones cover the two documented flow approximations (TCP
 #: retransmission-buffer charging, collapsed RDMA WRITE landings).

@@ -2,12 +2,15 @@
 
 Replays the traced scenarios (:mod:`repro.obs.capture`) — which are fully
 deterministic simulations — and condenses each into a flat metric dict:
-span counts, per-phase and per-wait-cause attributed sim-time, and the
-engine/link work counters from the metrics registry.  ``bench check``
-compares such a collection against a committed baseline
-(``benchmarks/obs_baseline.json``) with per-metric relative tolerances and
-exits nonzero on any regression, so observability accounting and simulated
-performance are both gated in CI.
+the kernel's real and fast-forwarded event counts, span counts, per-phase
+and per-wait-cause attributed sim-time, and the engine/link work counters
+from the metrics registry.  ``bench check`` compares such a collection
+against a committed baseline (``benchmarks/obs_baseline.json``) with
+per-metric relative tolerances and exits nonzero on any regression, so
+simulated work, observability accounting and simulated performance are
+all gated in CI.  The committed baseline gives every integer count a
+tolerance of 0: counts repeat exactly, so a change that moves one on
+purpose refreshes the baseline in the same change.
 
 Baseline schema (version 2) keeps one scenario section per fidelity mode,
 so the gate pins both the packet-exact accounting and the flow-mode
@@ -16,7 +19,7 @@ fast-forward accounting::
     {
       "schema": 2,
       "default_tolerance": 0.02,
-      "tolerances": {"fig07.wall_us": 0.05, "spans": 0.0},
+      "tolerances": {"fig07.wall_us": 0.05, "events": 0.0},
       "modes": {
         "packet": {"fig07": {"ops": 4.0, "wall_us": ..., ...}, ...},
         "flow":   {"fig07": {...}, ...}
@@ -35,12 +38,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.sim.kernel import Environment
+
 DEFAULT_BASELINE = "benchmarks/obs_baseline.json"
 DEFAULT_TOLERANCE = 0.02
 
 #: registry gauges summed (over their label sets) into scenario metrics;
-#: kernel_events_processed is deliberately absent — it is class-global and
-#: accumulates across every simulation the process has run.
+#: kernel_events_processed is absent: it is class-global, so ``events`` is
+#: taken as the counter's change across each replay instead.
 _GAUGE_TOTALS = (
     "uc_commands_executed",
     "dmp_instructions_executed",
@@ -81,8 +86,12 @@ def _collect(names, fidelity, capture, attribute_op) -> Dict[str, Any]:
         "scenarios": {},
     }
     for name in names:
+        events0 = Environment.total_events_processed
+        ff0 = Environment.total_events_fast_forwarded
         cap = capture.trace_artifact(name)
         metrics: Dict[str, float] = {
+            "events": float(Environment.total_events_processed - events0),
+            "events_ff": float(Environment.total_events_fast_forwarded - ff0),
             "ops": float(len(cap.op_ids)),
             "spans": float(len(cap.tracer.completed_spans)),
         }

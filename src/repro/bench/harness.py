@@ -746,6 +746,9 @@ def run_figX_scale(node_counts=(16, 64, 256), size: int = 16 * MIB,
     nodes x collective x algorithm.  Message sizes sit above the flow-mode
     fast-forward floor for the whole-message algorithms, so this is the
     artifact that exercises cluster scale in both fidelity modes.
+    ``busbw_gbps`` is bus bandwidth as nccl-tests defines it
+    (https://github.com/NVIDIA/nccl-tests/blob/master/doc/PERFORMANCE.md):
+    size / time, times 2(n-1)/n for an allreduce and 1 for a bcast.
     """
     runner = runner or SweepRunner()
     grid = [(n, opcode, algorithm)
@@ -760,13 +763,14 @@ def run_figX_scale(node_counts=(16, 64, 256), size: int = 16 * MIB,
     times = runner.run(points)
     rows = []
     for (n, opcode, algorithm), t in zip(grid, times):
+        factor = 2 * (n - 1) / n if opcode == "allreduce" else 1.0
         rows.append({
             "nodes": n,
             "collective": opcode,
             "algorithm": algorithm or "auto",
             "size": units.pretty_size(size),
             "time_us": units.to_us(t),
-            "busbw_gbps": units.to_gbps(size / t),
+            "busbw_gbps": units.to_gbps(size / t * factor),
         })
     return rows
 

@@ -1,15 +1,14 @@
-"""Profiling harness: kernel microbenchmarks and artifact profiles.
+"""Profiling harness: artifact profiles and the ``perf`` trajectory block.
 
-The simulator's cost is almost entirely the discrete-event kernel, so the
-first-class performance metric is **events per second of wall clock** (and
-its inverse, ns/event).  This module measures it three ways:
+Each profile reports wall seconds beside the kernel's exact work counts:
+real events (dispatched by the kernel) and fast-forwarded events (segments
+a flow-fidelity run carried analytically), kept apart, plus ns per *real*
+event.  Calibrated, per-layer host time lives in ``perfbench/``.
 
-- *microbenchmarks* — synthetic workloads that isolate one kernel path
-  (sleep fast path, scheduled callbacks, a full collective through the
-  whole CCLO/network stack);
-- *artifact profiles* — run a real evaluation artifact (``fig07`` …)
-  under the events/sec meter, optionally with :mod:`cProfile` and
-  :mod:`tracemalloc` attached;
+- *artifact profiles* — run a real evaluation artifact (``fig07`` …),
+  optionally with :mod:`cProfile` and :mod:`tracemalloc` attached;
+- the *scale profile* — construction memory and one flow-fidelity
+  allreduce on a 1024-host fat tree;
 - the ``perf`` section of ``BENCH_results.json`` — written by
   ``python -m repro.bench all`` via :func:`perf_section`.
 
@@ -17,7 +16,7 @@ CLI::
 
     python -m repro.bench profile fig07            # full artifact profile
     python -m repro.bench profile fig07 --quick    # reduced sweep, CI-sized
-    python -m repro.bench profile kernel           # microbenchmarks only
+    python -m repro.bench profile scale --per-node # 1024-node footprint
     python -m repro.bench profile fig16 --profile-out fig16.pstats --memory
 """
 
@@ -27,25 +26,18 @@ import cProfile
 import gc
 import time
 import tracemalloc
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro import units
 from repro.sim.kernel import Environment
 
-#: synthetic events per microbenchmark run (``--quick`` divides by 10)
-_MICRO_EVENTS = 200_000
-#: collectives per op-throughput run (``--quick`` divides by 4)
-_MICRO_OPS = 24
-
-
-# ---------------------------------------------------------------------------
-# events/sec meter
-# ---------------------------------------------------------------------------
 
 def measure(fn: Callable[[], Any], label: str = "run") -> Dict[str, Any]:
-    """Run *fn* and report wall time against the kernel's event counters.
+    """Run *fn* and report wall time beside the kernel's event counters.
 
-    ``events_per_s``/``ns_per_event`` use the class-wide counters on
+    ``events`` counts what the kernel dispatched and ``events_ff`` what a
+    flow-fidelity run fast-forwarded; ``ns_per_event`` divides wall time by
+    real events only.  The counters are class-wide on
     :class:`~repro.sim.kernel.Environment`, so everything the callable
     simulates — across any number of environments — is accounted.
     """
@@ -56,105 +48,15 @@ def measure(fn: Callable[[], Any], label: str = "run") -> Dict[str, Any]:
     value = fn()
     wall = time.perf_counter() - start
     events = Environment.total_events_processed - events0
-    events_ff = Environment.total_events_fast_forwarded - ff0
-    # Rates are quoted in packet-equivalent events: segments a flow-fidelity
-    # run fast-forwards analytically count as retired work (in packet mode
-    # events_ff is 0 and this reduces to the plain rate).
-    equivalent = events + events_ff
     report = {
         "label": label,
         "wall_s": wall,
         "events": events,
-        "events_ff": events_ff,
+        "events_ff": Environment.total_events_fast_forwarded - ff0,
         "sim_s": Environment.total_sim_time - sim0,
-        "events_per_s": equivalent / wall if wall > 0 else 0.0,
-        "ns_per_event": wall / equivalent * 1e9 if equivalent else 0.0,
+        "ns_per_event": wall / events * 1e9 if events else 0.0,
     }
     return {"report": report, "value": value}
-
-
-# ---------------------------------------------------------------------------
-# microbenchmarks
-# ---------------------------------------------------------------------------
-
-def bench_sleep_path(n_events: int = _MICRO_EVENTS) -> Dict[str, Any]:
-    """Process sleep fast path: N ``yield <float>`` resumptions."""
-    env = Environment()
-    n_procs = 4
-    per_proc = n_events // n_procs
-
-    def ticker():
-        for _ in range(per_proc):
-            yield 1e-6
-
-    def run():
-        for _ in range(n_procs):
-            env.process(ticker())
-        env.run()
-
-    return measure(run, "sleep-path")["report"]
-
-
-def bench_timeout_events(n_events: int = _MICRO_EVENTS) -> Dict[str, Any]:
-    """Classic event objects: N ``yield env.timeout(dt)`` resumptions."""
-    env = Environment()
-    n_procs = 4
-    per_proc = n_events // n_procs
-
-    def ticker():
-        for _ in range(per_proc):
-            yield env.timeout(1e-6)
-
-    def run():
-        for _ in range(n_procs):
-            env.process(ticker())
-        env.run()
-
-    return measure(run, "timeout-events")["report"]
-
-
-def bench_scheduled_callbacks(n_events: int = _MICRO_EVENTS) -> Dict[str, Any]:
-    """Bare callback chain: each fire reschedules itself."""
-    env = Environment()
-    remaining = [n_events]
-
-    def tick():
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            env.schedule_callback(1e-6, tick)
-
-    def run():
-        env.schedule_callback(0.0, tick)
-        env.run()
-
-    return measure(run, "scheduled-callbacks")["report"]
-
-
-def bench_collective_ops(ops: int = _MICRO_OPS) -> Dict[str, Any]:
-    """Full-stack allreduce throughput: cluster build + 4-rank collective,
-    measured in collective ops per second of wall clock."""
-    from repro.bench.harness import accl_collective_time
-
-    def run():
-        for _ in range(ops):
-            accl_collective_time("allreduce", 4 * units.KIB, n_nodes=4)
-
-    report = measure(run, "collective-ops")["report"]
-    report["ops"] = ops
-    report["ops_per_s"] = ops / report["wall_s"] if report["wall_s"] else 0.0
-    return report
-
-
-def run_microbenchmarks(quick: bool = False) -> List[Dict[str, Any]]:
-    """All kernel microbenchmarks; ``quick`` shrinks them ~10x for CI."""
-    n = _MICRO_EVENTS // 10 if quick else _MICRO_EVENTS
-    ops = _MICRO_OPS // 4 if quick else _MICRO_OPS
-    return [
-        bench_sleep_path(n),
-        bench_timeout_events(n),
-        bench_scheduled_callbacks(n),
-        bench_collective_ops(ops),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +71,14 @@ SCALE_ALLREDUCE_BYTES = 16 * units.MIB
 
 
 def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
-                  quick: bool = False, memory: bool = True,
-                  per_node: bool = False) -> Dict[str, Any]:
+                  quick: bool = False, per_node: bool = False
+                  ) -> Dict[str, Any]:
     """Construction footprint + one flow-fidelity allreduce at scale.
 
     Builds a ``nodes``-host large fabric under ``tracemalloc`` (the
     construction cost the memory-lean refactor targets), then runs one
     16 MiB ``reduce_bcast`` allreduce across all hosts at flow fidelity.
-    ``per_node`` adds the figures that ``bench profile --memory
+    ``per_node`` adds the figures that ``bench profile scale
     --per-node`` commits to the perf section of ``BENCH_results.json``:
     ``bytes_per_node`` for construction and ``run_bytes_per_node`` for
     the run-time state (pipe busy history, TLB mappings, lazily peered
@@ -273,22 +175,19 @@ def profile_artifact(
     obs: bool = False,
     per_node: bool = False,
 ) -> Dict[str, Any]:
-    """Profile one artifact (or ``"kernel"`` for microbenchmarks only).
+    """Profile one artifact (or ``"scale"`` for :func:`profile_scale`).
 
-    Returns a report dict with the events/sec metrics, plus optional
-    ``memory`` (tracemalloc current/peak) and ``profile_out`` (pstats dump
-    path) entries.  With ``obs=True`` the artifact runs a second time with
-    the observability layer enabled, and the report gains an ``obs`` block:
-    instrumented events/sec, overhead vs the plain run, collected
+    Returns a :func:`measure` report, plus optional ``memory``
+    (tracemalloc current/peak) and ``profile_out`` (pstats dump path)
+    entries.  With ``obs=True`` the artifact runs again with the
+    observability layer enabled, and the report gains an ``obs`` block:
+    instrumented wall time, its overhead over the plain run, collected
     metric/span counts, and — for artifacts with a traced scenario — a
     per-collective phase breakdown.
     """
     from repro.bench.artifacts import ARTIFACTS
     from repro.bench.runner import SweepRunner
 
-    if name == "kernel":
-        return {"artifact": "kernel", "quick": quick,
-                "microbenchmarks": run_microbenchmarks(quick)}
     if name == "scale":
         return profile_scale(quick=quick, per_node=per_node)
 
@@ -355,15 +254,11 @@ def _measure_obs_overhead(artifact, kwargs: Dict[str, Any],
         obs_runtime.disable()
 
     enabled = measured["report"]
-    base_rate = baseline["events_per_s"]
-    obs_rate = enabled["events_per_s"]
     block = {
-        "events_per_s": obs_rate,
         "ns_per_event": enabled["ns_per_event"],
         "wall_s": enabled["wall_s"],
         "events": enabled["events"],
-        "overhead_pct": ((base_rate / obs_rate - 1.0) * 100.0
-                         if obs_rate > 0 else 0.0),
+        "overhead_pct": _overhead_pct(enabled, baseline),
         "summary": summary,
     }
 
@@ -378,7 +273,6 @@ def _measure_obs_overhead(artifact, kwargs: Dict[str, Any],
     finally:
         obs_runtime.disable()
     telemetry = measured["report"]
-    tm_rate = telemetry["events_per_s"]
     snapshots = tm_summary.get("telemetry_samples", 0)
     snap_dropped = tm_summary.get("telemetry_dropped", 0)
     for rec in runner.records:
@@ -386,16 +280,21 @@ def _measure_obs_overhead(artifact, kwargs: Dict[str, Any],
         snap_dropped += getattr(rec, "snap_dropped", 0)
     block["telemetry"] = {
         "cadence_s": _OBS_TELEMETRY_CADENCE,
-        "events_per_s": tm_rate,
         "wall_s": telemetry["wall_s"],
         "snapshots": snapshots,
         "snapshots_dropped": snap_dropped,
-        "overhead_pct": ((obs_rate / tm_rate - 1.0) * 100.0
-                         if tm_rate > 0 else 0.0),
+        "overhead_pct": _overhead_pct(telemetry, enabled),
     }
     if artifact.scenario is not None:
         block["breakdowns"] = artifact.scenario().breakdowns()
     return block
+
+
+def _overhead_pct(run: Dict[str, Any], base: Dict[str, Any]) -> float:
+    """Wall-time overhead of *run* over *base*, in percent."""
+    if base["wall_s"] <= 0:
+        return 0.0
+    return (run["wall_s"] / base["wall_s"] - 1.0) * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +306,13 @@ def perf_section(records, wall_s: float) -> Dict[str, Any]:
     from repro.network.fidelity import default_fidelity
 
     events = sum(r.events for r in records if not r.cached)
-    events_ff = sum(r.events_ff for r in records if not r.cached)
     run_wall = sum(r.wall_s for r in records if not r.cached)
-    equivalent = events + events_ff
     return {
         "wall_s": wall_s,
         "fidelity": default_fidelity(),
         "events": events,
-        "events_ff": events_ff,
-        "events_per_s": equivalent / run_wall if run_wall > 0 else 0.0,
-        "ns_per_event": run_wall / equivalent * 1e9 if equivalent else 0.0,
+        "events_ff": sum(r.events_ff for r in records if not r.cached),
+        "ns_per_event": run_wall / events * 1e9 if events else 0.0,
     }
 
 
@@ -437,25 +333,12 @@ def render_report(report: Dict[str, Any]) -> str:
                 f"built, {report['run_bytes_per_node'] / 1024:.1f} KiB "
                 "more after one allreduce")
         ar = report["allreduce"]
-        equivalent = ar["events"] + ar["events_ff"]
         lines.append(
             f"  allreduce {units.pretty_size(ar['size'])} "
             f"({ar['algorithm']}, fidelity={ar['fidelity']}): "
             f"sim {ar['time_s'] * 1e3:.2f} ms in {ar['wall_s']:.1f}s wall, "
-            f"{equivalent} events ({ar['events_ff']} fast-forwarded), "
-            f"{ar['events_per_s'] / 1e3:.1f}k events/s")
-        return "\n".join(lines)
-    micro = report.get("microbenchmarks")
-    if micro is not None:
-        lines.append("kernel microbenchmarks"
-                     + (" (--quick)" if report.get("quick") else ""))
-        for row in micro:
-            line = (f"  {row['label']:<20} {row['events']:>9} events in "
-                    f"{row['wall_s']:.3f}s = {row['events_per_s']/1e3:8.1f}k "
-                    f"ev/s ({row['ns_per_event']:.0f} ns/event)")
-            if "ops_per_s" in row:
-                line += f", {row['ops_per_s']:.1f} collective-op/s"
-            lines.append(line)
+            f"{ar['events']} events (+{ar['events_ff']} fast-forwarded), "
+            f"{ar['ns_per_event']:.0f} ns/event")
         return "\n".join(lines)
 
     lines.append(
@@ -463,10 +346,9 @@ def render_report(report: Dict[str, Any]) -> str:
         + (" (--quick)" if report.get("quick") else "")
         + f": {report['points']} points, {report['events']} events in "
         f"{report['wall_s']:.2f}s wall / {report['sim_s']:.4f}s simulated")
-    rate_line = (f"  {report['events_per_s']/1e3:.1f}k events/s, "
-                 f"{report['ns_per_event']:.0f} ns/event")
+    rate_line = f"  {report['ns_per_event']:.0f} ns/event"
     if report.get("events_ff"):
-        rate_line += (f" (incl. {report['events_ff']} fast-forwarded, "
+        rate_line += (f" (+{report['events_ff']} fast-forwarded events, "
                       f"fidelity=flow)")
     lines.append(rate_line)
     mem = report.get("memory")
@@ -479,7 +361,7 @@ def render_report(report: Dict[str, Any]) -> str:
     obs = report.get("obs")
     if obs:
         lines.append(
-            f"  with observability: {obs['events_per_s']/1e3:.1f}k events/s "
+            f"  with observability: {obs['wall_s']:.2f}s wall "
             f"({obs['ns_per_event']:.0f} ns/event) — "
             f"{obs['overhead_pct']:+.1f}% overhead")
         summary = obs.get("summary", {})
@@ -492,7 +374,7 @@ def render_report(report: Dict[str, Any]) -> str:
             lines.append(
                 f"  with telemetry snapshots "
                 f"(every {telemetry['cadence_s'] * 1e6:.0f} sim-us): "
-                f"{telemetry['events_per_s']/1e3:.1f}k events/s — "
+                f"{telemetry['wall_s']:.2f}s wall — "
                 f"{telemetry['overhead_pct']:+.1f}% on top of spans "
                 f"({telemetry['snapshots']} snapshots, "
                 f"{telemetry['snapshots_dropped']} dropped)")

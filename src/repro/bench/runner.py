@@ -114,7 +114,7 @@ class PointResult:
     events: int     # discrete events processed while computing the point
     cached: bool
     #: events elided by flow-level fast-forward (0 in packet fidelity);
-    #: ``events + events_ff`` is the packet-equivalent work retired.
+    #: reported beside ``events``, never added to it.
     events_ff: int = 0
     key: Optional[str] = None
     #: trace events this point's tracers evicted (ring-buffer truncation).

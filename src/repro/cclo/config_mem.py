@@ -50,19 +50,6 @@ class CcloConfig:
     #: (packet assembling on the micro-processor instead of the RBM).
     #: 0 = ACCL+ behaviour (RBM offload, no uC involvement per packet).
     uc_rx_instr_per_kib: int = 0
-    #: Payload fidelity: ``"functional"`` moves real numpy payloads through
-    #: the data plane (collective results are verifiable); ``"counted"``
-    #: moves byte-counts only — every copy/materialization is elided while
-    #: all timing charges stay byte-identical.  Throughput/latency sweeps
-    #: that never check payload contents can run counted.
-    payload_mode: str = "functional"
-
-    def __post_init__(self):
-        if self.payload_mode not in ("functional", "counted"):
-            raise ConfigurationError(
-                f"unknown payload_mode {self.payload_mode!r}; "
-                "expected 'functional' or 'counted'"
-            )
 
     def cycles(self, n: int) -> float:
         """n clock cycles in seconds at this instance's clock."""

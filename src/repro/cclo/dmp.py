@@ -134,17 +134,11 @@ class DataMovementProcessor:
         """
         engine = self.engine
         if slot.kind is SlotKind.MEMORY:
-            if self.config.payload_mode == "counted":
-                # Counted fidelity: segments carry byte-counts only, so the
-                # operand never materializes.  Timing events are identical —
-                # the port still charges the same bytes.
-                data = None
-            else:
-                data = slot.view.array
-                # Snapshot the operand: another in-flight instruction may
-                # retire into the same buffer before this one applies its
-                # plugin, and gating semantics say the operand was read here.
-                data = None if data is None else data.copy()
+            data = slot.view.array
+            # Snapshot the operand: another in-flight instruction may
+            # retire into the same buffer before this one applies its
+            # plugin, and gating semantics say the operand was read here.
+            data = None if data is None else data.copy()
             return data, [slot.view.device_read(nbytes)]
         if slot.kind is SlotKind.RX_EAGER:
             t_wait = self.env.now

@@ -466,13 +466,17 @@ class Link:
         f_pen = f_head + (n - 2) * step
         start_last = f_pen if f_pen > burst.last_at else burst.last_at
         f_last = start_last + dur_last
+        # The previous window stays slottable only when this train follows
+        # it with nothing queued between them (a continuation); otherwise
+        # the traffic queued behind it owns its gaps.
+        continues = self._train_tail == pipe._free_at
         pipe._free_at = f_last
         pipe._busy_time += (n - 1) * dur_full + dur_last
         pipe._bytes_moved += burst.wire_total
         pipe._record_busy(base, f_last)
         self._relay = (burst, base) if burst.seq_base == 0 else None
         self._last_owner = burst.meta
-        self._train_prev = self._train
+        self._train_prev = self._train if continues else None
         self._train = (f_head, step, f_pen, start_last, f_last)
         self._train_tail = f_last
         self.segments_carried += n

@@ -312,8 +312,8 @@ def render_check_attribution(scenario: str,
     causes = metric_delta_attribution(base_metrics, cur_metrics)[:limit]
     if not causes:
         return (f"  {scenario}: wall {base_wall:,.1f} -> {cur_wall:,.1f} us "
-                f"({rel:+.1f}%): no wait/phase metric moved — check span "
-                "counts and gauge totals")
+                f"({rel:+.1f}%): no wait/phase metric moved — check the "
+                "event, span and gauge counts")
     parts = ", ".join(f"{c['share'] * 100:+.1f}% {c['metric']}"
                       for c in causes)
     return (f"  {scenario}: wall {base_wall:,.1f} -> {cur_wall:,.1f} us "

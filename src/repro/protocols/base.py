@@ -109,8 +109,8 @@ class BasePoe:
     #: flow fidelity accounting — heap events the per-segment transmit /
     #: receive paths would have dispatched per segment but the analytic
     #: burst elides (flow-control yields, retx writes; credit/ack returns).
-    #: Feeds ``Environment.total_events_fast_forwarded`` so events/s stays
-    #: comparable across fidelity modes.
+    #: Feeds ``Environment.total_events_fast_forwarded``, which the perf
+    #: reports and ``bench check`` keep apart from real events.
     _FLOW_TX_ELIDED_PER_SEGMENT = 0
     _FLOW_RX_ELIDED_PER_SEGMENT = 0
 

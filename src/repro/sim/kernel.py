@@ -451,9 +451,8 @@ class Environment:
     total_sim_time: float = 0.0
     #: events the flow-level fidelity mode modeled analytically instead of
     #: dispatching (elided per-segment deliveries, pacing sleeps, credit
-    #: returns...).  ``processed + fast_forwarded`` is the packet-equivalent
-    #: event count, which is what the perf metrics report so throughput
-    #: numbers stay comparable across fidelity modes.
+    #: returns...).  The perf reports keep it beside, never added to,
+    #: ``total_events_processed``: it counts work the host did not do.
     total_events_fast_forwarded: int = 0
 
     def __init__(self, initial_time: float = 0.0):

@@ -1,6 +1,8 @@
 """The metrics-backed regression gate (``bench check``)."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,28 @@ class TestCollect:
         again = check_mod.collect(["fig08"])
         assert again["scenarios"] == fig08_collection["scenarios"]
 
+    def test_events_are_kernel_counter_deltas_across_the_replay(
+            self, monkeypatch):
+        from repro.obs import capture
+        from repro.sim.kernel import Environment
+
+        deltas = {}
+        replay = capture.trace_artifact
+
+        def counted(name):
+            events0 = Environment.total_events_processed
+            ff0 = Environment.total_events_fast_forwarded
+            cap = replay(name)
+            deltas[name] = (Environment.total_events_processed - events0,
+                            Environment.total_events_fast_forwarded - ff0)
+            return cap
+
+        monkeypatch.setattr(capture, "trace_artifact", counted)
+        metrics = check_mod.collect(["fig07"], fidelity="flow")[
+            "scenarios"]["fig07"]
+        assert (metrics["events"], metrics["events_ff"]) == deltas["fig07"]
+        assert metrics["events"] > 0 and metrics["events_ff"] > 0
+
 
 class TestCompare:
     def test_self_compare_is_clean(self, fig08_collection):
@@ -42,8 +66,6 @@ class TestCompare:
         assert check_mod.violations(rows) == []
 
     def test_deviation_beyond_tolerance_fails(self, fig08_collection):
-        import copy
-
         current = copy.deepcopy(fig08_collection)
         current["scenarios"]["fig08"]["wall_us"] *= 1.10
         rows = check_mod.compare(fig08_collection, current)
@@ -54,8 +76,6 @@ class TestCompare:
         assert check_mod.violations(rows) == []
 
     def test_per_metric_tolerance_overrides(self, fig08_collection):
-        import copy
-
         baseline = copy.deepcopy(fig08_collection)
         baseline["tolerances"] = {"fig08.wall_us": 0.5, "spans": 0.0}
         current = copy.deepcopy(fig08_collection)
@@ -64,8 +84,6 @@ class TestCompare:
         assert check_mod.violations(rows) == []
 
     def test_missing_scenario_and_metric_fail(self, fig08_collection):
-        import copy
-
         baseline = copy.deepcopy(fig08_collection)
         baseline["scenarios"]["ghost"] = {"ops": 1.0}
         current = copy.deepcopy(fig08_collection)
@@ -77,13 +95,41 @@ class TestCompare:
         assert notes[("fig08", "spans")] == "missing"
 
     def test_render_table_flags_failures(self, fig08_collection):
-        import copy
-
         current = copy.deepcopy(fig08_collection)
         current["scenarios"]["fig08"]["wall_us"] *= 2
         table = check_mod.render_check_table(
             check_mod.compare(fig08_collection, current))
         assert "FAIL" in table and "wall_us" in table
+
+
+_COMMITTED = Path(__file__).resolve().parents[1] / check_mod.DEFAULT_BASELINE
+
+
+class TestCommittedBaseline:
+    """Integer counts repeat exactly, so the committed baseline gates them
+    with zero tolerance; simulated times keep the default."""
+
+    def test_integer_counts_have_zero_tolerance(self):
+        doc = check_mod.load_baseline(str(_COMMITTED))
+        counts = {"events", "events_ff", "ops", "spans",
+                  *check_mod._GAUGE_TOTALS}
+        assert doc["tolerances"] == {name: 0.0 for name in counts}
+        for mode in ("packet", "flow"):
+            for metrics in doc["modes"][mode].values():
+                assert counts <= set(metrics)
+
+    @pytest.mark.parametrize("mode", ["packet", "flow"])
+    def test_one_event_off_fails_inside_the_default(self, mode):
+        view = check_mod.mode_view(check_mod.load_baseline(str(_COMMITTED)),
+                                   mode)
+        current = {"scenarios": copy.deepcopy(view["scenarios"])}
+        current["scenarios"]["fig07"]["events"] += 1
+        bad = check_mod.violations(check_mod.compare(view, current))
+        assert [(row["scenario"], row["metric"]) for row in bad] == \
+            [("fig07", "events")]
+        # The 2% default alone would have let it through.
+        loose = dict(view, tolerances={})
+        assert check_mod.violations(check_mod.compare(loose, current)) == []
 
 
 class TestBaselineSchema2:
@@ -122,6 +168,20 @@ class TestCheckCli:
         baseline.write_text(json.dumps(doc))
         assert main(["check", "fig08", "--baseline", str(baseline)]) == 1
         assert "REGRESSION" in capsys.readouterr().err
+
+    def test_committed_baseline_one_event_off_exits_1(self, tmp_path,
+                                                       capsys):
+        doc = json.loads(_COMMITTED.read_text())
+        doc["modes"]["packet"]["allreduce"]["events"] += 1
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        assert main(["check", "allreduce", "--baseline", str(baseline),
+                     "--json", str(report)]) == 1
+        failed = [(m["scenario"], m["metric"])
+                  for m in json.loads(report.read_text())["metrics"]
+                  if m["verdict"] == "fail"]
+        assert failed == [("allreduce", "events")]
 
     def test_missing_baseline_hints_update(self, tmp_path, capsys):
         rc = main(["check", "fig08",

@@ -11,17 +11,6 @@ from repro.trace import Tracer
 
 
 class TestMicrobenchmarks:
-    def test_quick_suite_shape(self):
-        reports = profile_mod.run_microbenchmarks(quick=True)
-        labels = [r["label"] for r in reports]
-        assert labels == ["sleep-path", "timeout-events",
-                          "scheduled-callbacks", "collective-ops"]
-        for report in reports:
-            assert report["events"] > 0
-            assert report["events_per_s"] > 0
-            assert report["ns_per_event"] > 0
-        assert reports[-1]["ops_per_s"] > 0
-
     def test_measure_counts_events(self):
         from repro.sim import Environment
 
@@ -42,6 +31,27 @@ class TestMicrobenchmarks:
         assert out["report"]["events"] >= 3
         assert out["report"]["sim_s"] == pytest.approx(2.0)
 
+    def test_ns_per_event_divides_by_real_events_only(self):
+        from repro.sim import Environment
+
+        env = Environment()
+
+        def proc():
+            yield 1.0
+
+        def run():
+            env.process(proc())
+            env.run()
+            # what a flow-fidelity run records for segments it elides
+            Environment.total_events_fast_forwarded += 1000
+
+        report = profile_mod.measure(run)["report"]
+        assert report["events_ff"] == 1000
+        assert report["ns_per_event"] == \
+            report["wall_s"] / report["events"] * 1e9
+        assert set(report) == {"label", "wall_s", "events", "events_ff",
+                               "sim_s", "ns_per_event"}
+
 
 class TestProfileArtifact:
     def test_fig08_with_memory_and_pstats(self, tmp_path):
@@ -57,10 +67,19 @@ class TestProfileArtifact:
         rendered = profile_mod.render_report(report)
         assert "fig08" in rendered and "ns/event" in rendered
 
-    def test_kernel_pseudo_artifact(self):
-        report = profile_mod.profile_artifact("kernel", quick=True)
-        assert len(report["microbenchmarks"]) == 4
-        assert "sleep-path" in profile_mod.render_report(report)
+    def test_obs_overhead_is_a_wall_time_ratio(self):
+        report = profile_mod.profile_artifact("fig08", quick=True, obs=True)
+        obs = report["obs"]
+        assert obs["overhead_pct"] == pytest.approx(
+            (obs["wall_s"] / report["wall_s"] - 1.0) * 100.0)
+        telemetry = obs["telemetry"]
+        assert telemetry["overhead_pct"] == pytest.approx(
+            (telemetry["wall_s"] / obs["wall_s"] - 1.0) * 100.0)
+        assert set(obs) == {"ns_per_event", "wall_s", "events",
+                            "overhead_pct", "summary", "telemetry",
+                            "breakdowns"}
+        assert not any(key.endswith("_per_s") for key in telemetry)
+        assert "% overhead" in profile_mod.render_report(report)
 
     def test_unknown_artifact_raises(self):
         with pytest.raises(KeyError):
@@ -102,9 +121,13 @@ class TestScaleProfile:
 
 
 class TestCli:
-    def test_profile_kernel_quick(self, capsys):
-        assert bench_main(["profile", "kernel", "--quick"]) == 0
-        assert "kernel microbenchmarks" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["profile", "kernel"],
+        ["profile", "fig08", "--update-baseline"],
+        ["profile", "fig08", "--baseline", "perf.json"],
+    ], ids=["kernel", "update-baseline", "baseline"])
+    def test_removed_targets_and_flags_exit_2(self, argv, capsys):
+        assert bench_main(argv) == 2
 
     def test_profile_requires_exactly_one_target(self, capsys):
         assert bench_main(["profile"]) == 2
@@ -119,7 +142,8 @@ class TestCli:
                            "--json", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["artifact"] == "fig08"
-        assert report["events_per_s"] > 0
+        assert report["events"] > 0 and report["ns_per_event"] > 0
+        assert not any(key.endswith("_per_s") for key in report)
 
     def test_artifact_run_with_profile_out(self, tmp_path, capsys):
         pstats_out = tmp_path / "run.pstats"
@@ -135,19 +159,23 @@ class TestPerfSection:
         point = SweepPoint.make("figXX", "k")
         records = [
             PointResult(point=point, value=1.0, wall_s=0.5, sim_s=0.1,
-                        events=1000, cached=False),
+                        events=1000, events_ff=3000, cached=False),
             PointResult(point=point, value=1.0, wall_s=0.0, sim_s=0.0,
                         events=0, cached=True),  # cache reads excluded
         ]
         perf = profile_mod.perf_section(records, wall_s=0.75)
         assert perf["events"] == 1000
-        assert perf["events_per_s"] == pytest.approx(2000.0)
+        assert perf["events_ff"] == 3000
+        # wall time of the executed points over real events only
+        assert perf["ns_per_event"] == pytest.approx(0.5 / 1000 * 1e9)
+        assert set(perf) == {"wall_s", "fidelity", "events", "events_ff",
+                             "ns_per_event"}
         assert perf["wall_s"] == 0.75
 
     def test_empty_records(self):
         perf = profile_mod.perf_section([], wall_s=0.0)
         assert perf["events"] == 0
-        assert perf["events_per_s"] == 0.0
+        assert perf["ns_per_event"] == 0.0
 
 
 class TestTracerDropCounter:

@@ -1,9 +1,9 @@
 """Tests pinning the performance fast paths to baseline behavior.
 
 Every optimization here has a slower, simpler twin (one heap entry per
-delivered segment, ``payload_mode="functional"``, event-object sleeps);
-these tests assert the fast paths are *observationally identical* to the
-twins — same delivery order, same timestamps, same simulated totals.
+delivered segment, event-object sleeps); these tests assert the fast paths
+are *observationally identical* to the twins — same delivery order, same
+timestamps, same simulated totals.
 """
 
 import random
@@ -11,9 +11,7 @@ import random
 import pytest
 
 from repro import units
-from repro.bench.harness import accl_collective_time
-from repro.cclo.config_mem import CcloConfig
-from repro.errors import ConfigurationError, NetworkError
+from repro.errors import NetworkError
 from repro.network import Link, Segment
 from repro.sim import Environment, Interrupt
 from repro.sim.kernel import SimulationError
@@ -213,59 +211,3 @@ class TestSleepFastPath:
         env.process(proc())
         env.run()
         assert log == [3.0]
-
-
-class TestPayloadModeCounted:
-    """``payload_mode="counted"`` elides data materialization but must be
-    cycle-identical to the default on the timing side."""
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CcloConfig(payload_mode="bogus")
-
-    def test_default_is_functional(self):
-        assert CcloConfig().payload_mode == "functional"
-
-    @pytest.mark.parametrize("size", [64 * units.KIB, 256 * units.MIB],
-                             ids=["fig07-smallest", "fig07-largest"])
-    def test_timing_identical_on_fig07_p2p_points(self, size):
-        elapsed = {}
-        events = {}
-        for mode in ("functional", "counted"):
-            config = CcloConfig(payload_mode=mode)
-            before = Environment.total_events_processed
-            elapsed[mode] = _p2p_elapsed(size, n_msgs=2, cclo_config=config)
-            events[mode] = Environment.total_events_processed - before
-        assert elapsed["counted"] == elapsed["functional"]  # bit-exact
-        assert events["counted"] == events["functional"]
-
-    def test_timing_identical_on_collective(self):
-        times = {
-            mode: accl_collective_time(
-                "allreduce", 16 * units.KIB, n_nodes=4,
-                cclo_config=CcloConfig(payload_mode=mode))
-            for mode in ("functional", "counted")
-        }
-        assert times["counted"] == times["functional"]
-
-
-def _p2p_elapsed(size, n_msgs, cclo_config):
-    """The fig07 point kernel, parameterized by CCLO config."""
-    from repro.cclo.microcontroller import CollectiveArgs
-    from repro.cluster import build_fpga_cluster
-    from repro.sim import all_of
-
-    cluster = build_fpga_cluster(2, protocol="rdma", platform="coyote",
-                                 cclo_config=cclo_config)
-    p0, p1 = (cluster.nodes[0].platform, cluster.nodes[1].platform)
-    events = []
-    for i in range(n_msgs):
-        rbuf = p1.allocate(size).view()
-        sbuf = p0.allocate(size).view()
-        events.append(cluster.engine(1).call(CollectiveArgs(
-            opcode="recv", nbytes=size, peer=0, tag=i, rbuf=rbuf)))
-        events.append(cluster.engine(0).call(CollectiveArgs(
-            opcode="send", nbytes=size, peer=1, tag=i, sbuf=sbuf)))
-    start = cluster.env.now
-    cluster.env.run(until=all_of(cluster.env, events))
-    return cluster.env.now - start

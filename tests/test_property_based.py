@@ -9,7 +9,7 @@ from repro import units
 from repro.cclo.match import MatchTable
 from repro.collectives.util import block_ranges
 from repro.network import Link, Switch
-from repro.network.packet import ETHERNET_HEADER_BYTES, Segment
+from repro.network.packet import ETHERNET_HEADER_BYTES, Burst, Segment
 from repro.sim import BandwidthResource, Environment, Monitor
 from repro.sim.resources import TokenBucket
 
@@ -452,6 +452,113 @@ class TestSwitchForwardingProperties:
         assert [x[1:] for x in ref_sends if x[0] == at] == [(2, 1), (3, 0)]
         assert sorted(t for t, _, _ in folded[0]) == \
             sorted(t for t, _, _ in ref[0])
+
+
+class _SendOrderLink(Link):
+    """Records the ``(meta, seqno)`` of every segment passed to ``send``,
+    in call order (expanded bursts included)."""
+
+    __slots__ = ("sent",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def send(self, segment):
+        self.sent.append((segment.meta, segment.seqno))
+        return super().send(segment)
+
+
+_FIFO_SEG = 32 * units.KIB
+_FIFO_MTU = 4096
+_FIFO_BURST_SEGMENTS = 8
+
+#: (gap before the op, op, message index): "burst" sends the next
+#: sub-burst of one message, "foreign" a multi-frame segment of no
+#: message, "control" a single-frame segment.
+_link_ops = st.lists(
+    st.tuples(st.floats(0.0, units.us(40)),
+              st.sampled_from(["burst", "burst", "foreign", "control"]),
+              st.integers(0, 2)),
+    min_size=1, max_size=14)
+
+#: M's first sub-burst is carried; a foreign segment queues behind it and
+#: forces M's second sub-burst to expand; M's third continues M's train
+#: behind them; a control segment then arrives while the first train is
+#: still on the wire, whose gaps belong to the traffic queued behind it.
+_STALE_TRAIN = [(0.0, "burst", 0), (units.us(1), "foreign", 0),
+                (units.us(1), "burst", 0), (units.us(28), "burst", 0),
+                (units.us(10), "control", 0)]
+
+
+def _flow_link_run(ops, n_msgs):
+    """Drive *ops* into one flow-wired 10 Gb/s link whose bursts are
+    spaced at 100 Gb/s.  Returns the link, every delivery time in order,
+    each segment's arrival time by ``(meta, seqno)`` and the wire bytes
+    submitted."""
+    env = Environment()
+    link = _SendOrderLink(env, rate=units.gbps(10), latency=units.us(1))
+    times, arrived = [], {}
+
+    def on_segment(segment):
+        times.append(env.now)
+        arrived[(segment.meta, segment.seqno)] = env.now
+
+    link.connect(on_segment)
+    link.connect_burst(lambda burst: times.append(env.now), at_tail=True)
+    owners = [("M", i) for i in range(n_msgs)]
+    next_seq = [0] * n_msgs
+    spacing = (Segment(0, 1, _FIFO_SEG, mtu=_FIFO_MTU).wire_bytes
+               / units.gbps(100))
+    submitted = 0
+
+    def driver():
+        nonlocal submitted
+        for k, (gap, op, msg) in enumerate(ops):
+            if gap > 0.0:
+                yield gap
+            if op == "burst":
+                msg %= n_msgs
+                n = _FIFO_BURST_SEGMENTS
+                burst = Burst(
+                    src=0, dst=1, payload_bytes=n * _FIFO_SEG, n_segments=n,
+                    segment_bytes=_FIFO_SEG, last_bytes=_FIFO_SEG,
+                    meta=owners[msg], mtu=_FIFO_MTU, head_at=env.now,
+                    spacing=spacing, last_at=env.now + (n - 1) * spacing,
+                    seq_base=next_seq[msg])
+                next_seq[msg] += n
+                submitted += burst.wire_total
+                link.send_burst(burst)
+            else:
+                segment = Segment(
+                    0, 1, _FIFO_SEG if op == "foreign" else 16,
+                    meta=(op, k), mtu=_FIFO_MTU)
+                submitted += segment.wire_bytes
+                link.send(segment)
+
+    env.process(driver())
+    env.run()
+    return link, times, arrived, submitted
+
+
+class TestLinkFifoProperties:
+    """Flow-mode shortcuts on one link (carried sub-bursts, expansion,
+    control segments slotted into a train's gaps) keep the link FIFO for
+    everything passed to ``send``."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=_link_ops, n_msgs=st.integers(2, 3))
+    @example(ops=_STALE_TRAIN, n_msgs=2)
+    def test_sends_arrive_in_send_order(self, ops, n_msgs):
+        link, times, arrived, submitted = _flow_link_run(ops, n_msgs)
+        assert times == sorted(times)
+        assert set(arrived) == set(link.sent)
+        latest = 0.0
+        for key in link.sent:
+            assert arrived[key] >= latest, key
+            latest = arrived[key]
+        assert link.bytes_carried == submitted
 
 
 class TestProtocolProperties:

@@ -262,3 +262,21 @@ class TestThousandNodeScale:
         assert not big.nodes[0].poe._qps
         qp = big.nodes[0].poe.qp_to(1)
         assert qp is big.nodes[0].poe.qp_to(1)
+
+
+class TestFigXScaleBusBandwidth:
+    def test_busbw_is_algbw_times_the_nccl_tests_factor(self):
+        from repro.bench.harness import run_figX_scale
+        from repro.bench.runner import SweepRunner
+
+        size = 256 * units.KIB
+        rows = run_figX_scale(node_counts=(4,), size=size,
+                              runner=SweepRunner(jobs=1, cache=None))
+        # allreduce: algbw * 2(n-1)/n; bcast: algbw
+        factor = {"allreduce": 2 * 3 / 4, "bcast": 1.0}
+        assert [row["collective"] for row in rows] == \
+            ["allreduce", "allreduce", "bcast"]
+        for row in rows:
+            algbw = units.to_gbps(size / (row["time_us"] * 1e-6))
+            assert row["busbw_gbps"] == pytest.approx(
+                algbw * factor[row["collective"]], rel=1e-12)
