@@ -51,8 +51,9 @@ def _staged_send(size):
     cluster = build_fpga_cluster(2, protocol="rdma", platform="coyote")
     env = cluster.env
     engine = cluster.engine(0)
-    sview = cluster.nodes[0].platform.allocate(
-        size, BufferLocation.DEVICE).view()
+    platform = cluster.nodes[0].platform
+    sbuf = platform.allocate(size, BufferLocation.DEVICE)
+    sview = sbuf.view()
     rview = cluster.nodes[1].platform.allocate(
         size, BufferLocation.DEVICE).view()
     recv_ev = cluster.engine(1).call(CollectiveArgs(
@@ -60,7 +61,8 @@ def _staged_send(size):
 
     def kernel():
         yield env.timeout(size / PRODUCTION_RATE)  # compute the whole result
-        yield sview.device_write(size)             # buffer it in memory
+        # buffer it in memory
+        yield platform.device_access_delay(sbuf, size, "write")
         yield engine.call(CollectiveArgs(
             opcode="send", nbytes=size, peer=1, tag=0, sbuf=sview))
 

@@ -140,7 +140,8 @@ class DistributedDlrm:
                 state["admitted"][i] = self.env.now
             # Parallel random-access lookups from HBM: 25 rows of 128 B.
             yield self.env.timeout(_LOOKUP_LATENCY)
-            yield engine.device_memory.read(len(tables) * config.embed_dim * 4)
+            yield engine.device_memory.access_delay(
+                len(tables) * config.embed_dim * 4)
             rows = queries[i][tables]
             chunk = embedding_vectors(config, tables, rows).reshape(-1)
             # Ship the chunk first so the partner's FC1 overlaps ours.

@@ -65,12 +65,11 @@ class F2fMpiModel:
             for r in range(cluster.size)
         ]
 
-    def _phase(self, events) -> float:
+    def _phase(self, delays) -> float:
+        """Run until the slowest of the charged DMAs (*delays*) completes."""
         start = self.env.now
-        events = list(events)
-        self.env.run(until=all_of(self.env, events))
-        elapsed = self.env.now - start
-        return elapsed + self.staging_overhead if events else elapsed
+        self.env.run(until=self.env.timeout(max(delays)))
+        return self.env.now - start + self.staging_overhead
 
     def run(
         self,
@@ -85,7 +84,7 @@ class F2fMpiModel:
         rank (0 for ranks whose data does not cross PCIe in that phase).
         """
         pcie_in = self._phase(
-            self.pcie[r].dma_d2h(in_bytes(r))
+            self.pcie[r].dma_d2h_delay(in_bytes(r))
             for r in range(self.cluster.size) if in_bytes(r) > 0
         ) if any(in_bytes(r) for r in range(self.cluster.size)) else 0.0
 
@@ -99,7 +98,7 @@ class F2fMpiModel:
         collective = self.env.now - start
 
         pcie_out = self._phase(
-            self.pcie[r].dma_h2d(out_bytes(r))
+            self.pcie[r].dma_h2d_delay(out_bytes(r))
             for r in range(self.cluster.size) if out_bytes(r) > 0
         ) if any(out_bytes(r) for r in range(self.cluster.size)) else 0.0
 

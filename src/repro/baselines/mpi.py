@@ -115,11 +115,11 @@ class MpiRank:
 
     # -- CPU accounting ------------------------------------------------------
 
-    def cpu(self, seconds: float) -> Event:
-        """Occupy this rank's core for *seconds* (serialized FIFO)."""
+    def cpu(self, seconds: float) -> float:
+        """Occupy this rank's core for *seconds* (serialized FIFO); returns
+        the delay from now until that work is done."""
         self.cpu_busy_seconds += seconds
-        done = self._cpu.reserve(seconds)
-        return self.env.timeout(done - self.env.now)
+        return self._cpu.reserve(seconds) - self.env.now
 
     def _addr(self, rank: int) -> int:
         return self.addresses[rank]
@@ -147,7 +147,7 @@ class MpiRank:
 
         def landing():
             # NIC DMAs straight into the user buffer: one memory write.
-            yield self.memory.write(header.nbytes)
+            yield self.memory.access_delay(header.nbytes)
             if data is not None and target["buf"] is not None:
                 np.copyto(target["buf"].reshape(-1),
                           np.asarray(data).reshape(-1))
@@ -178,7 +178,7 @@ class MpiRank:
         payload = None if data is None else np.asarray(data).copy()
         if nbytes <= self.rndz_threshold or self.transport != "rdma":
             # Eager: read the user buffer, one shot onto the wire.
-            yield self.memory.read(nbytes)
+            yield self.memory.access_delay(nbytes)
             yield self.nic.send_message(
                 self._addr(dst), nbytes,
                 meta=("eager", self.rank, tag, None), data=payload,
@@ -190,7 +190,7 @@ class MpiRank:
         )
         target_id = yield self._cts.wait((dst, tag))
         yield self.cpu(self.sw_overhead)
-        yield self.memory.read(nbytes)
+        yield self.memory.access_delay(nbytes)
         yield self.nic.post_write(
             self._addr(dst), nbytes, remote_descriptor=target_id, data=payload
         )
@@ -205,7 +205,7 @@ class MpiRank:
             # Copy out of the transport bounce buffer into the user buffer.
             copy_time = got_bytes / _CPU_MEMCPY_BW
             yield self.cpu(copy_time)
-            yield self.memory.write(got_bytes)
+            yield self.memory.access_delay(got_bytes)
             if data is not None and buf is not None:
                 np.copyto(buf.reshape(-1), np.asarray(data).reshape(-1))
             return
@@ -228,9 +228,9 @@ class MpiRank:
         """CPU-side reduction kernel: out = a (op) b."""
 
         def compute():
-            yield self.memory.read(2 * nbytes)
+            yield self.memory.access_delay(2 * nbytes)  # read a and b
             yield self.cpu(nbytes / _CPU_REDUCE_BW)
-            yield self.memory.write(nbytes)
+            yield self.memory.access_delay(nbytes)  # write out
             if a is None or b is None or out is None:
                 return
             ops = {"sum": np.add, "prod": np.multiply,
@@ -243,8 +243,8 @@ class MpiRank:
                nbytes: int) -> Event:
         def compute():
             yield self.cpu(nbytes / _CPU_MEMCPY_BW)
-            yield self.memory.read(nbytes)
-            yield self.memory.write(nbytes)
+            yield self.memory.access_delay(nbytes)  # read src
+            yield self.memory.access_delay(nbytes)  # write dst
             if src is not None and dst is not None:
                 np.copyto(dst.reshape(-1), src.reshape(-1))
 

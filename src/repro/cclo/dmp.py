@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import CcloError
 from repro.protocols.base import DeferredPayload
-from repro.sim import Environment, Event, Resource, all_of
+from repro.sim import Environment, Event, Resource
 from repro.sim.resources import TokenBucket
 from repro.cclo.config_mem import CcloConfig
 from repro.cclo.messages import SIGNATURE_BYTES, BufferDescriptor, Signature
@@ -122,79 +122,50 @@ class DataMovementProcessor:
         """Queue a microcode; the event fires at instruction completion."""
         return self.env.process(self._execute(mc), name=f"{self.name}.mc")
 
-    # -- operand gating ---------------------------------------------------------
+    # -- operands ---------------------------------------------------------------
 
-    def _gate(self, slot: Slot, nbytes: int, op_id: int = -1):
-        """Wait until an operand's *data* is available at the CCLO boundary.
+    def _charge_memory(self, view, nbytes: int, direction: str) -> float:
+        """Charge a memory slot's access; returns its completion time."""
+        buffer = view.buffer
+        return self.env._now + buffer.platform.device_access_delay(
+            buffer, nbytes, direction)
 
-        Returns ``(data, timing_events)``: the events charge the pipe/port
-        occupancy of moving the operand and run *concurrently* with the
-        other stages — the datapath is cut-through, so fetch, plugin, NoC
-        and emit all advance in lockstep rather than store-and-forward.
-        """
+    def _rx_eager(self, slot: Slot, op_id: int):
+        """Match an eager message and charge the read that moves it out of
+        the Rx pool; returns ``(data, completion_time)``."""
         engine = self.engine
-        if slot.kind is SlotKind.MEMORY:
-            data = slot.view.array
-            # Snapshot the operand: another in-flight instruction may
-            # retire into the same buffer before this one applies its
-            # plugin, and gating semantics say the operand was read here.
-            data = None if data is None else data.copy()
-            return data, [slot.view.device_read(nbytes)]
-        if slot.kind is SlotKind.RX_EAGER:
-            t_wait = self.env.now
-            record = yield engine.rbm.await_message(
-                slot.comm_id, slot.src_rank, slot.tag
-            )
-            if engine._span_complete is not None and self.env.now > t_wait:
-                engine.span_complete(
-                    "dmp", "wait:rx_match", t_wait, self.env.now,
-                    phase="wait", op_id=op_id, cause="rx_match",
-                    src_rank=slot.src_rank, tag=slot.tag)
-            timing = engine.rbm.read_payload(record)
-            engine.rbm.release(record)
-            return record.data, [timing]
-        if slot.kind is SlotKind.STREAM:
-            parts = []
-            got = 0
-            while got < nbytes:
-                item_bytes, item_data = yield engine.kernel_data_in.get()
-                got += item_bytes
-                if item_data is not None:
-                    parts.append(np.asarray(item_data).reshape(-1))
-            if not parts:
-                return None, []
-            data = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            return data, []
-        if slot.kind is SlotKind.IMMEDIATE:
-            return slot.data, []
-        raise CcloError(f"slot kind {slot.kind} is not an operand")
+        env = self.env
+        t_wait = env.now
+        record = yield engine.rbm.await_message(
+            slot.comm_id, slot.src_rank, slot.tag
+        )
+        if engine._span_complete is not None and env.now > t_wait:
+            engine.span_complete(
+                "dmp", "wait:rx_match", t_wait, env.now,
+                phase="wait", op_id=op_id, cause="rx_match",
+                src_rank=slot.src_rank, tag=slot.tag)
+        done = env._now
+        if record.nbytes > 0:
+            done += engine.rbm.memory.access_delay(record.nbytes)
+        engine.rbm.release(record)
+        return record.data, done
 
-    # -- result emit -----------------------------------------------------------
-
-    def _emit_events(self, slot: Slot, nbytes: int, data) -> list:
-        """Launch the result-side movement; returns its timing events.
-
-        Functional effects on memory views are applied by the caller once
-        the instruction completes.
-        """
-        engine = self.engine
-        if slot.kind is SlotKind.MEMORY:
-            return [slot.view.device_write(nbytes)]
-        if slot.kind is SlotKind.STREAM:
-            return [self.env.process(
-                self._put_stream(nbytes, data), name=f"{self.name}.strm")]
-        if slot.kind is SlotKind.TX_EAGER:
-            return [engine.tx.send_eager(slot.signature, slot.dest_addr,
-                                         data)]
-        if slot.kind is SlotKind.TX_WRITE:
-            return [engine.tx.send_write(
-                slot.signature, slot.dest_addr, slot.descriptor, data)]
-        if slot.kind is SlotKind.NONE:
-            return []
-        raise CcloError(f"slot kind {slot.kind} is not a result")
-
-    def _put_stream(self, nbytes: int, data):
-        yield self.engine.kernel_data_out.put((nbytes, data))
+    def _stream_in(self, nbytes: int, pace: Any = None):
+        """Take *nbytes* off the kernel Tx stream; returns the concatenated
+        data (None for timing-only chunks).  Each item's bytes are given to
+        *pace*, when set, as soon as it arrives."""
+        parts = []
+        got = 0
+        while got < nbytes:
+            item_bytes, item_data = yield self.engine.kernel_data_in.get()
+            got += item_bytes
+            if pace is not None:
+                pace.give(item_bytes)
+            if item_data is not None:
+                parts.append(np.asarray(item_data).reshape(-1))
+        if not parts:
+            return None
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # -- cut-through streaming send ------------------------------------------
 
@@ -204,37 +175,28 @@ class DataMovementProcessor:
         overlapping data production with transmission (Listing 2's entire
         reason to exist)."""
         engine = self.engine
+        env = self.env
         pace = TokenBucket(
-            self.env, mc.nbytes + SIGNATURE_BYTES, initial=0,
+            env, mc.nbytes + SIGNATURE_BYTES, initial=0,
             name=f"{self.name}.pace",
         )
         payload = DeferredPayload()
-        noc_ev = engine.noc.route(
+        noc_done = env._now + engine.noc.route_delay(
             self._NOC_PORT[mc.op0.kind], self._NOC_PORT[mc.res.kind],
             mc.nbytes,
         )
         if mc.res.kind is SlotKind.TX_EAGER:
-            emit_ev = engine.tx.send_eager(
+            send = engine.tx.send_eager(
                 mc.res.signature, mc.res.dest_addr, payload, pace=pace)
         else:
-            emit_ev = engine.tx.send_write(
+            send = engine.tx.send_write(
                 mc.res.signature, mc.res.dest_addr, mc.res.descriptor,
                 payload, pace=pace)
+        sent = env.process(send, name=f"{self.name}.tx")
         pace.give(SIGNATURE_BYTES)  # the header needs no kernel data
-        parts = []
-        got = 0
-        while got < mc.nbytes:
-            item_bytes, item_data = yield engine.kernel_data_in.get()
-            got += item_bytes
-            pace.give(item_bytes)
-            if item_data is not None:
-                parts.append(np.asarray(item_data).reshape(-1))
-        if parts:
-            payload.set(parts[0] if len(parts) == 1
-                        else np.concatenate(parts))
-        else:
-            payload.set(None)
-        yield all_of(self.env, [noc_ev, emit_ev])
+        payload.set((yield from self._stream_in(mc.nbytes, pace)))
+        yield sent
+        yield env.timeout_at(max(noc_done, env._now))
         self.instructions_executed += 1
         return payload.get()
 
@@ -275,36 +237,7 @@ class DataMovementProcessor:
                                         SlotKind.TX_WRITE)):
                 result = yield from self._execute_streaming_tx(mc)
                 return result
-            # Gate on operand availability (parallel slot hardware).
-            gate0 = self.env.process(
-                self._gate(mc.op0, mc.nbytes, mc.op_id),
-                name=f"{self.name}.op0"
-            )
-            timing = []
-            if mc.op1.kind is not SlotKind.NONE:
-                gate1 = self.env.process(
-                    self._gate(mc.op1, mc.nbytes, mc.op_id),
-                    name=f"{self.name}.op1"
-                )
-                yield all_of(self.env, [gate0, gate1])
-                data0, t0 = gate0.value
-                data1, t1 = gate1.value
-                timing += t0 + t1
-                data = self.engine.plugins.apply_binary(mc.func, data0, data1)
-            else:
-                data, t0 = yield gate0
-                timing += t0
-                if mc.func is not None:
-                    data = self.engine.plugins.apply_unary(mc.func, data)
-            # Cut-through execution: operand movement, the crossbar pass and
-            # the result movement all stream concurrently at 64 B/cycle; the
-            # instruction retires when the slowest stage drains.
-            timing.append(self.engine.noc.route(
-                self._NOC_PORT[mc.op0.kind], self._NOC_PORT[mc.res.kind],
-                mc.nbytes,
-            ))
-            timing += self._emit_events(mc.res, mc.nbytes, data)
-            yield all_of(self.env, timing)
+            data = yield from self._run(mc)
             if mc.res.kind is SlotKind.MEMORY and data is not None:
                 mc.res.view.set_array(data)
             self.instructions_executed += 1
@@ -313,6 +246,66 @@ class DataMovementProcessor:
             self.engine.trace("dmp", "retire", nbytes=mc.nbytes)
             self.engine.span_end(sid)
             self._slots.release()
+
+    def _run(self, mc: Microcode):
+        """Move one instruction's data; returns the result data.
+
+        The datapath is cut-through: operand fetch, the plugin, the crossbar
+        pass and the result movement all stream concurrently at 64 B/cycle,
+        so each leg is charged when it starts and the instruction retires
+        when the slowest one drains.  Memory and immediate operands are
+        charged at issue; the blocking ones (an eager Rx match, the kernel
+        stream) are then awaited in slot order.
+        """
+        engine = self.engine
+        env = self.env
+        nbytes = mc.nbytes
+        operands = ((mc.op0,) if mc.op1.kind is SlotKind.NONE
+                    else (mc.op0, mc.op1))
+        values = [None] * len(operands)
+        done = env._now  # completion time of the latest leg so far
+        for i, slot in enumerate(operands):
+            if slot.kind is SlotKind.MEMORY:
+                # Snapshot the operand: another in-flight instruction may
+                # retire into the same buffer before this one applies its
+                # plugin, and the operand was read here.
+                array = slot.view.array
+                values[i] = None if array is None else array.copy()
+                done = max(done,
+                           self._charge_memory(slot.view, nbytes, "read"))
+            elif slot.kind is SlotKind.IMMEDIATE:
+                values[i] = slot.data
+        for i, slot in enumerate(operands):
+            if slot.kind is SlotKind.RX_EAGER:
+                values[i], read_done = yield from self._rx_eager(
+                    slot, mc.op_id)
+                done = max(done, read_done)
+            elif slot.kind is SlotKind.STREAM:
+                values[i] = yield from self._stream_in(nbytes)
+            elif slot.kind not in (SlotKind.MEMORY, SlotKind.IMMEDIATE):
+                raise CcloError(f"slot kind {slot.kind} is not an operand")
+        if len(operands) == 2:
+            data = engine.plugins.apply_binary(mc.func, *values)
+        else:
+            data = values[0]
+            if mc.func is not None:
+                data = engine.plugins.apply_unary(mc.func, data)
+        done = max(done, env._now + engine.noc.route_delay(
+            self._NOC_PORT[mc.op0.kind], self._NOC_PORT[mc.res.kind], nbytes))
+        res = mc.res
+        if res.kind is SlotKind.MEMORY:
+            done = max(done, self._charge_memory(res.view, nbytes, "write"))
+        elif res.kind is SlotKind.STREAM:
+            yield engine.kernel_data_out.put((nbytes, data))
+        elif res.kind is SlotKind.TX_EAGER:
+            yield from engine.tx.send_eager(res.signature, res.dest_addr, data)
+        elif res.kind is SlotKind.TX_WRITE:
+            yield from engine.tx.send_write(
+                res.signature, res.dest_addr, res.descriptor, data)
+        elif res.kind is not SlotKind.NONE:
+            raise CcloError(f"slot kind {res.kind} is not a result")
+        yield env.timeout_at(max(done, env._now))
+        return data
 
     def register_metrics(self, registry, **labels) -> None:
         """Callback gauges over the DMP's live counters."""

@@ -275,24 +275,19 @@ class CcloEngine:
         entry["data"] = data
         if view is None:
             # Stream-destined WRITE: route to the kernel stream port.
-            yield self.noc.route("rx", "kernel", nbytes)
+            yield self.noc.route_delay("rx", "kernel", nbytes)
             yield self.kernel_data_out.put((nbytes, data))
-        elif entry["landed_at"] is not None:
-            # Segments landed as they arrived; drain the last of them.  A
-            # callback at the absolute completion time resumes at exactly
-            # that float (a relative sleep could round it).
-            landed_at = entry["landed_at"]
-            env = self.env
-            if landed_at > env._now:
-                landed = Event(env)
-                env.schedule_callback_at(landed_at, landed.succeed)
-                yield landed
-            else:
-                yield 0.0
-            if data is not None:
-                view.set_array(np.asarray(data))
         else:
-            yield view.device_write(nbytes)
+            # Segments landed as they arrived; otherwise the whole WRITE
+            # lands now.  Waiting on the absolute completion time resumes
+            # at exactly that float (a relative sleep could round it).
+            env = self.env
+            landed_at = entry["landed_at"]
+            if landed_at is None:
+                buffer = view.buffer
+                landed_at = env._now + buffer.platform.device_access_delay(
+                    buffer, nbytes, "write")
+            yield env.timeout_at(max(landed_at, env._now))
             if data is not None:
                 view.set_array(np.asarray(data))
         entry["written"].succeed(nbytes)

@@ -356,7 +356,7 @@ class FirmwareContext:
             payload_meta=descriptor, op_id=self.args.op_id,
         )
         # uC issues the Tx control with the result address (arrow 2).
-        yield self.engine.tx.send_control(
+        yield from self.engine.tx.send_control(
             init, self.comm.address_of(src_rank)
         )
         t_wait = self.env.now
@@ -377,9 +377,8 @@ class FirmwareContext:
             # Data lands in a scratch region via WRITE; then fold locally.
             scratch = self.engine.scratch_alloc(nbytes)
             try:
-                data = yield self.env.process(
-                    self._recv_rndz(src_rank, scratch.view(), nbytes, tag)
-                )
+                data = yield from self._recv_rndz(
+                    src_rank, scratch.view(), nbytes, tag)
                 if data is not None:
                     # Expose the landed payload to the local reduce below.
                     scratch.array = np.asarray(data).reshape(-1)

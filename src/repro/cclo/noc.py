@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import CcloError
-from repro.sim import BandwidthResource, Environment, Event
+from repro.sim import BandwidthResource, Environment
 from repro.cclo.config_mem import CcloConfig
 
 
@@ -50,8 +50,9 @@ class NoC:
     def bytes_routed(self) -> int:
         return self._stream.bytes_moved
 
-    def route(self, src_port: str, dst_port: str, nbytes: int) -> Event:
-        """Move *nbytes* from one block to another through the crossbar."""
+    def route_delay(self, src_port: str, dst_port: str, nbytes: int) -> float:
+        """Charge moving *nbytes* from one block to another through the
+        crossbar; returns the delay from *now* until the last byte is out."""
         # Validating both ports catches wiring mistakes at simulation time
         # the way elaboration would in hardware.
         self.dest_of(src_port)
@@ -61,14 +62,7 @@ class NoC:
         self.transfers += 1
         hop = self.config.cycles(self.config.noc_hop_cycles)
         done = self._stream.reserve(nbytes) + hop
-        return self.env.timeout(done - self.env.now, value=nbytes)
-
-    def route_time(self, nbytes: int) -> float:
-        """Analytic cost of a route if issued now."""
-        return (
-            self._stream.occupancy_delay(nbytes)
-            + self.config.cycles(self.config.noc_hop_cycles)
-        )
+        return done - self.env.now
 
     def __repr__(self) -> str:
         return f"<NoC {self.name!r} ports={list(self._ports)}>"

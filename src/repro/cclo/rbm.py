@@ -94,7 +94,7 @@ class RxBufManager:
                           cause="rx_pool", nbytes=signature.nbytes)
         # Stage the payload into the selected Rx buffer (memory write).
         if signature.nbytes > 0:
-            yield self.memory.write(signature.nbytes)
+            yield self.memory.access_delay(signature.nbytes)
         record = RxRecord(signature=signature, data=data)
         self.messages_buffered += 1
         self.bytes_buffered += signature.nbytes
@@ -106,12 +106,6 @@ class RxBufManager:
     def await_message(self, comm_id: int, src_rank: int, tag: int) -> Event:
         """DMP query: event yielding the matching :class:`RxRecord`."""
         return self._arrivals.wait((comm_id, src_rank, tag))
-
-    def read_payload(self, record: RxRecord) -> Event:
-        """Charge the memory read that moves the payload out of the pool."""
-        if record.nbytes == 0:
-            return self.env.timeout(0.0)
-        return self.memory.read(record.nbytes)
 
     def release(self, record: RxRecord) -> None:
         """Return the record's buffer to the pool."""

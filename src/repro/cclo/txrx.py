@@ -15,7 +15,7 @@ from typing import Any
 from repro.errors import CcloError
 from repro.protocols.base import BasePoe, MessageHeader
 from repro.protocols.rdma import RdmaPoe
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro.cclo.config_mem import CcloConfig
 from repro.cclo.match import MatchTable
 from repro.cclo.messages import (
@@ -39,20 +39,17 @@ class TxSystem:
         self.messages_sent = 0
 
     def _fsm(self) -> float:
-        # Yielded directly by the send processes: a plain float takes the
+        # Yielded directly by the send verbs: a plain float takes the
         # kernel's allocation-free sleep path.
         return self.config.cycles(self.config.txrx_fsm_cycles)
 
-    def send_eager(self, signature: Signature, dest_addr: int,
-                   data: Any = None, pace: Any = None) -> Event:
-        """EAGER_MSG / STREAM: signature header + payload via SEND path."""
-        return self.env.process(
-            self._send_eager(signature, dest_addr, data, pace),
-            name=f"{self.name}.eager",
-        )
+    # Each send verb is a generator: the caller runs it with ``yield from``
+    # when it waits for the send at once, or wraps it in ``env.process`` to
+    # overlap it with other work.
 
-    def _send_eager(self, signature: Signature, dest_addr: int, data: Any,
-                    pace: Any = None):
+    def send_eager(self, signature: Signature, dest_addr: int,
+                   data: Any = None, pace: Any = None):
+        """EAGER_MSG / STREAM: signature header + payload via SEND path."""
         yield self._fsm()
         self.messages_sent += 1
         yield self.poe.send_message(
@@ -64,14 +61,8 @@ class TxSystem:
         )
         return signature
 
-    def send_control(self, signature: Signature, dest_addr: int) -> Event:
+    def send_control(self, signature: Signature, dest_addr: int):
         """Small control message (RNDZ_INIT / RNDZ_DONE) via two-sided SEND."""
-        return self.env.process(
-            self._send_control(signature, dest_addr),
-            name=f"{self.name}.ctrl",
-        )
-
-    def _send_control(self, signature: Signature, dest_addr: int):
         yield self._fsm()
         self.messages_sent += 1
         yield self.poe.send_message(dest_addr, SIGNATURE_BYTES, meta=signature)
@@ -79,22 +70,20 @@ class TxSystem:
 
     def send_write(self, signature: Signature, dest_addr: int,
                    descriptor: BufferDescriptor, data: Any = None,
-                   pace: Any = None) -> Event:
+                   pace: Any = None):
         """RNDZ_MSG: one-sided RDMA WRITE, then RNDZ_DONE via SEND.
 
-        The returned event fires once the DONE has been handed to the wire
-        — the paper's "Once the RDMA WRITE is complete, the Tx System issues
-        an RDZV_DONE message with RDMA SEND".
+        The returned generator finishes once the DONE has been handed to the
+        wire — the paper's "Once the RDMA WRITE is complete, the Tx System
+        issues an RDZV_DONE message with RDMA SEND".  A CCLO without the
+        RDMA POE raises here, at the call, before anything is sent.
         """
         if not isinstance(self.poe, RdmaPoe):
             raise CcloError(
                 "rendezvous WRITE path requires the RDMA POE; "
                 f"this CCLO is built with {self.poe.protocol_name!r}"
             )
-        return self.env.process(
-            self._send_write(signature, dest_addr, descriptor, data, pace),
-            name=f"{self.name}.write",
-        )
+        return self._send_write(signature, dest_addr, descriptor, data, pace)
 
     def _send_write(self, signature: Signature, dest_addr: int,
                     descriptor: BufferDescriptor, data: Any,

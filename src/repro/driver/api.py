@@ -230,7 +230,7 @@ class Accl:
             # explicit XDMA hop.
             pcie = getattr(self.platform, "pcie", None)
             if pcie is not None:
-                yield pcie.dma_h2d(chunk.nbytes)
+                yield pcie.dma_h2d_delay(chunk.nbytes)
             yield self.engine.kernel_data_in.put((chunk.nbytes, chunk))
 
         return CclRequest(
@@ -246,7 +246,7 @@ class Accl:
             nbytes, data = yield self.engine.kernel_data_out.get()
             pcie = getattr(self.platform, "pcie", None)
             if pcie is not None:
-                yield pcie.dma_d2h(nbytes)
+                yield pcie.dma_d2h_delay(nbytes)
             return nbytes, data
 
         return CclRequest(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.errors import ConfigurationError, PlatformError
-from repro.sim import BandwidthResource, Environment, Event
+from repro.sim import BandwidthResource, Environment
 from repro import units
 
 
@@ -100,26 +100,10 @@ class Memory:
             )
         self._freed_bytes += alloc.nbytes
 
-    def read(self, nbytes: int) -> Event:
-        """Event completing when *nbytes* have been read from the port."""
-        return self.env.timeout(self.access_delay(nbytes), value=nbytes)
-
-    def write(self, nbytes: int) -> Event:
-        """Event completing when *nbytes* have been written via the port."""
-        return self.env.timeout(self.access_delay(nbytes), value=nbytes)
-
     def access_delay(self, nbytes: int) -> float:
-        """Reserve the port and return the completion delay from *now*.
-
-        Same reservation as :meth:`read`/:meth:`write` but without an event —
-        platforms composing several pipe stages into one completion use this
-        to avoid scheduling intermediate events nobody waits on.
-        """
+        """Charge a read or write of *nbytes* to the port; returns the delay
+        from *now* until it completes (a process may yield it as is)."""
         return self._port.reserve(nbytes) + self.access_latency - self.env.now
-
-    def access_time(self, nbytes: int) -> float:
-        """Analytic cost of one access if issued now (no reservation)."""
-        return self._port.occupancy_delay(nbytes) + self.access_latency
 
     def __repr__(self) -> str:
         return (

@@ -53,29 +53,13 @@ class PcieLink:
             raise ValueError(f"negative DMA size: {nbytes}")
         return pipe.reserve(nbytes) + self.dma_latency - self.env.now
 
-    def dma_h2d(self, nbytes: int) -> Event:
-        """Host -> device DMA; event fires at completion."""
-        return self.env.timeout(self._dma_delay(self._h2d, nbytes),
-                                value=nbytes)
-
-    def dma_d2h(self, nbytes: int) -> Event:
-        """Device -> host DMA; event fires at completion."""
-        return self.env.timeout(self._dma_delay(self._d2h, nbytes),
-                                value=nbytes)
-
     def dma_h2d_delay(self, nbytes: int) -> float:
-        """Like :meth:`dma_h2d` but returns the delay without an event."""
+        """Charge a host -> device DMA; returns the delay to completion."""
         return self._dma_delay(self._h2d, nbytes)
 
     def dma_d2h_delay(self, nbytes: int) -> float:
-        """Like :meth:`dma_d2h` but returns the delay without an event."""
+        """Charge a device -> host DMA; returns the delay to completion."""
         return self._dma_delay(self._d2h, nbytes)
-
-    def dma_time(self, nbytes: int, direction: str = "h2d") -> float:
-        """Analytic one-shot DMA duration on an idle link."""
-        return self.dma_latency + nbytes / (
-            self._h2d.rate if direction == "h2d" else self._d2h.rate
-        )
 
     def mmio_write(self) -> Event:
         """Posted register write from the host."""

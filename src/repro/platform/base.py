@@ -72,16 +72,6 @@ class BaseBuffer:
         if self._allocation is not None:
             self._allocation.memory.free(self._allocation)
 
-    # -- CCLO-side access (device datapath) --------------------------------
-
-    def device_read(self, nbytes: Optional[int] = None) -> Event:
-        """CCLO reads *nbytes* from this buffer (device datapath)."""
-        return self.platform.device_access(self, nbytes or self.nbytes, "read")
-
-    def device_write(self, nbytes: Optional[int] = None) -> Event:
-        """CCLO writes *nbytes* into this buffer (device datapath)."""
-        return self.platform.device_access(self, nbytes or self.nbytes, "write")
-
     def view(self, offset_bytes: int = 0,
              nbytes: Optional[int] = None) -> "BufferView":
         """A sub-range of this buffer (collectives chunk buffers this way)."""
@@ -145,16 +135,6 @@ class BufferView:
         target = self.array
         target[...] = values.reshape(-1)
 
-    def device_read(self, nbytes: Optional[int] = None) -> Event:
-        return self.buffer.platform.device_access(
-            self.buffer, nbytes if nbytes is not None else self.nbytes, "read"
-        )
-
-    def device_write(self, nbytes: Optional[int] = None) -> Event:
-        return self.buffer.platform.device_access(
-            self.buffer, nbytes if nbytes is not None else self.nbytes, "write"
-        )
-
     def view(self, offset_bytes: int = 0,
              nbytes: Optional[int] = None) -> "BufferView":
         """A sub-view, relative to this view's own range."""
@@ -172,8 +152,8 @@ class BasePlatform:
 
     - :meth:`allocate` creates a platform-specific buffer;
     - :meth:`device_access_delay` routes a CCLO access to the right
-      memory/PCIe pipes and returns the delay until it completes
-      (:meth:`device_access` wraps it in a completion event);
+      memory/PCIe pipes and returns the delay until it completes; it is
+      the only way a CCLO access is charged;
     - :attr:`host_invocation_latency` / :attr:`kernel_invocation_latency`
       calibrate Figure 8;
     - :meth:`requires_staging` says whether host-resident data must be
@@ -203,12 +183,6 @@ class BasePlatform:
         class "can wrap normal C++ arrays")."""
         return self.allocate(array.nbytes, location, array=array)
 
-    def device_access(self, buffer: BaseBuffer, nbytes: int,
-                      direction: str) -> Event:
-        """Charge a CCLO access; the event fires when it completes."""
-        return self.env.timeout(
-            self.device_access_delay(buffer, nbytes, direction))
-
     def device_access_delay(self, buffer: BaseBuffer, nbytes: int,
                             direction: str) -> float:
         """Charge a CCLO access to the memory/PCIe pipes it crosses and
@@ -218,13 +192,15 @@ class BasePlatform:
     def requires_staging(self, buffer: BaseBuffer) -> bool:
         return False
 
-    def stage_in(self, buffer: BaseBuffer) -> Event:
-        """Migrate a host buffer into device memory (no-op by default)."""
-        return self.env.timeout(0.0)
+    def stage_in(self, buffer: BaseBuffer) -> float:
+        """Migrate a host buffer into device memory; returns the delay until
+        it is there (no-op by default)."""
+        return 0.0
 
-    def stage_out(self, buffer: BaseBuffer) -> Event:
-        """Migrate a device buffer back to host memory (no-op by default)."""
-        return self.env.timeout(0.0)
+    def stage_out(self, buffer: BaseBuffer) -> float:
+        """Migrate a device buffer back to host memory; returns the delay
+        until it is there (no-op by default)."""
+        return 0.0
 
     # -- invocation ---------------------------------------------------------
 

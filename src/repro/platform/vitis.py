@@ -19,7 +19,7 @@ import numpy as np
 from repro.errors import PlatformError
 from repro.memory import Memory, PcieLink, hbm_stack, host_dram
 from repro.platform.base import BaseBuffer, BasePlatform, BufferLocation
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro import units
 
 
@@ -93,24 +93,24 @@ class VitisPlatform(BasePlatform):
     def requires_staging(self, buffer: BaseBuffer) -> bool:
         return buffer.location is BufferLocation.HOST
 
-    def stage_in(self, buffer: BaseBuffer) -> Event:
+    def stage_in(self, buffer: BaseBuffer) -> float:
         """Host -> device migration through XDMA (before the collective)."""
         if buffer.location is BufferLocation.DEVICE:
-            return self.env.timeout(0.0)
+            return 0.0
         self.stagings += 1
         read = self.host_memory.access_delay(buffer.nbytes)
         dma = self.pcie.dma_h2d_delay(buffer.nbytes)
         write = self.device_memory.access_delay(buffer.nbytes)
         buffer.staged = True
-        return self.env.timeout(max(read, dma, write))
+        return max(read, dma, write)
 
-    def stage_out(self, buffer: BaseBuffer) -> Event:
+    def stage_out(self, buffer: BaseBuffer) -> float:
         """Device -> host migration through XDMA (after the collective)."""
         if buffer.location is BufferLocation.DEVICE:
-            return self.env.timeout(0.0)
+            return 0.0
         self.stagings += 1
         read = self.device_memory.access_delay(buffer.nbytes)
         dma = self.pcie.dma_d2h_delay(buffer.nbytes)
         write = self.host_memory.access_delay(buffer.nbytes)
         buffer.staged = False
-        return self.env.timeout(max(read, dma, write))
+        return max(read, dma, write)

@@ -354,9 +354,9 @@ class BasePoe:
         return None
 
     def _tx_post_segment(self, header: MessageHeader,
-                         segment: Segment) -> Optional[Event]:
+                         segment: Segment) -> Optional[float]:
         """Subclass hook: per-segment bookkeeping (e.g. retx buffering);
-        an event return delays the next segment until it fires."""
+        a delay return holds the next segment back that long."""
         return None
 
     # -- flow-fidelity fast-forward ----------------------------------------
@@ -425,12 +425,14 @@ class BasePoe:
             # k-1 elided pacing sleeps plus the per-segment protocol work.
             Environment.total_events_fast_forwarded += (
                 (k - 1) + k * self._FLOW_TX_ELIDED_PER_SEGMENT)
-            post = self._flow_tx_post(header, burst)
+            # Resume at the handoff, or later if the bulk bookkeeping
+            # takes longer.
             pause = handoff - env.now
+            post = self._flow_tx_post(header, burst)
+            if post is not None and post > pause:
+                pause = post
             if pause > 0.0:
                 yield pause
-            if post is not None:
-                yield post
             sent += k
             if sent < n_total:
                 if self._tx_bulk_packet > 0:
@@ -448,9 +450,10 @@ class BasePoe:
         return True
 
     def _flow_tx_post(self, header: MessageHeader,
-                      burst: Burst) -> Optional[Event]:
+                      burst: Burst) -> Optional[float]:
         """Subclass hook: transmit-side bulk bookkeeping for a burst
-        (e.g. retx mirroring).  An Event return delays local completion."""
+        (e.g. retx mirroring).  A delay return holds local completion
+        back until that long from now."""
         return None
 
     def _flow_window_floor(self) -> float:

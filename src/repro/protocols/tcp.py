@@ -150,11 +150,11 @@ class TcpPoe(BasePoe):
         return None
 
     def _tx_post_segment(self, header: MessageHeader,
-                         segment: Segment) -> Optional[Event]:
+                         segment: Segment) -> Optional[float]:
         # Retransmission buffering: the segment is mirrored into POE-private
         # FPGA memory; that write shares the memory port with everyone else.
         if self.retx_memory is not None and segment.payload_bytes > 0:
-            return self.retx_memory.write(segment.payload_bytes)
+            return self.retx_memory.access_delay(segment.payload_bytes)
         return None
 
     def _flow_tx_ready(self, header: MessageHeader) -> bool:
@@ -175,8 +175,8 @@ class TcpPoe(BasePoe):
             return None
         head_bytes = burst.payload_bytes - burst.last_bytes
         if head_bytes > 0:
-            self.retx_memory.write(head_bytes)
-        return self.retx_memory.write(burst.last_bytes)
+            self.retx_memory.access_delay(head_bytes)
+        return self.retx_memory.access_delay(burst.last_bytes)
 
     # -- receive path overrides ----------------------------------------------
 

@@ -446,7 +446,9 @@ class Environment:
     #: instance; the benchmark sweep runner reads deltas around each point
     #: to report per-point event counts and simulated time.  Heap entries of
     #: both kinds (events and callback tuples) count as one processed event
-    #: each, so the metric is comparable across kernel versions.
+    #: each, so the metric is comparable across kernel versions.  Each
+    #: ``run`` adds the time it advanced once, on exit: a per-event sum
+    #: would round differently whenever the event count changed.
     total_events_processed: int = 0
     total_sim_time: float = 0.0
     #: events the flow-level fidelity mode modeled analytically instead of
@@ -520,6 +522,30 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that succeeds after *delay* seconds."""
         return Timeout(self, delay, value)
+
+    def timeout_at(self, time: float, value: Any = None) -> Event:
+        """Create an event that succeeds at the *absolute* time *time*.
+
+        One heap entry (the now-bucket when *time* is now) fires at exactly
+        that float, so a process can wait for a completion time computed
+        earlier without the re-rounding of ``now + (time - now)``.  A
+        *time* before now, or NaN, raises :class:`SimulationError` before
+        anything is scheduled.
+        """
+        now = self._now
+        if not time >= now:  # before now, or NaN
+            raise SimulationError(
+                f"cannot time out at {time!r}: current time is {now}")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        event._scheduled = True
+        self._seq += 1
+        if time > now:
+            heappush(self._heap, (time, self._seq, event))
+        else:
+            self._bucket.append((self._seq, event))
+        return event
 
     def event(self) -> Event:
         """Create a fresh untriggered event."""
@@ -595,6 +621,8 @@ class Environment:
 
         # Inlined dispatch loop (same semantics as step()); counters are
         # accumulated locally and flushed once, including on exceptions.
+        # Simulated time is flushed as one difference before any
+        # ``until=<time>`` jump, which is not simulated work.
         # The now-bucket is merged with the heap by sequence number: bucket
         # entries always live at the current timestamp, so they run before
         # any strictly-later heap entry and interleave with same-time heap
@@ -605,7 +633,7 @@ class Environment:
         popleft = bucket.popleft
         no_cb = _NO_CALLBACKS
         events_n = 0
-        sim_acc = 0.0
+        start = self._now
         try:
             while heap or bucket:
                 if stop_event is not None:
@@ -622,8 +650,6 @@ class Environment:
                 else:
                     when, _seq, item = pop(heap)
                 events_n += 1
-                if when > prev:
-                    sim_acc += when - prev
                 self._now = when
                 if item.__class__ is tuple:
                     item[0](*item[1])
@@ -640,7 +666,7 @@ class Environment:
                     raise item._value
         finally:
             Environment.total_events_processed += events_n
-            Environment.total_sim_time += sim_acc
+            Environment.total_sim_time += self._now - start
 
         if stop_event is not None:
             if not stop_event.triggered:

@@ -69,11 +69,12 @@ class Resource:
 class BandwidthResource:
     """A FIFO byte-pipe with fixed rate and optional per-transfer overhead.
 
-    ``transfer(nbytes)`` returns an event that succeeds when the last byte
-    has left the pipe.  Back-to-back transfers queue behind each other, so
-    sustained throughput can never exceed ``rate`` and small transfers pay
-    ``per_transfer_overhead`` each — exactly the behaviour that produces the
-    classic throughput-vs-message-size ramp of Figure 7.
+    ``reserve(nbytes)`` occupies the pipe and returns the time at which the
+    last byte leaves it; no event is scheduled.  Back-to-back transfers
+    queue behind each other, so sustained throughput can never exceed
+    ``rate`` and small transfers pay ``per_transfer_overhead`` each —
+    exactly the behaviour that produces the classic throughput-vs-message-
+    size ramp of Figure 7.
     """
 
     __slots__ = ("env", "rate", "overhead", "name", "_free_at", "_busy_time",
@@ -159,19 +160,8 @@ class BandwidthResource:
         """Simulation time at which the pipe becomes idle."""
         return max(self._free_at, self.env.now)
 
-    def occupancy_delay(self, nbytes: int) -> float:
-        """Time from *now* until a transfer of *nbytes* would finish."""
-        start = max(self._free_at, self.env.now)
-        return (start - self.env.now) + self.overhead + nbytes / self.rate
-
-    def transfer(self, nbytes: int) -> Event:
-        """Occupy the pipe for *nbytes*; event succeeds at completion time."""
-        finish = self.reserve(nbytes)
-        return self.env.timeout(finish - self.env._now, value=nbytes)
-
     def reserve(self, nbytes: int) -> float:
-        """Like :meth:`transfer` but returns the completion *time* without an
-        event — for components that aggregate several pipe stages analytically.
+        """Occupy the pipe for *nbytes*; returns the completion *time*.
 
         This is the hottest non-kernel function in a sweep (every segment on
         every link lands here), so the busy-interval merge is inlined; only

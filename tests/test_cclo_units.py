@@ -1,5 +1,7 @@
 """Direct unit tests of CCLO building blocks (below the collective level)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ class TestNoC:
         t = {}
 
         def proc():
-            yield noc.route("memory", "tx", 16 * units.KIB)
+            yield noc.route_delay("memory", "tx", 16 * units.KIB)
             t["done"] = env.now
 
         env.process(proc())
@@ -126,7 +128,7 @@ class TestNoC:
     def test_unknown_port_rejected(self):
         _, noc = self.make()
         with pytest.raises(CcloError, match="unknown"):
-            noc.route("memory", "rx", 64)
+            noc.route_delay("memory", "rx", 64)
 
     def test_duplicate_port_rejected(self):
         _, noc = self.make()
@@ -135,15 +137,14 @@ class TestNoC:
 
     def test_counters(self):
         env, noc = self.make()
-        noc.route("memory", "tx", 100)
-        env.run()
+        noc.route_delay("memory", "tx", 100)
         assert noc.transfers == 1
         assert noc.bytes_routed == 100
 
     def test_negative_transfer_rejected(self):
         _, noc = self.make()
         with pytest.raises(CcloError):
-            noc.route("memory", "tx", -5)
+            noc.route_delay("memory", "tx", -5)
 
 
 class TestPlugins:
@@ -339,3 +340,199 @@ class TestRendezvousLanding:
         drain_at = calls[-1] + receiver.poe.poe_latency
         assert (max(landed) > drain_at) == (location == "host")
         assert fired == [max(max(landed), drain_at)]
+
+
+def _timed_legs(cluster, rank):
+    """Record the completion time of every leg the DMP of *rank* charges
+    (memory accesses, NoC passes, Rx-pool reads) and the end of each Tx
+    send; returns ``(legs, charged_at)`` lists filled as the run goes."""
+    env = cluster.env
+    engine = cluster.engine(rank)
+    platform = cluster.nodes[rank].platform
+    legs, charged_at = [], []
+
+    def delay_spy(fn):
+        def spy(*args):
+            delay = fn(*args)
+            charged_at.append(env.now)
+            legs.append(env.now + delay)
+            return delay
+        return spy
+
+    def send_spy(fn):
+        def spy(*args, **kwargs):
+            gen = fn(*args, **kwargs)
+
+            def timed():
+                result = yield from gen
+                legs.append(env.now)
+                return result
+            return timed()
+        return spy
+
+    platform.device_access_delay = delay_spy(platform.device_access_delay)
+    engine.noc.route_delay = delay_spy(engine.noc.route_delay)
+    # The pool shares the platform's device memory: spy on the RBM's handle
+    # only, so a platform access is not recorded twice.
+    engine.rbm.memory = SimpleNamespace(
+        access_delay=delay_spy(engine.rbm.memory.access_delay))
+    engine.tx.send_eager = send_spy(engine.tx.send_eager)
+    engine.tx.send_write = send_spy(engine.tx.send_write)
+    return legs, charged_at
+
+
+class TestDmpRetire:
+    """An instruction charges each leg when it starts and retires with one
+    wait, at the latest leg's completion time."""
+
+    NBYTES = 64 * units.KIB
+
+    def make(self):
+        from repro.cluster import build_fpga_cluster
+        from repro.platform.base import BufferLocation
+
+        cluster = build_fpga_cluster(2, protocol="rdma", platform="coyote")
+
+        def view(rank, location="device"):
+            platform = cluster.nodes[rank].platform
+            return platform.allocate(
+                self.NBYTES, BufferLocation(location)).view()
+        return cluster, view
+
+    def retire_time(self, cluster, rank, mc):
+        env = cluster.env
+        fired = []
+        ev = cluster.engine(rank).dmp.issue(mc)
+        ev.add_callback(lambda _: fired.append(env.now))
+        env.run()
+        assert len(fired) == 1
+        return fired[0]
+
+    def signature(self, cluster, msg_type, tag=0):
+        return Signature(comm_id=0, src_rank=0, dst_rank=1,
+                         msg_type=msg_type, nbytes=self.NBYTES, tag=tag)
+
+    @pytest.mark.parametrize("result", ["memory", "stream", "tx_eager",
+                                        "tx_write", "none"])
+    def test_retires_at_latest_leg(self, result):
+        cluster, view = self.make()
+        dest = cluster.engine(1).address
+        if result == "memory":
+            res = Slot.memory(view(0))
+        elif result == "stream":
+            res = Slot.stream()
+        elif result == "tx_eager":
+            res = Slot.tx_eager(self.signature(cluster, MsgType.EAGER), dest)
+        elif result == "tx_write":
+            receiver = cluster.engine(1)
+            target = receiver.register_rndz_target(view(1), self.NBYTES)
+            res = Slot.tx_write(
+                self.signature(cluster, MsgType.RNDZ_MSG), dest,
+                BufferDescriptor(node_addr=dest, target_id=target,
+                                 nbytes=self.NBYTES))
+        else:
+            res = Slot.none()
+        # A host-resident source makes the read ride PCIe, the slow leg.
+        legs, _ = _timed_legs(cluster, 0)
+        mc = Microcode(nbytes=self.NBYTES, op0=Slot.memory(view(0, "host")),
+                       res=res)
+        retired = self.retire_time(cluster, 0, mc)
+        assert retired == max(legs)
+        n_legs = {"memory": 3, "tx_eager": 3, "tx_write": 3}.get(result, 2)
+        assert len(legs) == n_legs
+
+    def test_recv_reduce_legs_charged_at_different_instants(self):
+        cluster, view = self.make()
+        env = cluster.env
+        acc = view(1)
+        legs, charged_at = _timed_legs(cluster, 1)
+        late = units.us(50)
+
+        def sender():
+            # The eager message leaves well after the receiver's read of
+            # its accumulator was charged.
+            yield late
+            yield cluster.engine(0).dmp.issue(Microcode(
+                nbytes=self.NBYTES, op0=Slot.memory(view(0)),
+                res=Slot.tx_eager(self.signature(cluster, MsgType.EAGER),
+                                  cluster.engine(1).address)))
+
+        env.process(sender())
+        mc = Microcode(nbytes=self.NBYTES, op0=Slot.rx_eager(0, 0, 0),
+                       op1=Slot.memory(acc), res=Slot.memory(acc),
+                       func="sum")
+        retired = self.retire_time(cluster, 1, mc)
+        # Receiver legs: the accumulator read at issue; the Rx-pool write of
+        # the arriving message (a leg of the store, not the instruction);
+        # then the pool read, the NoC pass and the accumulator write.
+        assert charged_at[0] < late < charged_at[-1]
+        assert legs[0] < charged_at[-1]
+        assert retired == max(legs)
+        assert retired > charged_at[-1]
+
+    def test_write_result_needs_the_rdma_poe(self):
+        from repro.cluster import build_fpga_cluster
+
+        cluster = build_fpga_cluster(2, protocol="tcp", platform="coyote")
+        engine = cluster.engine(0)
+        mc = Microcode(
+            nbytes=64, op0=Slot.immediate(None),
+            res=Slot.tx_write(
+                Signature(comm_id=0, src_rank=0, dst_rank=1,
+                          msg_type=MsgType.RNDZ_MSG, nbytes=64),
+                cluster.engine(1).address,
+                BufferDescriptor(node_addr=0, target_id=1, nbytes=64)))
+        ev = engine.dmp.issue(mc)
+        with pytest.raises(CcloError, match="requires the RDMA POE"):
+            cluster.env.run(until=ev)
+        assert engine.tx.messages_sent == 0
+
+
+class TestKernelEventCounts:
+    """Exact kernel events of small 2-node collectives: a gate process, an
+    event per memory leg or a drain callback that creeps back shows up
+    here as a count change, at unchanged simulated time."""
+
+    NBYTES = 64 * units.KIB
+
+    def run(self, opcode, protocol):
+        from repro.cluster import build_fpga_cluster
+        from repro.platform.base import BufferLocation
+
+        cluster = build_fpga_cluster(2, protocol="rdma", platform="coyote")
+        n = self.NBYTES // 4
+
+        def view(rank, fill):
+            return cluster.nodes[rank].platform.wrap(
+                np.full(n, fill, np.float32), BufferLocation.DEVICE).view()
+        src = [view(0, 1.0), view(1, 2.0)]
+        dst = [view(0, 0.0), view(1, 0.0)]
+
+        def make(rank):
+            if opcode == "reduce":
+                return CollectiveArgs(
+                    opcode="reduce", nbytes=self.NBYTES, root=1,
+                    sbuf=src[rank], rbuf=dst[rank], protocol=protocol)
+            if rank == 0:
+                return CollectiveArgs(opcode="send", nbytes=self.NBYTES,
+                                      peer=1, sbuf=src[0], protocol=protocol)
+            return CollectiveArgs(opcode="recv", nbytes=self.NBYTES, peer=0,
+                                  rbuf=dst[1], protocol=protocol)
+
+        events0 = Environment.total_events_processed
+        elapsed = cluster.run_collective(make)
+        events = Environment.total_events_processed - events0
+        expected = 3.0 if opcode == "reduce" else 1.0
+        np.testing.assert_array_equal(dst[1].array, np.full(n, expected))
+        return events, elapsed
+
+    @pytest.mark.parametrize("opcode, protocol, events, elapsed", [
+        ("sendrecv", "rndz", 65, 1.4284960000000002e-05),
+        ("sendrecv", "eager", 60, 1.613590956521739e-05),
+        # The root's recv_reduce: a rendezvous WRITE into scratch then a
+        # local two-operand fold, or an eager Rx operand folded directly.
+        ("reduce", "rndz", 79, 2.3020959999999996e-05),
+        ("reduce", "eager", 70, 2.050390956521739e-05),
+    ])
+    def test_exact_event_count(self, opcode, protocol, events, elapsed):
+        assert self.run(opcode, protocol) == (events, elapsed)

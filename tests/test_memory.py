@@ -63,7 +63,7 @@ class TestMemoryTiming:
         t = {}
 
         def proc():
-            yield mem.read(100)
+            yield mem.access_delay(100)
             t["done"] = env.now
 
         env.process(proc())
@@ -76,10 +76,9 @@ class TestMemoryTiming:
         t = {}
 
         def proc():
-            ra = mem.read(100)
-            wb = mem.write(100)
-            yield ra
-            yield wb
+            read = mem.access_delay(100)
+            write = mem.access_delay(100)
+            yield max(read, write)
             t["done"] = env.now
 
         env.process(proc())
@@ -89,7 +88,7 @@ class TestMemoryTiming:
     def test_access_time_analytic(self):
         env = Environment()
         mem = Memory(env, capacity=1000, bandwidth=100.0, access_latency=0.5)
-        assert mem.access_time(100) == pytest.approx(1.5)
+        assert mem.access_delay(100) == pytest.approx(1.5)
 
     def test_factory_capacities(self):
         env = Environment()
@@ -111,7 +110,7 @@ class TestPcie:
         t = {}
 
         def proc():
-            yield pcie.dma_h2d(int(1e9))
+            yield pcie.dma_h2d_delay(int(1e9))
             t["done"] = env.now
 
         env.process(proc())
@@ -124,10 +123,9 @@ class TestPcie:
         t = {}
 
         def proc():
-            a = pcie.dma_h2d(100)
-            b = pcie.dma_d2h(100)
-            yield a
-            yield b
+            a = pcie.dma_h2d_delay(100)
+            b = pcie.dma_d2h_delay(100)
+            yield max(a, b)
             t["done"] = env.now
 
         env.process(proc())
@@ -140,10 +138,9 @@ class TestPcie:
         t = {}
 
         def proc():
-            a = pcie.dma_h2d(100)
-            b = pcie.dma_h2d(100)
-            yield a
-            yield b
+            a = pcie.dma_h2d_delay(100)
+            b = pcie.dma_h2d_delay(100)
+            yield max(a, b)
             t["done"] = env.now
 
         env.process(proc())
@@ -153,9 +150,8 @@ class TestPcie:
     def test_counters(self):
         env = Environment()
         pcie = PcieLink(env)
-        pcie.dma_h2d(100)
-        pcie.dma_d2h(50)
-        env.run()
+        pcie.dma_h2d_delay(100)
+        pcie.dma_d2h_delay(50)
         assert pcie.bytes_h2d == 100
         assert pcie.bytes_d2h == 50
 
@@ -163,7 +159,7 @@ class TestPcie:
         env = Environment()
         pcie = PcieLink(env)
         with pytest.raises(ValueError):
-            pcie.dma_h2d(-1)
+            pcie.dma_h2d_delay(-1)
 
     def test_mmio_roundtrip_cost(self):
         env = Environment()
@@ -182,4 +178,4 @@ class TestPcie:
     def test_dma_time_analytic(self):
         env = Environment()
         pcie = PcieLink(env, bandwidth=1e9, dma_latency=0.5)
-        assert pcie.dma_time(int(1e9)) == pytest.approx(1.5)
+        assert pcie.dma_h2d_delay(int(1e9)) == pytest.approx(1.5)

@@ -16,7 +16,8 @@ from repro.sim import Environment
 
 
 def run_event(env, make_event):
-    """Helper: run a process that yields one event, return elapsed time."""
+    """Helper: run a process that yields one event or delay, return elapsed
+    time."""
     t = {}
 
     def proc():
@@ -27,6 +28,11 @@ def run_event(env, make_event):
     env.process(proc())
     env.run()
     return t["done"] - start
+
+
+def access(plat, buf, direction):
+    """A whole-buffer CCLO access, charged when the process issues it."""
+    return lambda: plat.device_access_delay(buf, buf.nbytes, direction)
 
 
 class TestTlb:
@@ -68,7 +74,7 @@ class TestCoyote:
         plat = CoyotePlatform(env)
         buf = plat.allocate(8 * units.MIB, BufferLocation.HOST)
         assert plat.tlb.faults == 0
-        elapsed = run_event(env, lambda: buf.device_read())
+        elapsed = run_event(env, access(plat, buf, "read"))
         assert plat.tlb.faults == 0
         assert plat.tlb.hits == 4  # one lookup per touched 2 MiB hugepage
         assert elapsed > 0
@@ -78,18 +84,18 @@ class TestCoyote:
         plat = CoyotePlatform(env)
         buf = plat.allocate(8 * units.MIB, BufferLocation.HOST,
                             eager_map=False)
-        run_event(env, lambda: buf.device_read())
+        run_event(env, access(plat, buf, "read"))
         assert plat.tlb.faults == 4
         # Second access hits the now-populated translations.
         faults_before = plat.tlb.faults
-        run_event(env, lambda: buf.device_read())
+        run_event(env, access(plat, buf, "read"))
         assert plat.tlb.faults == faults_before
 
     def test_host_access_rides_pcie(self):
         env = Environment()
         plat = CoyotePlatform(env)
         buf = plat.allocate(13 * 10**6, BufferLocation.HOST)
-        elapsed = run_event(env, lambda: buf.device_read())
+        elapsed = run_event(env, access(plat, buf, "read"))
         # 13 MB over ~13 GB/s PCIe ~ 1 ms
         assert elapsed == pytest.approx(1e-3, rel=0.2)
         assert plat.pcie.bytes_h2d == 13 * 10**6
@@ -98,7 +104,7 @@ class TestCoyote:
         env = Environment()
         plat = CoyotePlatform(env)
         buf = plat.allocate(units.MIB, BufferLocation.DEVICE)
-        run_event(env, lambda: buf.device_write())
+        run_event(env, access(plat, buf, "write"))
         assert plat.pcie.bytes_h2d == 0 and plat.pcie.bytes_d2h == 0
         assert plat.device_memory.bytes_accessed == units.MIB
 
@@ -134,7 +140,7 @@ class TestCoyote:
         plat = CoyotePlatform(env)
         buf = plat.allocate(100, BufferLocation.DEVICE)
         with pytest.raises(PlatformError):
-            plat.device_access(buf, 200, "read")
+            plat.device_access_delay(buf, 200, "read")
 
     def test_foreign_buffer_rejected(self):
         env = Environment()
@@ -142,7 +148,7 @@ class TestCoyote:
         plat_b = CoyotePlatform(env)
         buf = plat_a.allocate(100, BufferLocation.DEVICE)
         with pytest.raises(PlatformError, match="different platform"):
-            plat_b.device_access(buf, 100, "read")
+            plat_b.device_access_delay(buf, 100, "read")
 
     def test_buffer_free_returns_capacity(self):
         env = Environment()
@@ -162,7 +168,7 @@ class TestVitis:
         buf = plat.allocate(1024, BufferLocation.HOST)
         assert plat.requires_staging(buf)
         with pytest.raises(PlatformError, match="staged"):
-            plat.device_access(buf, 1024, "read")
+            plat.device_access_delay(buf, 1024, "read")
 
     def test_stage_in_enables_access_and_charges_pcie(self):
         env = Environment()
@@ -171,7 +177,7 @@ class TestVitis:
         elapsed = run_event(env, lambda: plat.stage_in(buf))
         assert elapsed > 0
         assert plat.pcie.bytes_h2d == units.MIB
-        run_event(env, lambda: buf.device_read())
+        run_event(env, access(plat, buf, "read"))
         assert plat.stagings == 1
 
     def test_stage_out_reverses(self):
@@ -212,7 +218,7 @@ class TestSimPlatform:
         env = Environment()
         plat = SimPlatform(env)
         buf = plat.allocate(units.GIB)
-        elapsed = run_event(env, lambda: buf.device_read())
+        elapsed = run_event(env, access(plat, buf, "read"))
         assert elapsed == 0.0
 
     def test_zero_invocation(self):

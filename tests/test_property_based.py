@@ -133,8 +133,7 @@ class TestBandwidthProperties:
         env = Environment()
         pipe = BandwidthResource(env, rate)
         for nbytes in sizes:
-            pipe.transfer(nbytes)
-        env.run()
+            pipe.reserve(nbytes)
         assert pipe.bytes_moved == sum(sizes)
         assert pipe._busy_time == pytest.approx(sum(sizes) / rate, rel=1e-9)
 

@@ -331,6 +331,55 @@ def test_schedule_callback_at_rejects_past_or_nan_time(time):
     assert _pending_state(env) == before
 
 
+@pytest.mark.parametrize("time", [0.5, float("-inf"), float("nan")])
+def test_timeout_at_rejects_past_or_nan_time(time):
+    env = _env_with_pending_work()
+    before = _pending_state(env)
+    with pytest.raises(SimulationError):
+        env.timeout_at(time)
+    assert _pending_state(env) == before
+
+
+def test_timeout_at_fires_at_exactly_the_absolute_time():
+    now, t = 0.0002564388721379808, 0.000819618240499459
+    # A relative reschedule would re-round the completion time.
+    assert now + (t - now) == 0.0008196182404994591
+    env = Environment()
+    env.run(until=now)
+    fired = {}
+
+    def waiter():
+        fired["value"] = yield env.timeout_at(t, value="done")
+        fired["at"] = env.now
+
+    env.process(waiter())
+    env.run()
+    assert fired == {"value": "done", "at": t}
+    # One heap entry, dispatched once.
+    env.timeout_at(2 * t).add_callback(lambda ev: fired.update(again=env.now))
+    assert len(env._heap) == 1 and len(env._bucket) == 0
+    events0 = Environment.total_events_processed
+    env.run()
+    assert fired["again"] == 2 * t
+    assert Environment.total_events_processed - events0 == 1
+
+
+def test_timeout_at_now_uses_the_now_bucket():
+    env = Environment()
+    env.run(until=1.0)
+    order = []
+    env.schedule_callback(0.0, lambda: order.append("before"))
+    event = env.timeout_at(1.0)
+    event.add_callback(lambda ev: order.append("timeout"))
+    env.schedule_callback(0.0, lambda: order.append("after"))
+    assert len(env._heap) == 0 and len(env._bucket) == 3
+    events0 = Environment.total_events_processed
+    env.run()
+    assert order == ["before", "timeout", "after"]
+    assert env.now == 1.0
+    assert Environment.total_events_processed - events0 == 3
+
+
 def test_process_rejects_nan_sleep():
     env = Environment()
     env.run(until=1.0)
@@ -515,6 +564,30 @@ def test_all_of_failed_child_does_not_wait_for_siblings():
     env.process(watcher())
     env.run()
     assert seen["at"] == pytest.approx(0.0)
+
+
+def test_sim_time_is_added_once_per_run(monkeypatch):
+    """A per-event sum of time steps rounds differently from the run's end
+    minus its start, so a point's sim_s would depend on its event count."""
+    times = (0.00013436424411240124, 0.000763774618976614,
+             0.0008474337369372327)
+    steps = 0.0
+    prev = 0.0
+    for t in times:
+        steps += t - prev
+        prev = t
+    assert steps == 0.0008474337369372326
+    monkeypatch.setattr(Environment, "total_sim_time", 0.0)
+    env = Environment()
+    for t in times:
+        env.schedule_callback_at(t, lambda: None)
+    env.run()
+    assert env.now == times[-1]
+    assert Environment.total_sim_time == times[-1]
+    # A stop time past the last event is a jump, not simulated work.
+    env.run(until=1.0)
+    assert env.now == 1.0
+    assert Environment.total_sim_time == times[-1]
 
 
 def test_environment_instrumentation_counters_advance():

@@ -53,7 +53,7 @@ def test_bandwidth_transfer_duration():
     finished = {}
 
     def proc():
-        yield pipe.transfer(200)
+        yield env.timeout_at(pipe.reserve(200))
         finished["t"] = env.now
 
     env.process(proc())
@@ -67,7 +67,7 @@ def test_bandwidth_serializes_fifo():
     finish = {}
 
     def proc(tag, size):
-        yield pipe.transfer(size)
+        yield env.timeout_at(pipe.reserve(size))
         finish[tag] = env.now
 
     env.process(proc("a", 100))
@@ -83,8 +83,8 @@ def test_bandwidth_overhead_charged_per_transfer():
     finish = {}
 
     def proc():
-        yield pipe.transfer(100)
-        yield pipe.transfer(100)
+        yield env.timeout_at(pipe.reserve(100))
+        yield env.timeout_at(pipe.reserve(100))
         finish["t"] = env.now
 
     env.process(proc())
@@ -98,9 +98,9 @@ def test_bandwidth_idle_gap_not_charged():
     finish = {}
 
     def proc():
-        yield pipe.transfer(100)
+        yield env.timeout_at(pipe.reserve(100))
         yield env.timeout(10)
-        yield pipe.transfer(100)
+        yield env.timeout_at(pipe.reserve(100))
         finish["t"] = env.now
 
     env.process(proc())
@@ -113,7 +113,7 @@ def test_bandwidth_utilization_and_counters():
     pipe = BandwidthResource(env, rate_bytes_per_s=100.0)
 
     def proc():
-        yield pipe.transfer(100)
+        yield env.timeout_at(pipe.reserve(100))
         yield env.timeout(1)
 
     env.process(proc())
@@ -137,7 +137,7 @@ def test_bandwidth_rejects_bad_args():
         BandwidthResource(env, rate_bytes_per_s=0)
     pipe = BandwidthResource(env, rate_bytes_per_s=10)
     with pytest.raises(ValueError):
-        pipe.transfer(-1)
+        pipe.reserve(-1)
 
 
 def test_token_bucket_blocks_when_empty():
@@ -206,7 +206,7 @@ def test_bandwidth_utilization_windowed_since():
     pipe = BandwidthResource(env, rate_bytes_per_s=100.0)
 
     def proc():
-        yield pipe.transfer(100)   # busy [0, 1]
+        yield env.timeout_at(pipe.reserve(100))   # busy [0, 1]
         yield env.timeout(2)       # idle [1, 3]
 
     env.process(proc())
@@ -221,9 +221,9 @@ def test_bandwidth_utilization_window_spanning_gaps():
     pipe = BandwidthResource(env, rate_bytes_per_s=100.0)
 
     def proc():
-        yield pipe.transfer(100)   # busy [0, 1]
+        yield env.timeout_at(pipe.reserve(100))   # busy [0, 1]
         yield env.timeout(1)       # idle [1, 2]
-        yield pipe.transfer(100)   # busy [2, 3]
+        yield env.timeout_at(pipe.reserve(100))   # busy [2, 3]
         yield env.timeout(1)       # idle [3, 4]
 
     env.process(proc())
@@ -241,7 +241,7 @@ def test_bandwidth_utilization_clips_in_flight_transfer():
     measured = {}
 
     def proc():
-        pipe.transfer(200)         # busy [0, 2], still in flight at t=1
+        pipe.reserve(200)          # busy [0, 2], still in flight at t=1
         yield env.timeout(1)
         measured["u"] = pipe.utilization()
 
@@ -256,7 +256,7 @@ def test_bandwidth_back_to_back_transfers_merge_busy_intervals():
 
     def proc():
         for _ in range(4):
-            yield pipe.transfer(100)
+            yield env.timeout_at(pipe.reserve(100))
 
     env.process(proc())
     env.run()
@@ -272,7 +272,7 @@ def test_bandwidth_busy_history_grows_by_two_doubles_per_idle_gap():
 
     def idle_gaps(env, pipe, n):
         for _ in range(n):
-            yield pipe.transfer(100)    # busy for 1 s ...
+            yield env.timeout_at(pipe.reserve(100))    # busy for 1 s ...
             yield 1.0                   # ... then idle for 1 s
 
     gc.collect()
