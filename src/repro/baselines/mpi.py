@@ -179,22 +179,23 @@ class MpiRank:
         if nbytes <= self.rndz_threshold or self.transport != "rdma":
             # Eager: read the user buffer, one shot onto the wire.
             yield self.memory.access_delay(nbytes)
-            yield self.nic.send_message(
+            yield from self.nic.transmit(
                 self._addr(dst), nbytes,
                 meta=("eager", self.rank, tag, None), data=payload,
             )
             return
         # Rendezvous: RTS -> CTS (target id) -> zero-copy WRITE -> FIN.
-        yield self.nic.send_message(
+        yield from self.nic.transmit(
             self._addr(dst), 32, meta=("rts", self.rank, tag, nbytes)
         )
         target_id = yield self._cts.wait((dst, tag))
         yield self.cpu(self.sw_overhead)
         yield self.memory.access_delay(nbytes)
-        yield self.nic.post_write(
-            self._addr(dst), nbytes, remote_descriptor=target_id, data=payload
+        yield from self.nic.transmit(
+            self._addr(dst), nbytes, meta=target_id, data=payload,
+            kind="write",
         )
-        yield self.nic.send_message(
+        yield from self.nic.transmit(
             self._addr(dst), 32, meta=("fin", self.rank, tag, None)
         )
 
@@ -214,7 +215,7 @@ class MpiRank:
         target_id = next(self._target_ids)
         landed = Event(self.env)
         self._write_targets[target_id] = {"buf": buf, "event": landed}
-        yield self.nic.send_message(
+        yield from self.nic.transmit(
             self._addr(src), 32, meta=("cts", self.rank, tag, target_id)
         )
         yield self._fin.wait((src, tag))

@@ -119,8 +119,9 @@ class DataMovementProcessor:
         self.instructions_executed = 0
 
     def issue(self, mc: Microcode) -> Event:
-        """Queue a microcode; the event fires at instruction completion."""
-        return self.env.process(self._execute(mc), name=f"{self.name}.mc")
+        """Run a microcode in its own process, for firmware that overlaps
+        instructions; the event fires at instruction completion."""
+        return self.env.process(self.execute(mc), name=f"{self.name}.mc")
 
     # -- operands ---------------------------------------------------------------
 
@@ -212,9 +213,14 @@ class DataMovementProcessor:
         SlotKind.NONE: "plugin",
     }
 
-    def _execute(self, mc: Microcode):
+    def execute(self, mc: Microcode):
+        """Run a microcode to retirement in the calling process (``yield
+        from``); returns the instruction's result data.  A free pipeline
+        slot is taken without an event."""
         t_q = self.env.now
-        yield self._slots.acquire()
+        gate = self._slots.try_acquire()
+        if gate is not None:
+            yield gate
         self.engine.trace("dmp", "issue", op0=mc.op0.kind.value,
                           res=mc.res.kind.value, nbytes=mc.nbytes)
         sid = -1

@@ -80,7 +80,8 @@ class CcloEngine:
         self.rbm = RxBufManager(env, cfg, device_memory, name=f"{name}.rbm")
         self.tx = TxSystem(env, cfg, poe, name=f"{name}.tx")
         self.rx = RxSystem(env, cfg, self.rbm, name=f"{name}.rx")
-        poe.on_message(self.rx.handle)
+        poe.on_message(self.rx.handle,
+                       latency=cfg.cycles(cfg.txrx_fsm_cycles))
         if isinstance(poe, RdmaPoe):
             poe.set_memory_writer(self._rndz_memory_write)
             poe.set_segment_writer(self._rndz_segment_landing)
@@ -223,7 +224,10 @@ class CcloEngine:
         self._rndz_targets[target_id] = {
             "view": dest,
             "nbytes": nbytes,
-            "written": Event(self.env),
+            # the event a receive waits on, created only when it claims the
+            # target before the WRITE has landed (see :meth:`rndz_written`)
+            "written": None,
+            "landed": False,
             "data": None,
             # completion time of the latest cut-through segment landing
             "landed_at": None,
@@ -239,7 +243,15 @@ class CcloEngine:
                 "already claimed"
             ) from None
 
-    def _rndz_memory_write(self, header: MessageHeader, data: Any) -> Event:
+    def rndz_written(self, entry: dict) -> Optional[Event]:
+        """``None`` once a claimed target's WRITE has landed; else the event
+        that fires when it does."""
+        if entry["landed"]:
+            return None
+        written = entry["written"] = Event(self.env)
+        return written
+
+    def _rndz_memory_write(self, header: MessageHeader, data: Any) -> None:
         """Passive-side WRITE: data bypasses the CCLO into memory/stream."""
         descriptor = header.meta
         entry = self._rndz_targets.get(descriptor.target_id)
@@ -247,10 +259,24 @@ class CcloEngine:
             raise CcloError(
                 f"{self.name}: WRITE targets unknown descriptor {descriptor}"
             )
-        return self.env.process(
-            self._rndz_write_proc(entry, header.nbytes, data),
-            name=f"{self.name}.rndz_write",
-        )
+        nbytes = header.nbytes
+        entry["data"] = data
+        view = entry["view"]
+        if view is None:
+            self.env.process(self._rndz_stream_proc(entry, nbytes, data),
+                             name=f"{self.name}.rndz_write")
+            return
+        # Segments landed as they arrived; otherwise the whole WRITE lands
+        # now.  A callback at the absolute completion time fires at exactly
+        # that float (a relative delay could round it).
+        env = self.env
+        landed_at = entry["landed_at"]
+        if landed_at is None:
+            buffer = view.buffer
+            landed_at = env._now + buffer.platform.device_access_delay(
+                buffer, nbytes, "write")
+        env.schedule_callback_at(max(landed_at, env._now), self._rndz_landed,
+                                 entry, nbytes, data)
 
     def _rndz_segment_landing(self, header: MessageHeader, nbytes: int) -> None:
         """Cut-through landing: charge memory per WRITE segment on arrival.
@@ -270,27 +296,19 @@ class CcloEngine:
         if last is None or landed_at > last:
             entry["landed_at"] = landed_at
 
-    def _rndz_write_proc(self, entry: dict, nbytes: int, data: Any):
-        view = entry["view"]
-        entry["data"] = data
-        if view is None:
-            # Stream-destined WRITE: route to the kernel stream port.
-            yield self.noc.route_delay("rx", "kernel", nbytes)
-            yield self.kernel_data_out.put((nbytes, data))
-        else:
-            # Segments landed as they arrived; otherwise the whole WRITE
-            # lands now.  Waiting on the absolute completion time resumes
-            # at exactly that float (a relative sleep could round it).
-            env = self.env
-            landed_at = entry["landed_at"]
-            if landed_at is None:
-                buffer = view.buffer
-                landed_at = env._now + buffer.platform.device_access_delay(
-                    buffer, nbytes, "write")
-            yield env.timeout_at(max(landed_at, env._now))
-            if data is not None:
-                view.set_array(np.asarray(data))
-        entry["written"].succeed(nbytes)
+    def _rndz_stream_proc(self, entry: dict, nbytes: int, data: Any):
+        # Stream-destined WRITE: route to the kernel stream port.
+        yield self.noc.route_delay("rx", "kernel", nbytes)
+        yield self.kernel_data_out.put((nbytes, data))
+        self._rndz_landed(entry, nbytes, None)
+
+    def _rndz_landed(self, entry: dict, nbytes: int, data: Any) -> None:
+        if data is not None:
+            entry["view"].set_array(np.asarray(data))
+        entry["landed"] = True
+        written = entry["written"]
+        if written is not None:
+            written.succeed(nbytes)
 
     # -- scratch memory (temporaries for rendezvous reductions) -------------------------
 

@@ -176,6 +176,12 @@ class FirmwareContext:
         mc.op_id = self.args.op_id
         return self.engine.dmp.issue(mc)
 
+    def _execute(self, mc: Microcode):
+        """Run DMP microcode stamped with this command's op id in the
+        calling process (``yield from``)."""
+        mc.op_id = self.args.op_id
+        return self.engine.dmp.execute(mc)
+
     # -- protocol selection --------------------------------------------------------
 
     def protocol_for(self, nbytes: int) -> str:
@@ -325,7 +331,7 @@ class FirmwareContext:
                 res=Slot.tx_eager(signature, dest_addr),
                 func="to_fp16" if codec == "fp16" else None,
             )
-        yield self._issue(mc)
+        yield from self._execute(mc)
 
     def _recv_proc(self, src_rank: int, dest: Any, nbytes: int, tag: int,
                    protocol: str, codec: Optional[str] = None):
@@ -341,7 +347,7 @@ class FirmwareContext:
                 res=self._dest_slot(dest, nbytes),
                 func="from_fp16" if codec == "fp16" else None,
             )
-            yield self._issue(mc)
+            yield from self._execute(mc)
 
     def _recv_rndz(self, src_rank: int, dest: Any, nbytes: int, tag: int):
         """Rendezvous receive: resolve the buffer, await WRITE + DONE."""
@@ -364,7 +370,9 @@ class FirmwareContext:
             (self.args.comm_id, src_rank, tag)
         )
         entry = self.engine.claim_rndz_target(target_id)
-        yield entry["written"]
+        written = self.engine.rndz_written(entry)
+        if written is not None:
+            yield written
         self._wait_span(t_wait, "rendezvous", peer=src_rank, side="recv")
         return entry.get("data")
 
@@ -389,7 +397,7 @@ class FirmwareContext:
                     res=Slot.memory(acc),
                     func=func,
                 )
-                yield self._issue(mc)
+                yield from self._execute(mc)
             finally:
                 self.engine.scratch_free(scratch)
         else:
@@ -400,7 +408,7 @@ class FirmwareContext:
                 res=Slot.memory(acc),
                 func=func,
             )
-            yield self._issue(mc)
+            yield from self._execute(mc)
 
 
 class MicroController:

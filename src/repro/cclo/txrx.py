@@ -39,8 +39,8 @@ class TxSystem:
         self.messages_sent = 0
 
     def _fsm(self) -> float:
-        # Yielded directly by the send verbs: a plain float takes the
-        # kernel's allocation-free sleep path.
+        # The POE waits it out as the transmit's lead, merged with its own
+        # latency when the message fits one segment.
         return self.config.cycles(self.config.txrx_fsm_cycles)
 
     # Each send verb is a generator: the caller runs it with ``yield from``
@@ -50,22 +50,17 @@ class TxSystem:
     def send_eager(self, signature: Signature, dest_addr: int,
                    data: Any = None, pace: Any = None):
         """EAGER_MSG / STREAM: signature header + payload via SEND path."""
-        yield self._fsm()
         self.messages_sent += 1
-        yield self.poe.send_message(
-            dest_addr,
-            signature.nbytes + SIGNATURE_BYTES,
-            meta=signature,
-            data=data,
-            pace=pace,
-        )
+        yield from self.poe.transmit(
+            dest_addr, signature.nbytes + SIGNATURE_BYTES, meta=signature,
+            data=data, pace=pace, lead=self._fsm())
         return signature
 
     def send_control(self, signature: Signature, dest_addr: int):
         """Small control message (RNDZ_INIT / RNDZ_DONE) via two-sided SEND."""
-        yield self._fsm()
         self.messages_sent += 1
-        yield self.poe.send_message(dest_addr, SIGNATURE_BYTES, meta=signature)
+        yield from self.poe.transmit(dest_addr, SIGNATURE_BYTES,
+                                     meta=signature, lead=self._fsm())
         return signature
 
     def send_write(self, signature: Signature, dest_addr: int,
@@ -88,12 +83,10 @@ class TxSystem:
     def _send_write(self, signature: Signature, dest_addr: int,
                     descriptor: BufferDescriptor, data: Any,
                     pace: Any = None):
-        yield self._fsm()
         self.messages_sent += 1
-        yield self.poe.post_write(
-            dest_addr, signature.nbytes, remote_descriptor=descriptor,
-            data=data, pace=pace,
-        )
+        yield from self.poe.transmit(
+            dest_addr, signature.nbytes, meta=descriptor, data=data,
+            kind="write", pace=pace, lead=self._fsm())
         done_sig = Signature(
             comm_id=signature.comm_id,
             src_rank=signature.src_rank,
@@ -104,7 +97,8 @@ class TxSystem:
             seqno=signature.seqno,
             op_id=signature.op_id,
         )
-        yield self.poe.send_message(dest_addr, SIGNATURE_BYTES, meta=done_sig)
+        yield from self.poe.transmit(dest_addr, SIGNATURE_BYTES,
+                                     meta=done_sig)
         return signature
 
     def register_metrics(self, registry, **labels) -> None:
@@ -143,7 +137,9 @@ class RxSystem:
         self._trace_node = name
 
     def handle(self, header: MessageHeader, data: Any) -> None:
-        """POE delivery callback: depacketize and dispatch by message type."""
+        """POE delivery callback, run once the Rx FSM has parsed the message
+        (the engine registers the FSM time as the handler's latency, so the
+        POE waits it out): depacketize and dispatch by message type."""
         signature = header.meta
         if not isinstance(signature, Signature):
             raise CcloError(
@@ -151,7 +147,6 @@ class RxSystem:
                 f"(meta={signature!r})"
             )
         self.messages_received += 1
-        fsm = self.config.cycles(self.config.txrx_fsm_cycles)
         if self.config.uc_rx_instr_per_kib and self.uc_charge is not None:
             # ACCL-v1 configuration: the uC assembles inbound packets itself,
             # so receive handling serializes through the slow sequential core.
@@ -159,32 +154,24 @@ class RxSystem:
                 1,
                 (signature.nbytes // 1024) * self.config.uc_rx_instr_per_kib,
             )
-
-            def uc_handled():
-                yield fsm
-                span_complete = self._span_complete
-                if span_complete is not None and self.uc_pipe is not None:
-                    t_q = self.env.now
-                    queued_until = self.uc_pipe.busy_until()
-                    yield self.uc_charge(instructions)
-                    now = self.env.now
-                    comp = f"{self._trace_node}.rx"
-                    if queued_until > t_q:
-                        span_complete(comp, "wait:uc_dispatch", t_q,
-                                      queued_until, phase="wait",
-                                      op_id=signature.op_id,
-                                      cause="uc_dispatch")
-                    if now > queued_until:
-                        span_complete(comp, "uc_rx", queued_until, now,
-                                      phase="uc", op_id=signature.op_id,
-                                      nbytes=signature.nbytes)
-                else:
-                    yield self.uc_charge(instructions)
-                self._dispatch(signature, data)
-
-            self.env.process(uc_handled(), name=f"{self.name}.uc_rx")
+            t_q = self.env.now
+            queued_until = self.uc_pipe.busy_until()
+            delay = self.uc_charge(instructions)
+            span_complete = self._span_complete
+            if span_complete is not None:
+                done = t_q + delay
+                comp = f"{self._trace_node}.rx"
+                if queued_until > t_q:
+                    span_complete(comp, "wait:uc_dispatch", t_q,
+                                  queued_until, phase="wait",
+                                  op_id=signature.op_id, cause="uc_dispatch")
+                if done > queued_until:
+                    span_complete(comp, "uc_rx", queued_until, done,
+                                  phase="uc", op_id=signature.op_id,
+                                  nbytes=signature.nbytes)
+            self.env.schedule_callback(delay, self._dispatch, signature, data)
         else:
-            self.env.schedule_callback(fsm, self._dispatch, signature, data)
+            self._dispatch(signature, data)
 
     def _dispatch(self, signature: Signature, data: Any) -> None:
         kind = signature.msg_type

@@ -90,10 +90,13 @@ class BasePoe:
     Subclasses set class attributes (``protocol_name``, ``mtu``,
     ``poe_latency``) and may override hooks:
 
+    - :meth:`transmit` -- the one transmit form; connection-oriented
+      engines override it to supply the QP or session.
     - :meth:`_tx_flow_control` -- an event to wait on before each segment
-      (window/credits), or ``None``.
+      (window/credits), or ``None`` when the segment may go at once.
     - :meth:`_on_segment_delivered` -- receive-side accounting (acks).
-    - :meth:`_deliver` -- how a completed message reaches the consumer.
+    - :meth:`_rx_complete` -- how a reassembled message reaches its
+      consumer.
     """
 
     protocol_name = "raw"
@@ -120,6 +123,7 @@ class BasePoe:
         self.name = name or f"{self.protocol_name}@{endpoint.address}"
         self._msg_ids = itertools.count(1)
         self._handler: Optional[Callable[[MessageHeader, Any], None]] = None
+        self._handler_latency = 0.0
         self._rx_state: Dict[tuple, _Reassembly] = {}
         self.messages_sent = 0
         self.messages_received = 0
@@ -193,15 +197,21 @@ class BasePoe:
     def address(self) -> int:
         return self.endpoint.address
 
-    def on_message(self, handler: Callable[[MessageHeader, Any], None]) -> None:
-        """Register the consumer for completed inbound messages."""
+    def on_message(self, handler: Callable[[MessageHeader, Any], None],
+                   latency: float = 0.0) -> None:
+        """Register the consumer for completed inbound messages.
+
+        *latency* is the consumer's fixed front-end delay (the CCLO's Rx
+        FSM): *handler* runs that long after the POE delivers a message.
+        """
         if self._handler is not None:
             raise ProtocolError(f"{self.name}: message handler already set")
         self._handler = handler
+        self._handler_latency = latency
 
     # -- transmit path ----------------------------------------------------
 
-    def send_message(
+    def transmit(
         self,
         dst_addr: int,
         nbytes: int,
@@ -210,12 +220,17 @@ class BasePoe:
         kind: str = "send",
         session: int = 0,
         pace: Any = None,
-    ) -> Event:
-        """Transmit a message; the event fires when the last byte has been
-        handed to the wire (local completion).
+        lead: float = 0.0,
+    ):
+        """Transmit a message: the generator a process runs with ``yield
+        from``, which returns the header once the last byte has been handed
+        to the wire (local completion).  A negative size raises here, at
+        the call, before anything is scheduled.
 
         ``pace`` (a byte TokenBucket) throttles segmentation to a producer
         that is still generating the data — the cut-through streaming path.
+        ``lead`` is a fixed delay the message spends before it reaches the
+        POE (the CCLO's Tx FSM).
         """
         if nbytes < 0:
             raise ProtocolError(f"negative message size: {nbytes}")
@@ -229,28 +244,40 @@ class BasePoe:
             meta=meta,
         )
         self.messages_sent += 1
-        return self.env.process(
-            self._tx_process(header, data, pace),
-            name=f"{self.name}.tx{header.msg_id}",
-        )
+        return self._tx_process(header, data, pace, lead)
 
-    def _tx_process(self, header: MessageHeader, data: Any, pace: Any = None):
-        bulk = header.nbytes > self.segment_bytes
-        if bulk:
-            self._tx_bulk_inflight += 1
+    def _tx_process(self, header: MessageHeader, data: Any, pace: Any,
+                    lead: float):
+        env = self.env
+        if header.nbytes <= self.segment_bytes:
+            if lead > 0.0:
+                # Nothing observable happens between the lead and the POE
+                # latency: one wait at the absolute time the two sleeps
+                # would end at, with both float roundings kept.
+                t_start = env._now + lead
+                yield env.timeout_at(t_start + self.poe_latency)
+            else:
+                t_start = env._now
+                yield self.poe_latency
+            return (yield from self._tx_run(header, data, pace, t_start))
+        # A bulk message waits out its lead on its own: the flow-mode
+        # convoy ``share`` counts it from its arrival at the POE.
+        if lead > 0.0:
+            yield lead
+        self._tx_bulk_inflight += 1
         try:
-            result = yield from self._tx_run(header, data, pace)
+            t_start = env._now
+            yield self.poe_latency
+            return (yield from self._tx_run(header, data, pace, t_start))
         finally:
-            if bulk:
-                self._tx_bulk_inflight -= 1
-        return result
+            self._tx_bulk_inflight -= 1
 
-    def _tx_run(self, header: MessageHeader, data: Any, pace: Any = None):
+    def _tx_run(self, header: MessageHeader, data: Any, pace: Any,
+                t_start: float):
+        # Called once the POE latency has passed.  Plain-float yields take
+        # the kernel's allocation-free sleep path; this loop runs once per
+        # 32 KiB segment and dominates big transfers.
         tracer = self._span_tracer
-        t_start = self.env.now
-        # Plain-float yields take the kernel's allocation-free sleep path;
-        # this loop runs once per 32 KiB segment and dominates big transfers.
-        yield self.poe_latency
         env = self.env
         remaining = header.nbytes
         seqno = 0
@@ -507,9 +534,7 @@ class BasePoe:
                 f"{self._trace_node}.poe", "rx", now,
                 now + self.poe_latency, phase="poe", op_id=op,
                 nbytes=header.nbytes)
-        self.env.schedule_callback(
-            self.poe_latency, self._deliver_resolved, header, state.data
-        )
+        self._rx_complete(header, state.data)
 
     def _flow_rx_effects(self, burst: Burst) -> None:
         """Subclass hook: receive-side burst bookkeeping (memory landings)."""
@@ -545,14 +570,33 @@ class BasePoe:
                     f"{self._trace_node}.poe", "rx", now,
                     now + self.poe_latency, phase="poe", op_id=op,
                     nbytes=header.nbytes)
-            self.env.schedule_callback(
-                self.poe_latency, self._deliver_resolved, header, state.data
-            )
+            self._rx_complete(header, state.data)
+
+    def _rx_complete(self, header: MessageHeader, data: Any) -> None:
+        """Deliver a reassembled message one POE latency from now, and hand
+        it to the consumer after the consumer's front-end latency."""
+        env = self.env
+        latency = self._handler_latency
+        if latency > 0.0 and not isinstance(data, DeferredPayload):
+            # Nothing observable happens at the POE delivery itself: one
+            # callback at the absolute time the two delays would end at,
+            # with both float roundings kept.
+            env.schedule_callback_at(
+                (env._now + self.poe_latency) + latency, self._deliver,
+                header, data)
+        else:
+            env.schedule_callback(
+                self.poe_latency, self._deliver_resolved, header, data)
 
     def _deliver_resolved(self, header: MessageHeader, data: Any) -> None:
         # Resolution happens at delivery time, not scheduling time: a
         # cut-through producer may fill a DeferredPayload in between.
-        self._deliver(header, DeferredPayload.resolve(data))
+        data = DeferredPayload.resolve(data)
+        if self._handler_latency > 0.0:
+            self.env.schedule_callback(
+                self._handler_latency, self._deliver, header, data)
+        else:
+            self._deliver(header, data)
 
     def _on_segment_delivered(self, segment: Segment) -> None:
         """Subclass hook: receive-side per-segment work (acks/credits)."""

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ProtocolError
 from repro.network.packet import Segment
-from repro.protocols.base import BasePoe, MessageHeader
+from repro.protocols.base import BasePoe, DeferredPayload, MessageHeader
 from repro.sim import Event
 from repro.sim.resources import TokenBucket
 from repro import units
@@ -74,7 +74,7 @@ class RdmaPoe(BasePoe):
         # create many QPs and per-QP f-strings are pure construction cost.
         self._credit_name = f"{self.name}.crd"
         self._memory_writer: Optional[
-            Callable[[MessageHeader, Any], Event]
+            Callable[[MessageHeader, Any], None]
         ] = None
         self._segment_writer: Optional[
             Callable[[MessageHeader, int], None]
@@ -131,7 +131,7 @@ class RdmaPoe(BasePoe):
         return qp
 
     def set_memory_writer(
-        self, writer: Callable[[MessageHeader, Any], Event]
+        self, writer: Callable[[MessageHeader, Any], None]
     ) -> None:
         """Install the passive-side WRITE path (platform memory management).
 
@@ -153,31 +153,17 @@ class RdmaPoe(BasePoe):
 
     # -- verbs ------------------------------------------------------------------
 
-    def post_send(self, dst_addr: int, nbytes: int, meta: Any = None,
-                  data: Any = None, pace: Any = None) -> Event:
-        """Two-sided SEND verb."""
+    def transmit(self, dst_addr, nbytes, meta=None, data=None,
+                 kind=RdmaOpcode.SEND.value, session=0, pace=None, lead=0.0):
+        """Post a verb on the QP toward *dst_addr*: ``kind="write"`` is a
+        one-sided WRITE whose *meta* is the remote buffer descriptor (it
+        lands through the peer's memory writer); any other kind is a
+        two-sided SEND.  *session* is ignored: the QP number is used."""
         qp = self.qp_to(dst_addr)
-        return super().send_message(
-            dst_addr, nbytes, meta=meta, data=data, kind=RdmaOpcode.SEND.value,
-            session=qp.qp_num, pace=pace,
-        )
-
-    def post_write(self, dst_addr: int, nbytes: int, remote_descriptor: Any,
-                   data: Any = None, pace: Any = None) -> Event:
-        """One-sided WRITE verb: lands directly in remote memory."""
-        qp = self.qp_to(dst_addr)
-        return super().send_message(
-            dst_addr, nbytes, meta=remote_descriptor, data=data,
-            kind=RdmaOpcode.WRITE.value, session=qp.qp_num, pace=pace,
-        )
-
-    def send_message(self, dst_addr, nbytes, meta=None, data=None,
-                     kind=RdmaOpcode.SEND.value, session=0, pace=None):
-        """Generic entry (used by the CCLO Tx system); dispatches on verb."""
-        if kind == RdmaOpcode.WRITE.value:
-            return self.post_write(dst_addr, nbytes, meta, data, pace=pace)
-        return self.post_send(dst_addr, nbytes, meta=meta, data=data,
-                              pace=pace)
+        if kind != RdmaOpcode.WRITE.value:
+            kind = RdmaOpcode.SEND.value
+        return super().transmit(dst_addr, nbytes, meta, data, kind,
+                                qp.qp_num, pace, lead)
 
     # -- flow control -------------------------------------------------------------
 
@@ -185,7 +171,7 @@ class RdmaPoe(BasePoe):
                          chunk: int) -> Optional[Event]:
         qp = self._by_remote[header.dst_addr]
         if chunk > 0:
-            return qp.credits.take(chunk)
+            return qp.credits.try_take(chunk)
         return None
 
     def _flow_tx_ready(self, header: MessageHeader) -> bool:
@@ -248,14 +234,20 @@ class RdmaPoe(BasePoe):
 
     # -- delivery ---------------------------------------------------------------
 
-    def _deliver(self, header: MessageHeader, data: Any) -> None:
+    def _rx_complete(self, header: MessageHeader, data: Any) -> None:
         if header.kind == RdmaOpcode.WRITE.value:
-            if self._memory_writer is None:
-                raise ProtocolError(
-                    f"{self.name}: WRITE arrived but no memory writer is "
-                    "installed (platform integration missing)"
-                )
-            self.writes_completed += 1
-            self._memory_writer(header, data)
+            # One-sided: the data goes to memory at POE delivery, past the
+            # message consumer and its front-end latency.
+            self.env.schedule_callback(
+                self.poe_latency, self._write_delivered, header, data)
             return
-        super()._deliver(header, data)
+        super()._rx_complete(header, data)
+
+    def _write_delivered(self, header: MessageHeader, data: Any) -> None:
+        if self._memory_writer is None:
+            raise ProtocolError(
+                f"{self.name}: WRITE arrived but no memory writer is "
+                "installed (platform integration missing)"
+            )
+        self.writes_completed += 1
+        self._memory_writer(header, DeferredPayload.resolve(data))

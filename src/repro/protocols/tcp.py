@@ -129,24 +129,24 @@ class TcpPoe(BasePoe):
 
     # -- transmit path overrides ---------------------------------------------
 
-    def send_message(self, dst_addr, nbytes, meta=None, data=None,
-                     kind="send", session=0, pace=None):
+    def transmit(self, dst_addr, nbytes, meta=None, data=None,
+                 kind="send", session=0, pace=None, lead=0.0):
+        """Send on the established session toward *dst_addr* (*session* is
+        ignored); raises at the call when there is none."""
         sess = self._by_remote.get(dst_addr)
         if sess is None:
             raise ProtocolError(
                 f"{self.name}: send to {dst_addr} without an established "
                 "session; call connect()/accept() first"
             )
-        return super().send_message(
-            dst_addr, nbytes, meta=meta, data=data, kind=kind,
-            session=sess.session_id, pace=pace,
-        )
+        return super().transmit(dst_addr, nbytes, meta, data, kind,
+                                sess.session_id, pace, lead)
 
     def _tx_flow_control(self, header: MessageHeader,
                          chunk: int) -> Optional[Event]:
         session = self._by_remote[header.dst_addr]
         if chunk > 0:
-            return session.window.take(chunk)
+            return session.window.try_take(chunk)
         return None
 
     def _tx_post_segment(self, header: MessageHeader,

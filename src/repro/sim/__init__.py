@@ -6,8 +6,8 @@ advances virtual time along an event heap.
 
 Public surface:
 
-- :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
-  :class:`Interrupt` -- the kernel (:mod:`repro.sim.kernel`).
+- :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`
+  -- the kernel (:mod:`repro.sim.kernel`).
 - :func:`all_of`, :func:`any_of` -- event combinators.
 - :class:`Channel` -- latency-insensitive FIFO stream (AXI-Stream analogue).
 - :class:`BandwidthResource` -- serializing byte-pipe (link/memory-port model).
@@ -18,7 +18,6 @@ Public surface:
 from repro.sim.kernel import (
     Environment,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
@@ -34,7 +33,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Interrupt",
     "SimulationError",
     "all_of",
     "any_of",

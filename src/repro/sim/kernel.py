@@ -6,8 +6,8 @@ and trimmed to what the ACCL+ simulation needs:
 
 - an event heap ordered by ``(time, sequence)``;
 - :class:`Event` objects with success/failure values and callback lists;
-- :class:`Process` coroutines that suspend on yielded events and may be
-  interrupted (used for TCP retransmission timers);
+- :class:`Process` coroutines that suspend on yielded events or plain
+  float delays;
 - ``all_of`` / ``any_of`` combinators for barrier-style joins.
 
 Time is a ``float`` in **seconds**; components express their own constants in
@@ -32,8 +32,8 @@ observable ordering:
 - Processes may ``yield`` a plain ``float`` delay instead of a
   :class:`Timeout`.  The kernel schedules the wakeup as a callback tuple —
   zero event allocations for a plain sleep, which dominates protocol pacing
-  loops.  Interrupts remain safe: a monotonically increasing sleep token
-  invalidates stale wakeups.
+  loops.  The wakeup resumes the process directly: nothing can cancel a
+  sleep, so it needs no staleness check.
 - Zero-delay scheduling (event triggers, process terminations, ``yield
   0.0``, immediate callbacks) bypasses the heap entirely: entries land in a
   FIFO *now-bucket* drained before time advances.  Same-timestamp runs —
@@ -42,10 +42,9 @@ observable ordering:
   entries share one sequence counter and the dispatch loop merges them by
   sequence at equal timestamps, so observable ordering is identical.
 
-``Environment.run`` inlines the event dispatch loop (rather than calling
-:meth:`Environment.step` per event) and flushes the process-wide counters
-once on exit; the counters are exact at every point ``run`` returns or
-raises.
+``Environment.run`` inlines the event dispatch loop and flushes the
+process-wide counters once on exit; the counters are exact at every point
+``run`` returns or raises.
 """
 
 from __future__ import annotations
@@ -60,17 +59,6 @@ class SimulationError(Exception):
     """Raised for kernel misuse (double-trigger, running a finished sim...)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value supplied by the interrupter.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 PENDING = object()  # sentinel: event value not yet decided
 
 #: shared sentinel meaning "no callbacks registered yet" — distinct from
@@ -78,9 +66,9 @@ PENDING = object()  # sentinel: event value not yet decided
 #: ``Event.__init__`` skip allocating a list that most events never need.
 _NO_CALLBACKS = object()
 
-#: sentinel target for a process suspended on a plain-delay sleep (the fast
-#: path has no Event object for ``interrupt`` to detach from).
-_SLEEPING = object()
+#: arguments of ``Process._advance`` that resume a process with no value
+#: (bootstrap and plain-delay wakeups)
+_RESUME = (True, None)
 
 
 class Event:
@@ -176,22 +164,6 @@ class Event:
         else:
             self.callbacks = [cbs, fn]
 
-    def _discard_callback(self, fn: Callable[["Event"], None]) -> None:
-        """Remove *fn* if registered (used by :meth:`Process.interrupt`).
-
-        Comparison is by equality, not identity: bound methods are recreated
-        per attribute access, so two references to the same ``proc._resume``
-        are equal but not identical.
-        """
-        cbs = self.callbacks
-        if cbs is None or cbs is _NO_CALLBACKS:
-            return
-        if type(cbs) is list:
-            if fn in cbs:
-                cbs.remove(fn)
-        elif cbs == fn:
-            self.callbacks = _NO_CALLBACKS
-
     def __repr__(self) -> str:
         state = "pending"
         if self.triggered:
@@ -238,7 +210,7 @@ class Process(Event):
     does any other non-event).
     """
 
-    __slots__ = ("_generator", "_target", "name", "_sleep_token")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -250,51 +222,18 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Any] = None
-        self._sleep_token = 0
         self.name = name or getattr(generator, "__name__", "process")
         # Bootstrap: resume once at the current time.  A callback tuple takes
         # the sequence slot the old init-Event used, so start order at equal
         # timestamps is unchanged.
         env._seq += 1
-        env._bucket.append((env._seq, (self._bootstrap, ())))
+        env._bucket.append((env._seq, (self._advance, _RESUME)))
 
     @property
     def is_alive(self) -> bool:
         return self._value is PENDING
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has already terminated")
-        target = self._target
-        if target is None:
-            raise SimulationError("cannot interrupt a process being initialized")
-        if target is _SLEEPING:
-            # Invalidate the pending fast-path wakeup.
-            self._sleep_token += 1
-        else:
-            # Detach from the event we were waiting on.
-            target._discard_callback(self._resume)
-        wakeup = Event(self.env)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        wakeup._defused = True
-        wakeup.callbacks = self._resume
-        self.env._schedule(wakeup)
-
-    def _bootstrap(self) -> None:
-        self._advance(True, None)
-
-    def _wake(self, token: int) -> None:
-        # Stale wakeups (the process was interrupted mid-sleep) are no-ops.
-        if token != self._sleep_token or self._value is not PENDING:
-            return
-        self._target = None
-        self._advance(True, None)
-
     def _resume(self, event: Event) -> None:
-        self._target = None
         if event._ok:
             self._advance(True, event._value)
         else:
@@ -329,18 +268,13 @@ class Process(Event):
                 # year-long sleep.  A negative or NaN delay fails both
                 # comparisons and raises before anything is scheduled.
                 if next_event > 0.0:
-                    self._sleep_token += 1
-                    self._target = _SLEEPING
                     env._seq += 1
                     heappush(env._heap, (env._now + next_event, env._seq,
-                                         (self._wake, (self._sleep_token,))))
+                                         (self._advance, _RESUME)))
                     return
                 if next_event == 0.0:
-                    self._sleep_token += 1
-                    self._target = _SLEEPING
                     env._seq += 1
-                    env._bucket.append(
-                        (env._seq, (self._wake, (self._sleep_token,))))
+                    env._bucket.append((env._seq, (self._advance, _RESUME)))
                     return
                 raise SimulationError(
                     f"process {self.name!r} yielded an invalid delay: "
@@ -365,7 +299,6 @@ class Process(Event):
                 cbs.append(self._resume)
             else:
                 next_event.callbacks = [cbs, self._resume]
-            self._target = next_event
             return
 
     def __repr__(self) -> str:
@@ -565,38 +498,6 @@ class Environment:
             return self._now
         return self._heap[0][0] if self._heap else float("inf")
 
-    def step(self) -> None:
-        """Process the single next event."""
-        bucket = self._bucket
-        heap = self._heap
-        if bucket and (not heap or heap[0][0] > self._now
-                       or heap[0][1] > bucket[0][0]):
-            _seq, item = bucket.popleft()
-            when = self._now
-        elif heap:
-            when, _seq, item = heapq.heappop(heap)
-        else:
-            raise SimulationError("no more events")
-        Environment.total_events_processed += 1
-        if when > self._now:
-            Environment.total_sim_time += when - self._now
-        self._now = when
-        if item.__class__ is tuple:
-            fn, args = item
-            fn(*args)
-            return
-        callbacks = item.callbacks
-        item.callbacks = None
-        if callbacks is not _NO_CALLBACKS:
-            if callbacks.__class__ is list:
-                for fn in callbacks:
-                    fn(item)
-            else:
-                callbacks(item)
-        if item._ok is False and not item._defused:
-            # An unhandled failure: surface it instead of losing it silently.
-            raise item._value
-
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
 
@@ -619,8 +520,8 @@ class Environment:
             if stop_time == self._now:
                 return None
 
-        # Inlined dispatch loop (same semantics as step()); counters are
-        # accumulated locally and flushed once, including on exceptions.
+        # Inlined dispatch loop; counters are accumulated locally and
+        # flushed once, including on exceptions.
         # Simulated time is flushed as one difference before any
         # ``until=<time>`` jump, which is not simulated work.
         # The now-bucket is merged with the heap by sequence number: bucket

@@ -43,14 +43,15 @@ class Resource:
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def acquire(self) -> Event:
-        """Event that succeeds when a slot is granted.  Pair with release()."""
-        ev = Event(self.env)
+    def try_acquire(self) -> Optional[Event]:
+        """Take a free slot at once and return ``None`` (no event is
+        scheduled); when none is free, queue and return the event that
+        succeeds once a slot is handed over.  Pair with release()."""
         if self._in_use < self.capacity:
             self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
+            return None
+        ev = Event(self.env)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:
@@ -227,17 +228,28 @@ class TokenBucket:
     def available(self) -> int:
         return self._available
 
-    def take(self, amount: int = 1) -> Event:
+    def try_take(self, amount: int = 1) -> Optional[Event]:
+        """Take *amount* tokens at once and return ``None`` (no event is
+        scheduled) when they are available and nobody queues ahead; else
+        queue behind the waiters and return the event that succeeds once
+        the tokens are granted."""
         if amount > self.capacity:
             raise ValueError(
                 f"requested {amount} tokens, bucket holds only {self.capacity}"
             )
-        ev = Event(self.env)
         if self._available >= amount and not self._waiters:
             self._available -= amount
+            return None
+        ev = Event(self.env)
+        self._waiters.append((ev, amount))
+        return ev
+
+    def take(self, amount: int = 1) -> Event:
+        """Event that succeeds once *amount* tokens are granted."""
+        ev = self.try_take(amount)
+        if ev is None:
+            ev = Event(self.env)
             ev.succeed(amount)
-        else:
-            self._waiters.append((ev, amount))
         return ev
 
     def give(self, amount: int = 1) -> None:

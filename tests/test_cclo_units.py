@@ -303,10 +303,13 @@ class TestSelectorUnit:
 
 class TestRendezvousLanding:
     """Cut-through WRITE landings create no event per segment; the drain
-    still completes at the last landing's completion time, bit for bit."""
+    still completes at the last landing's completion time, bit for bit.
+    The ``written`` event exists only when a receive waits for it."""
 
-    @pytest.mark.parametrize("location", ["device", "host"])
-    def test_written_fires_at_latest_landing(self, location):
+    def land(self, location, waiting):
+        """WRITE 1 MiB into a registered target; returns the instants the
+        landing completed at, the latest segment landing and the drain
+        start, and the target entry."""
         from repro.cluster import build_fpga_cluster
         from repro.platform.base import BufferLocation
 
@@ -317,7 +320,7 @@ class TestRendezvousLanding:
         nbytes = 1 * units.MIB
         buf = platform.allocate(nbytes, BufferLocation(location))
         target_id = receiver.register_rndz_target(buf.view(), nbytes)
-        written = receiver._rndz_targets[target_id]["written"]
+        entry = receiver._rndz_targets[target_id]
         calls, landed, fired = [], [], []
         access_delay = platform.device_access_delay
 
@@ -329,9 +332,21 @@ class TestRendezvousLanding:
             return delay
 
         platform.device_access_delay = spy
-        written.add_callback(lambda ev: fired.append(env.now))
-        sender.poe.post_write(receiver.address, nbytes, BufferDescriptor(
-            node_addr=receiver.address, target_id=target_id, nbytes=nbytes))
+        if waiting:
+            # A receive that claims the target before the landing waits.
+            written = receiver.rndz_written(entry)
+            written.add_callback(lambda ev: fired.append(env.now))
+        else:
+            rndz_landed = receiver._rndz_landed
+
+            def landed_spy(*args):
+                fired.append(env.now)
+                rndz_landed(*args)
+            receiver._rndz_landed = landed_spy
+        env.process(sender.poe.transmit(
+            receiver.address, nbytes, BufferDescriptor(
+                node_addr=receiver.address, target_id=target_id,
+                nbytes=nbytes), kind="write"))
         env.run()
         assert len(landed) == nbytes // sender.poe.segment_bytes
         # The drain starts one POE latency after the last segment lands.
@@ -339,7 +354,21 @@ class TestRendezvousLanding:
         # is still landing, so the drain waits for the latest completion.
         drain_at = calls[-1] + receiver.poe.poe_latency
         assert (max(landed) > drain_at) == (location == "host")
-        assert fired == [max(max(landed), drain_at)]
+        # A receive that claims the target after the landing needs no event.
+        assert receiver.rndz_written(entry) is None
+        return fired, max(landed), drain_at, entry
+
+    @pytest.mark.parametrize("location", ["device", "host"])
+    def test_written_fires_at_latest_landing(self, location):
+        fired, last_landing, drain_at, _ = self.land(location, waiting=True)
+        assert fired == [max(last_landing, drain_at)]
+
+    @pytest.mark.parametrize("location", ["device", "host"])
+    def test_unawaited_landing_creates_no_event(self, location):
+        fired, last_landing, drain_at, entry = self.land(location,
+                                                         waiting=False)
+        assert fired == [max(last_landing, drain_at)]
+        assert entry["written"] is None
 
 
 def _timed_legs(cluster, rank):
@@ -490,7 +519,8 @@ class TestDmpRetire:
 
 class TestKernelEventCounts:
     """Exact kernel events of small 2-node collectives: a gate process, an
-    event per memory leg or a drain callback that creeps back shows up
+    event per memory leg or a drain callback, a process per transmit or per
+    firmware instruction, or an event for a credit that fits, shows up
     here as a count change, at unchanged simulated time."""
 
     NBYTES = 64 * units.KIB
@@ -527,12 +557,12 @@ class TestKernelEventCounts:
         return events, elapsed
 
     @pytest.mark.parametrize("opcode, protocol, events, elapsed", [
-        ("sendrecv", "rndz", 65, 1.4284960000000002e-05),
-        ("sendrecv", "eager", 60, 1.613590956521739e-05),
+        ("sendrecv", "rndz", 46, 1.4284960000000002e-05),
+        ("sendrecv", "eager", 48, 1.613590956521739e-05),
         # The root's recv_reduce: a rendezvous WRITE into scratch then a
         # local two-operand fold, or an eager Rx operand folded directly.
-        ("reduce", "rndz", 79, 2.3020959999999996e-05),
-        ("reduce", "eager", 70, 2.050390956521739e-05),
+        ("reduce", "rndz", 58, 2.3020959999999996e-05),
+        ("reduce", "eager", 56, 2.050390956521739e-05),
     ])
     def test_exact_event_count(self, opcode, protocol, events, elapsed):
         assert self.run(opcode, protocol) == (events, elapsed)

@@ -10,7 +10,6 @@ from repro.cluster import build_fpga_cluster
 from repro.errors import CcloError, CollectiveError, ConfigurationError
 from repro.platform.base import BufferLocation
 from repro.sim import Environment, SimulationError, all_of
-from repro.sim.kernel import Interrupt
 from tests.helpers import dev_buffer, empty_dev_buffer, make_cluster
 
 N = 128
@@ -146,26 +145,3 @@ class TestMisuse:
         ok = cluster.engine(0).call(CollectiveArgs(opcode="nop"))
         cluster.env.run(until=ok)
         assert ok.ok
-
-
-class TestInterruptPaths:
-    def test_process_interrupt_models_timer_cancellation(self):
-        env = Environment()
-        outcomes = []
-
-        def retransmit_timer():
-            try:
-                yield env.timeout(1.0)
-                outcomes.append("fired")
-            except Interrupt:
-                outcomes.append("cancelled")
-
-        timer = env.process(retransmit_timer())
-
-        def ack_arrives():
-            yield env.timeout(0.2)
-            timer.interrupt("ack")
-
-        env.process(ack_arrives())
-        env.run()
-        assert outcomes == ["cancelled"]

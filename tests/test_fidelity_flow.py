@@ -325,3 +325,39 @@ class TestLinkBurstPath:
         assert res["j"] is None
         assert len(bursts) == 1 and not segments
         assert bursts[0].spacing == pytest.approx(dur)  # still solid
+
+
+class TestBulkConvoyShare:
+    """Concurrent bulk transmits form a convoy whose ``share`` counts each
+    message from its arrival at the POE.  The Tx FSM wait of a bulk message
+    therefore stays apart from its POE latency: waiting both out in one
+    step would admit the four messages at different shares."""
+
+    def test_four_concurrent_rendezvous_sends(self):
+        from repro.cclo.microcontroller import CollectiveArgs
+        from repro.cluster import build_fpga_cluster
+        from repro.platform.base import BufferLocation
+        from repro.sim import all_of
+
+        size = 256 * units.MIB
+        with fidelity_override("flow"):
+            cluster = build_fpga_cluster(2, protocol="rdma",
+                                         platform="coyote")
+            env = cluster.env
+            events = []
+            for i in range(4):
+                views = [cluster.nodes[r].platform.allocate(
+                    size, BufferLocation.DEVICE).view() for r in (0, 1)]
+                events.append(cluster.engine(1).call(CollectiveArgs(
+                    opcode="recv", nbytes=size, peer=0, tag=i,
+                    rbuf=views[1], protocol="rndz")))
+                events.append(cluster.engine(0).call(CollectiveArgs(
+                    opcode="send", nbytes=size, peer=1, tag=i,
+                    sbuf=views[0], protocol="rndz")))
+            ff0 = Environment.total_events_fast_forwarded
+            env.run(until=all_of(env, events))
+        assert env.now == 0.0871252912
+        assert Environment.total_events_fast_forwarded - ff0 == 226_304
+        assert cluster.engine(0).poe.flow_tx_decisions == {
+            "admit": 4, "window:readmit": 1020}
+        assert cluster.engine(1).poe.flow_tx_decisions == {}

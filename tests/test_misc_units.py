@@ -138,11 +138,6 @@ class TestKernelEdges:
         with pytest.raises(TypeError):
             env.event().fail("not an exception")
 
-    def test_step_on_empty_heap_rejected(self):
-        env = Environment()
-        with pytest.raises(SimulationError):
-            env.step()
-
     def test_callback_after_processed_rejected(self):
         env = Environment()
         ev = env.timeout(0)

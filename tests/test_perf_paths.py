@@ -13,7 +13,7 @@ import pytest
 from repro import units
 from repro.errors import NetworkError
 from repro.network import Link, Segment
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.sim.kernel import SimulationError
 
 
@@ -172,31 +172,6 @@ class TestSleepFastPath:
         env.process(proc())
         with pytest.raises(SimulationError):
             env.run()
-
-    def test_interrupt_during_float_sleep(self):
-        env = Environment()
-        log = []
-
-        def sleeper():
-            try:
-                yield 10.0
-                log.append("overslept")
-            except Interrupt as exc:
-                log.append(("interrupted", env.now, exc.cause))
-                yield 1.0
-                log.append(("resumed", env.now))
-
-        def interrupter(victim):
-            yield 2.0
-            victim.interrupt("wake")
-
-        victim = env.process(sleeper())
-        env.process(interrupter(victim))
-        env.run()
-        # The stale wakeup at t=10 must not resume the process a second
-        # time: it re-slept for 1s after the interrupt, not 8s.
-        assert log == [("interrupted", 2.0, "wake"), ("resumed", 3.0)]
-        assert env.now == pytest.approx(10.0)  # stale token still pops
 
     def test_mixed_float_and_event_yields(self):
         env = Environment()

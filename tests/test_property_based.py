@@ -580,7 +580,7 @@ class TestProtocolProperties:
         got = []
         b.on_message(lambda hdr, data: got.append((hdr.meta, hdr.nbytes)))
         for i, nbytes in enumerate(sizes):
-            a.send_message(1, nbytes, meta=i)
+            env.process(a.transmit(1, nbytes, meta=i))
         env.run()
         assert sorted(got) == list(enumerate(sizes))
 
@@ -600,7 +600,7 @@ class TestProtocolProperties:
         b.set_memory_writer(lambda hdr, data: landed.append(hdr.nbytes))
         a.create_qp(1)
         b.create_qp(0)
-        a.post_write(1, nbytes, remote_descriptor="d")
+        env.process(a.transmit(1, nbytes, meta="d", kind="write"))
         env.run()
         assert landed == [nbytes]
 

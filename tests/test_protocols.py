@@ -8,6 +8,7 @@ from repro.errors import ProtocolError
 from repro.memory import Memory
 from repro.network import StarTopology
 from repro.protocols import RdmaPoe, TcpPoe, UdpPoe
+from repro.protocols.base import DeferredPayload
 from repro.sim import Environment
 
 
@@ -24,7 +25,7 @@ class TestUdp:
         env, a, b = make_pair(UdpPoe)
         got = []
         b.on_message(lambda hdr, data: got.append((env.now, hdr, data)))
-        a.send_message(1, 4096, meta="tag-7")
+        env.process(a.transmit(1, 4096, meta="tag-7"))
         env.run()
         assert len(got) == 1
         _, hdr, _ = got[0]
@@ -37,7 +38,7 @@ class TestUdp:
         got = []
         b.on_message(lambda hdr, data: got.append(data))
         payload = np.arange(16)
-        a.send_message(1, payload.nbytes, data=payload)
+        env.process(a.transmit(1, payload.nbytes, data=payload))
         env.run()
         assert np.array_equal(got[0], payload)
 
@@ -45,7 +46,7 @@ class TestUdp:
         env, a, b = make_pair(UdpPoe)
         got = []
         b.on_message(lambda hdr, data: got.append(hdr))
-        a.send_message(1, 0, meta="barrier")
+        env.process(a.transmit(1, 0, meta="barrier"))
         env.run()
         assert got[0].meta == "barrier"
 
@@ -53,7 +54,7 @@ class TestUdp:
         env, a, b = make_pair(UdpPoe)
         got = []
         b.on_message(lambda hdr, data: got.append(hdr))
-        a.send_message(1, 1 * units.MIB)
+        env.process(a.transmit(1, 1 * units.MIB))
         env.run()
         assert len(got) == 1
         assert b.endpoint.segments_received > 1
@@ -63,7 +64,7 @@ class TestUdp:
         got = []
         b.on_message(lambda hdr, data: got.append(hdr))
         b.set_drop_filter(lambda seg: seg.seqno == 0)
-        a.send_message(1, 1024)
+        env.process(a.transmit(1, 1024))
         env.run()
         assert got == []
         assert b.segments_dropped == 1
@@ -73,13 +74,13 @@ class TestUdp:
         got = []
         b.on_message(lambda hdr, data: got.append(hdr.meta))
         for i in range(5):
-            a.send_message(1, 512, meta=i)
+            env.process(a.transmit(1, 512, meta=i))
         env.run()
         assert got == [0, 1, 2, 3, 4]
 
     def test_no_handler_is_error(self):
         env, a, b = make_pair(UdpPoe)
-        a.send_message(1, 64)
+        env.process(a.transmit(1, 64))
         with pytest.raises(ProtocolError, match="no handler"):
             env.run()
 
@@ -94,7 +95,7 @@ class TestTcp:
             sid = yield a.connect(1)
             b.accept(0)
             assert sid >= 1
-            yield a.send_message(1, 8192, meta="hello")
+            yield from a.transmit(1, 8192, meta="hello")
 
         env.process(client())
         env.run()
@@ -105,7 +106,7 @@ class TestTcp:
         env, a, b = make_pair(TcpPoe)
         b.on_message(lambda hdr, data: None)
         with pytest.raises(ProtocolError, match="session"):
-            a.send_message(1, 100)
+            a.transmit(1, 100)
 
     def test_connect_to_self_rejected(self):
         env, a, _ = make_pair(TcpPoe)
@@ -132,7 +133,7 @@ class TestTcp:
 
         def client():
             yield a.connect(1)
-            yield a.send_message(1, 1 * units.MIB)
+            yield from a.transmit(1, 1 * units.MIB)
 
         env.process(client())
         env.run()
@@ -151,7 +152,7 @@ class TestTcp:
 
         def client():
             yield a.connect(1)
-            yield a.send_message(1, 128 * units.KIB)
+            yield from a.transmit(1, 128 * units.KIB)
 
         env.process(client())
         env.run()
@@ -167,7 +168,7 @@ class TestTcp:
         def client():
             yield a.connect(1)
             start = env.now
-            yield a.send_message(1, size)
+            yield from a.transmit(1, size)
             done["tx"] = env.now - start
 
         env.process(client())
@@ -183,7 +184,7 @@ class TestRdma:
         b.on_message(lambda hdr, data: got.append(hdr))
         a.create_qp(1)
         b.create_qp(0)
-        a.post_send(1, 4096, meta="rndz-init")
+        env.process(a.transmit(1, 4096, meta="rndz-init"))
         env.run()
         assert got[0].meta == "rndz-init"
         assert got[0].kind == "send"
@@ -191,7 +192,7 @@ class TestRdma:
     def test_send_without_qp_rejected(self):
         env, a, b = make_pair(RdmaPoe)
         with pytest.raises(ProtocolError, match="queue pair"):
-            a.post_send(1, 100)
+            a.transmit(1, 100)
 
     def test_qp_to_self_rejected(self):
         env, a, _ = make_pair(RdmaPoe)
@@ -209,8 +210,8 @@ class TestRdma:
         a.create_qp(1)
         b.create_qp(0)
         payload = np.ones(1024)
-        a.post_write(1, payload.nbytes, remote_descriptor="vaddr:0x1000",
-                     data=payload)
+        env.process(a.transmit(1, payload.nbytes, meta="vaddr:0x1000",
+                               data=payload, kind="write"))
         env.run()
         assert handler_msgs == []
         assert len(writes) == 1
@@ -225,7 +226,7 @@ class TestRdma:
         b.on_message(lambda hdr, data: None)
         a.create_qp(1)
         b.create_qp(0)
-        a.post_write(1, 64, remote_descriptor=None)
+        env.process(a.transmit(1, 64, meta=None, kind="write"))
         with pytest.raises(ProtocolError, match="memory writer"):
             env.run()
 
@@ -235,7 +236,7 @@ class TestRdma:
         b.on_message(lambda hdr, data: got.append(env.now))
         a.create_qp(1)
         b.create_qp(0)
-        a.post_send(1, 2 * units.MIB)
+        env.process(a.transmit(1, 2 * units.MIB))
         env.run()
         assert len(got) == 1
 
@@ -249,8 +250,9 @@ class TestRdma:
         b.create_qp(0)
 
         def sender():
-            yield a.post_write(1, 256 * units.KIB, remote_descriptor="buf")
-            yield a.post_send(1, 64, meta="RNDZ_DONE")
+            yield from a.transmit(1, 256 * units.KIB, meta="buf",
+                                  kind="write")
+            yield from a.transmit(1, 64, meta="RNDZ_DONE")
 
         env.process(sender())
         env.run()
@@ -271,7 +273,113 @@ class TestRdma:
         a.create_qp(1)
         b.create_qp(0)
         size = 16 * units.MIB
-        a.post_send(1, size)
+        env.process(a.transmit(1, size))
         env.run()
         goodput = units.to_gbps(size / done["t"])
         assert goodput > 90  # 4 KiB MTU: tiny header tax
+
+
+class TestTransmit:
+    """``transmit`` is the one transmit form: a generator a process runs
+    with ``yield from``; argument errors raise at the call."""
+
+    def _nothing_scheduled(self, env, poe):
+        return not env._heap and not env._bucket and poe.messages_sent == 0
+
+    @pytest.mark.parametrize("poe_cls", [UdpPoe, TcpPoe, RdmaPoe])
+    def test_negative_size_raises_at_the_call(self, poe_cls):
+        env, a, b = make_pair(poe_cls)
+        if poe_cls is TcpPoe:
+            a.accept(1)
+        elif poe_cls is RdmaPoe:
+            a.create_qp(1)
+        with pytest.raises(ProtocolError, match="negative"):
+            a.transmit(1, -1)
+        assert self._nothing_scheduled(env, a)
+
+    def test_tcp_without_session_raises_at_the_call(self):
+        env, a, b = make_pair(TcpPoe)
+        with pytest.raises(ProtocolError, match="session"):
+            a.transmit(1, 64)
+        assert self._nothing_scheduled(env, a)
+
+    def test_returns_header_at_local_completion(self):
+        env, a, b = make_pair(UdpPoe)
+        b.on_message(lambda hdr, data: None)
+        done = []
+
+        def sender():
+            header = yield from a.transmit(1, 4096, meta="m")
+            done.append(header)
+
+        env.process(sender())
+        env.run()
+        assert done[0].meta == "m" and done[0].nbytes == 4096
+
+    @pytest.mark.parametrize("kind", ["send", "datagram", "ack"])
+    def test_rdma_kinds_other_than_write_are_sends(self, kind):
+        env, a, b = make_pair(RdmaPoe)
+        got, writes = [], []
+        b.on_message(lambda hdr, data: got.append(hdr))
+        b.set_memory_writer(lambda hdr, data: writes.append(hdr))
+        a.create_qp(1)
+        b.create_qp(0)
+        env.process(a.transmit(1, 128, meta="x", kind=kind))
+        env.run()
+        assert [h.kind for h in got] == ["send"] and writes == []
+
+    def test_rdma_write_lands_through_memory_writer(self):
+        env, a, b = make_pair(RdmaPoe)
+        got, writes = [], []
+        b.on_message(lambda hdr, data: got.append(hdr))
+        b.set_memory_writer(lambda hdr, data: writes.append((hdr, data)))
+        a.create_qp(1)
+        b.create_qp(0)
+        env.process(a.transmit(1, 128, meta="desc", data="payload",
+                               kind="write"))
+        env.run()
+        assert got == []
+        (hdr, data), = writes
+        assert (hdr.kind, hdr.meta, data) == ("write", "desc", "payload")
+
+
+class TestDeferredPayload:
+    """A cut-through send's payload resolves at POE delivery, not when the
+    last byte arrives and not after the consumer's front-end latency (the
+    one wait that merges the two skips deferred payloads)."""
+
+    LATENCY = units.ns(40)
+
+    def deliver(self, data, set_at=None):
+        env, a, b = make_pair(UdpPoe)
+        got = []
+        b.on_message(lambda hdr, d: got.append((env.now, d)),
+                     latency=self.LATENCY)
+        if set_at is not None:
+            env.schedule_callback_at(set_at, data.set, "filled")
+        env.process(a.transmit(1, 4096, data=data))
+        env.run()
+        return got
+
+    def handled_at(self):
+        # The handler runs one front-end latency after the POE delivery.
+        (t, data), = self.deliver("plain")
+        assert data == "plain"
+        return t
+
+    def test_set_before_delivery_arrives_intact(self):
+        handled = self.handled_at()
+        delivered = handled - self.LATENCY
+        got = self.deliver(DeferredPayload(),
+                           set_at=delivered - units.ns(1))
+        assert got == [(handled, "filled")]
+
+    def test_unset_at_delivery_raises(self):
+        with pytest.raises(ProtocolError, match="deferred payload"):
+            self.deliver(DeferredPayload())
+
+    def test_set_after_delivery_raises_before_the_handler_runs(self):
+        delivered = self.handled_at() - self.LATENCY
+        with pytest.raises(ProtocolError, match="deferred payload"):
+            self.deliver(DeferredPayload(),
+                         set_at=delivered + self.LATENCY / 2)

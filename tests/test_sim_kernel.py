@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     Environment,
     Event,
-    Interrupt,
     SimulationError,
     all_of,
     any_of,
@@ -198,41 +197,6 @@ def test_yield_non_event_rejected():
     env.process(bad())
     with pytest.raises(SimulationError, match="non-event"):
         env.run()
-
-
-def test_interrupt_wakes_process():
-    env = Environment()
-    seen = {}
-
-    def sleeper():
-        try:
-            yield env.timeout(100)
-        except Interrupt as intr:
-            seen["cause"] = intr.cause
-            seen["time"] = env.now
-
-    p = env.process(sleeper())
-
-    def interrupter():
-        yield env.timeout(2)
-        p.interrupt(cause="retransmit-timer")
-
-    env.process(interrupter())
-    env.run()
-    assert seen["cause"] == "retransmit-timer"
-    assert seen["time"] == pytest.approx(2)
-
-
-def test_interrupt_dead_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
 
 
 def test_all_of_waits_for_every_event():
@@ -456,75 +420,8 @@ def test_many_processes_scale():
 
 
 # ---------------------------------------------------------------------------
-# edge cases: interrupt timing, failed condition children, instrumentation
+# edge cases: failed condition children, instrumentation
 # ---------------------------------------------------------------------------
-
-def test_interrupt_process_whose_target_triggered_but_not_processed():
-    """Interrupt racing the target event at the same timestamp.
-
-    The interrupter's timeout pops first, so at interrupt time the waiter's
-    own timeout has *triggered* (it sits in the heap) but its callbacks
-    have not run.  The interrupt must still win: the waiter sees the
-    Interrupt, never the timeout completion.
-    """
-    env = Environment()
-    log = []
-    holder = {}
-
-    def interrupter():
-        yield env.timeout(1.0)
-        target = holder["p"]._target
-        assert target.triggered and not target.processed
-        holder["p"].interrupt("late")
-
-    env.process(interrupter())  # started first => pops first at t=1.0
-
-    def waiter():
-        try:
-            yield env.timeout(1.0)
-            log.append("completed")
-        except Interrupt as intr:
-            log.append(("interrupted", intr.cause))
-
-    holder["p"] = env.process(waiter())
-    env.run()
-    assert log == [("interrupted", "late")]
-
-
-def test_interrupted_process_can_keep_running():
-    env = Environment()
-    log = []
-
-    def waiter():
-        try:
-            yield env.timeout(10.0)
-        except Interrupt:
-            pass
-        yield env.timeout(1.0)  # life goes on after the interrupt
-        log.append(env.now)
-
-    p = env.process(waiter())
-
-    def interrupter():
-        yield env.timeout(2.0)
-        p.interrupt()
-
-    env.process(interrupter())
-    env.run()
-    assert log == [pytest.approx(3.0)]
-
-
-def test_interrupt_terminated_process_rejected():
-    env = Environment()
-
-    def quick():
-        yield env.timeout(1.0)
-
-    p = env.process(quick())
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
 
 @pytest.mark.parametrize("combinator", [any_of, all_of])
 def test_condition_with_already_failed_child_raises_in_waiter(combinator):

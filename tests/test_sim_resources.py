@@ -15,7 +15,9 @@ def test_resource_grants_up_to_capacity():
     granted = []
 
     def worker(tag, hold):
-        yield res.acquire()
+        gate = res.try_acquire()
+        if gate is not None:
+            yield gate
         granted.append((tag, env.now))
         yield env.timeout(hold)
         res.release()
@@ -40,9 +42,9 @@ def test_resource_release_idle_rejected():
 def test_resource_queue_length():
     env = Environment()
     res = Resource(env, capacity=1)
-    res.acquire()
-    res.acquire()
-    res.acquire()
+    res.try_acquire()
+    res.try_acquire()
+    res.try_acquire()
     assert res.in_use == 1
     assert res.queue_length == 2
 
@@ -348,3 +350,53 @@ def test_token_bucket_take_queues_behind_existing_waiters():
     env.process(giver())
     env.run()
     assert order == ["first", "second"]
+
+
+def _schedule_state(env):
+    return list(env._heap), list(env._bucket), env._seq
+
+
+def test_try_acquire_free_slot_schedules_nothing():
+    env = Environment()
+    res = Resource(env, capacity=2)
+    before = _schedule_state(env)
+    assert res.try_acquire() is None
+    assert res.try_acquire() is None
+    assert _schedule_state(env) == before
+    assert res.in_use == 2
+
+
+def test_try_acquire_queues_when_full_and_release_hands_over():
+    env = Environment()
+    res = Resource(env, capacity=1)
+    assert res.try_acquire() is None
+    gate = res.try_acquire()
+    assert gate is not None and not gate.triggered
+    # A later request queues behind the waiter, even once one slot frees.
+    later = res.try_acquire()
+    assert res.queue_length == 2
+    res.release()
+    assert gate.triggered and not later.triggered
+    assert res.in_use == 1 and res.queue_length == 1
+
+
+def test_try_take_affordable_request_schedules_nothing():
+    env = Environment()
+    bucket = TokenBucket(env, 10)
+    before = _schedule_state(env)
+    assert bucket.try_take(4) is None
+    assert bucket.try_take(6) is None
+    assert _schedule_state(env) == before
+    assert bucket.available == 0
+
+
+def test_try_take_queues_behind_a_waiter_even_when_affordable():
+    env = Environment()
+    bucket = TokenBucket(env, 10, initial=3)
+    head = bucket.try_take(5)  # unaffordable: queues
+    assert head is not None
+    small = bucket.try_take(1)  # affordable, but someone waits
+    assert small is not None and bucket.available == 3
+    bucket.give(3)  # 6 available: the head is served first, then the small
+    assert head.triggered and small.triggered
+    assert bucket.available == 0
