@@ -8,9 +8,9 @@ The simulator supports two network fidelity levels, selected per topology:
 - ``"flow"`` — a multi-segment message on an *uncongested* path is modeled
   as one analytic serialization+propagation interval per hop (a
   :class:`~repro.network.packet.Burst`), falling back to packet-level
-  per-segment behavior automatically wherever a link is busy.  Validated
-  against packet mode per artifact by ``python -m repro.bench
-  validate-fidelity``.
+  per-segment behavior automatically wherever other traffic contends for
+  a link.  Validated against packet mode per artifact by ``python -m
+  repro.bench validate-fidelity``.
 
 The process-wide default comes from the ``REPRO_FIDELITY`` environment
 variable so that benchmark pool workers and subprocesses inherit the mode
@@ -39,7 +39,6 @@ ENV_VAR = "REPRO_FIDELITY"
 #: log and the Chrome trace surface.  All counts stay zero in packet mode.
 LINK_FLOW_DECISIONS = (
     "burst:carry",           # solo analytic train carried (closed form)
-    "burst:decline:busy",    # first hop declined: serializer busy
     "burst:decline:unwired", # first hop declined: no burst sink
     "burst:expand:busy",     # downstream hop expanded: foreign occupancy
     "burst:expand:convoy",   # convoy path declined -> per-segment expansion
@@ -67,7 +66,7 @@ POE_FLOW_DECISIONS = (
     "reject:packet_sibling",    # a sibling bulk tx runs the packet loop
     "reject:flow_control",      # credit/window state could stall mid-train
     "window:readmit",           # sub-burst window re-admitted mid-message
-    "fallback:link_declined",   # first hop declined the burst (with cause)
+    "fallback:link_declined",   # first hop declined: convoy mismatch/unwired
     "fallback:packet_sibling",  # packet-loop sibling appeared mid-message
     "fallback:flow_control",    # flow-control state soured mid-message
 )

@@ -65,10 +65,10 @@ class Link:
         self._burst_sink: Optional[Callable[[Burst], None]] = None
         self._burst_at_tail = False
         # Message descriptor (segment/burst ``meta``) of the traffic that
-        # last occupied the serializer.  A busy serializer normally forces
-        # burst expansion, but when the only occupancy ahead is this same
-        # message's own tail (a sub-burst train), FIFO continuation is
-        # exact and the analytic path stays valid.
+        # last occupied the serializer.  A busy downstream serializer
+        # normally forces burst expansion, but when the only occupancy ahead
+        # is this same message's own tail (a sub-burst train), FIFO
+        # continuation is exact and the analytic path stays valid.
         self._last_owner: Any = None
         # Timing grid of the analytic train(s) currently occupying the
         # serializer — (f_head, step, f_pen, start_last, f_last) — kept so
@@ -168,21 +168,6 @@ class Link:
         self._burst_sink = sink
         self._burst_at_tail = at_tail
 
-    def can_fast_forward(self, owner: Any = None) -> bool:
-        """True when a burst submitted *now* would take the analytic path:
-        a burst-aware sink is wired and the serializer is idle — or busy
-        only with *owner*'s own earlier sub-bursts (queued contenders force
-        packet-level fidelity)."""
-        if self._burst_sink is None:
-            return False
-        if self._pipe._free_at <= self.env._now or (
-                owner is not None and self._last_owner is owner):
-            return True
-        convoy = self._convoy
-        return (convoy is not None and self.env._now < convoy["tail"]
-                and (id(owner) in convoy["members"]
-                     or len(convoy["members"]) < convoy["share"]))
-
     @property
     def bytes_carried(self) -> int:
         return self._pipe.bytes_moved
@@ -208,12 +193,16 @@ class Link:
             )
         env = self.env
         pipe = self._pipe
-        if (self._train is not None and segment.n_frames == 1
-                and pipe._free_at > env._now
-                and pipe._free_at == self._train_tail):
-            egress_done = self._interleave(segment)
-            if egress_done >= 0.0:
-                return egress_done
+        if self._train is not None:
+            if (segment.n_frames == 1 and pipe._free_at > env._now
+                    and pipe._free_at == self._train_tail):
+                egress_done = self._interleave(segment)
+                if egress_done >= 0.0:
+                    return egress_done
+            if self._intr_free > pipe._free_at:
+                # A control frame slotted at the train's tail is still
+                # ahead of this segment: queue behind it, as FIFO would.
+                pipe._free_at = self._intr_free
         tracer = self._span_tracer
         if tracer is not None:
             queued_until = self._pipe.busy_until()
@@ -354,8 +343,7 @@ class Link:
         the instant the packet-level transmit loop hands off the last
         segment, which is what the first-hop sender paces to.  (After an
         expansion the return value is meaningless; first-hop senders go
-        through :meth:`try_send_burst`, which declines instead of
-        expanding, so only downstream hops ever expand here.)
+        through :meth:`try_send_burst`, which never expands.)
         """
         if burst.segment_bytes > self.MAX_SEGMENT_BYTES:
             raise NetworkError(
@@ -391,20 +379,26 @@ class Link:
     def try_send_burst(self, burst: Burst) -> Optional[float]:
         """First-hop entry: carry *burst* analytically or decline.
 
-        Unlike :meth:`send_burst` this never expands — a declined burst has
-        no side effects, letting the transmitting POE fall back to its
-        per-segment loop (which paces and interleaves correctly, where an
-        expansion at the first hop would dump the whole train into the
-        FIFO at once)."""
+        A busy serializer is no reason to decline here.  An uplink carries
+        only its own endpoint's traffic, and the POE keeps packet-loop bulk
+        siblings and concurrent bulk transmits (convoys) off this path, so
+        the backlog ahead of a single burst is the previous transmit's last
+        segment plus single-frame control segments: the train starts behind
+        it, where packet FIFO starts its first segment.  Downstream hops
+        (:meth:`send_burst`) still expand on foreign occupancy, because
+        in-cast traffic can arrive there mid-train.
+
+        Declines (``None``) only on a missing burst sink or a convoy
+        mismatch.  A declined burst has no side effects, and unlike
+        :meth:`send_burst` this never expands: the POE falls back to its
+        per-segment loop, which paces and interleaves correctly, where an
+        expansion at the first hop would dump the whole train into the FIFO
+        at once."""
         if self._burst_sink is None:
             self._flow_decision("burst:decline:unwired", burst)
             return None
         if burst.share > 1:
             return self._convoy_send(burst)
-        if (self._pipe._free_at > burst.head_at
-                and self._last_owner is not burst.meta):
-            self._flow_decision("burst:decline:busy", burst)
-            return None
         return self._single_burst(burst)
 
     def _deliver_burst(self, burst: Burst) -> None:
@@ -454,9 +448,12 @@ class Link:
         self._flow_decision("burst:carry", burst)
         pipe = self._pipe
         head_at = burst.head_at
-        # Serialization of the head starts when it has both arrived and the
-        # tail of this message's previous sub-burst has drained.
+        # Serialization of the head starts when it has arrived, the
+        # reserved tail has drained and any control frame slotted at that
+        # tail has left: where packet FIFO starts its first segment.
         base = head_at if head_at >= pipe._free_at else pipe._free_at
+        if self._intr_free > base:
+            base = self._intr_free
         n = burst.n_segments
         rate = pipe.rate
         dur_full = pipe.overhead + burst.wire_full / rate

@@ -11,8 +11,8 @@ Three instrument kinds cover everything the simulator counts today:
   ``pipe.utilization()``) register as callback gauges without changing
   their hot paths at all.
 - :class:`Histogram` — distribution of observations with linear-interpolated
-  percentiles (the same math as :class:`repro.sim.monitor.Monitor`) and
-  sim-time-windowed observation rates.
+  percentiles (:func:`percentile_of`) and sim-time-windowed observation
+  rates.
 
 A :class:`MetricsRegistry` keys instruments by ``(name, labels)`` and
 supports :meth:`~MetricsRegistry.snapshot` (a plain picklable dict) and
@@ -28,9 +28,8 @@ instrument method degenerates to ``pass``.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from repro.sim.monitor import percentile_of
+import math
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -45,6 +44,28 @@ def _key_str(key: LabelKey) -> str:
         return name
     inner = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{inner}}}"
+
+
+def percentile_of(values: Sequence[float], pct: float) -> float:
+    """Linear-interpolated percentile of *values*, ``pct`` in [0, 100]."""
+    if not values:
+        raise ValueError("percentile of an empty sample")
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError(f"percentile must be in [0, 100], got {pct}")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = pct / 100.0 * (len(ordered) - 1)
+    lo = int(math.floor(rank))
+    hi = int(math.ceil(rank))
+    if lo == hi or ordered[lo] == ordered[hi]:
+        return ordered[lo]
+    frac = rank - lo
+    # Clamp to the bracketing samples: the products can round outside
+    # [lo, hi] for subnormal values (e.g. 5e-324 * 0.5 underflows to 0),
+    # which would break percentile monotonicity.
+    val = ordered[lo] * (1 - frac) + ordered[hi] * frac
+    return min(max(val, ordered[lo]), ordered[hi])
 
 
 class Counter:

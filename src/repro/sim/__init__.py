@@ -8,11 +8,10 @@ Public surface:
 
 - :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`
   -- the kernel (:mod:`repro.sim.kernel`).
-- :func:`all_of`, :func:`any_of` -- event combinators.
+- :func:`all_of` -- event combinator.
 - :class:`Channel` -- latency-insensitive FIFO stream (AXI-Stream analogue).
 - :class:`BandwidthResource` -- serializing byte-pipe (link/memory-port model).
 - :class:`Resource` -- counted resource with FIFO queueing.
-- :class:`Monitor` -- time-series sample recorder with summary statistics.
 """
 
 from repro.sim.kernel import (
@@ -22,11 +21,9 @@ from repro.sim.kernel import (
     SimulationError,
     Timeout,
     all_of,
-    any_of,
 )
 from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.resources import BandwidthResource, Resource
-from repro.sim.monitor import Monitor
 
 __all__ = [
     "Environment",
@@ -35,10 +32,8 @@ __all__ = [
     "Process",
     "SimulationError",
     "all_of",
-    "any_of",
     "Channel",
     "ChannelClosed",
     "BandwidthResource",
     "Resource",
-    "Monitor",
 ]

@@ -8,7 +8,7 @@ and trimmed to what the ACCL+ simulation needs:
 - :class:`Event` objects with success/failure values and callback lists;
 - :class:`Process` coroutines that suspend on yielded events or plain
   float delays;
-- ``all_of`` / ``any_of`` combinators for barrier-style joins.
+- the ``all_of`` combinator for barrier-style joins.
 
 Time is a ``float`` in **seconds**; components express their own constants in
 ns/us via the helpers in :mod:`repro.units`.
@@ -305,8 +305,9 @@ class Process(Event):
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
 
 
-class Condition(Event):
-    """Base for ``all_of`` / ``any_of``: triggers from a set of child events."""
+class AllOf(Event):
+    """Succeeds once every child event has succeeded; fails with the first
+    child failure."""
 
     __slots__ = ("_events", "_count")
 
@@ -324,20 +325,6 @@ class Condition(Event):
                 ev.add_callback(self._check)
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _results(self) -> dict:
-        return {
-            i: ev._value
-            for i, ev in enumerate(self._events)
-            if ev.triggered
-        }
-
-
-class AllOf(Condition):
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self.triggered:
             return
         if not event._ok:
@@ -346,30 +333,12 @@ class AllOf(Condition):
             return
         self._count += 1
         if self._count == len(self._events):
-            self.succeed(self._results())
-
-
-class AnyOf(Condition):
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self.succeed(self._results())
+            self.succeed({i: ev._value for i, ev in enumerate(self._events)})
 
 
 def all_of(env: "Environment", events: Iterable[Event]) -> Event:
     """Event that succeeds once every event in *events* has succeeded."""
     return AllOf(env, events)
-
-
-def any_of(env: "Environment", events: Iterable[Event]) -> Event:
-    """Event that succeeds once any event in *events* has succeeded."""
-    return AnyOf(env, events)
 
 
 class Environment:

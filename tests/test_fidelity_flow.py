@@ -131,6 +131,47 @@ class TestKernelEquivalence:
         assert packet == flow
         assert forwarded == 0
 
+    @pytest.mark.parametrize("opcode,algorithm,admitted", [
+        ("bcast", None, 15),
+        ("allreduce", "reduce_bcast", 30),
+    ])
+    def test_tree_sends_stay_analytic(self, opcode, algorithm, admitted):
+        # Inner tree nodes send one 16 MiB block after another, so each
+        # send after a node's first finds its uplink still serializing the
+        # previous block's last segment.  The uplink admits the burst
+        # behind that backlog: no message falls back to packets.
+        from repro.bench.harness import scale_topology_factory
+        from repro.cluster import build_fpga_cluster
+
+        factory = scale_topology_factory("fattree", 16)
+        clusters = []
+
+        def fat_tree_cluster(n, **kw):
+            clusters.append(build_fpga_cluster(
+                n, topology_factory=factory, peering="lazy", **kw))
+            return clusters[-1]
+
+        def run():
+            e0 = Environment.total_events_processed
+            elapsed = accl_collective_time(
+                opcode, 16 * units.MIB, n_nodes=16, sync_protocol="rndz",
+                algorithm=algorithm, cluster_builder=fat_tree_cluster)
+            return elapsed, Environment.total_events_processed - e0
+
+        with fidelity_override("packet"):
+            packet, packet_events = run()
+        with fidelity_override("flow"):
+            flow, flow_events = run()
+        decisions = {}
+        for rank in range(16):
+            poe = clusters[-1].engine(rank).poe
+            for reason, count in poe.flow_tx_decisions.items():
+                decisions[reason] = decisions.get(reason, 0) + count
+        assert "fallback:link_declined" not in decisions
+        assert decisions["admit"] == admitted
+        assert _rel(packet, flow) < 1e-9
+        assert flow_events <= packet_events / 10
+
     def test_flow_reduces_heap_events(self):
         # One uncontended 16 MiB transfer: the segment train collapses to
         # a handful of burst events per hop (~30x fewer heap pops).  With
@@ -183,11 +224,89 @@ class TestLinkBurstPath:
         env, link, segments, bursts = self._flow_link()
         owner = object()
         link.send_burst(_burst(env, meta=owner))
-        assert link.can_fast_forward(owner)        # own tail: continue
-        assert not link.can_fast_forward(object())  # stranger: expand
         link.send_burst(_burst(env, meta=owner, seq_base=8))
         env.run()
         assert len(bursts) == 2 and not segments
+
+    def test_first_hop_admits_behind_its_own_backlog(self):
+        # Message A is handed off, a control frame sent 300 ns later slots
+        # at A's tail, and message B's opening burst is offered behind
+        # both.  The uplink carries B analytically, starting where packet
+        # FIFO starts B's first segment: after A's last segment and the
+        # control frame.
+        seg = 32 * units.KIB
+        gap = units.ns(300)
+        env, link, segments, bursts = self._flow_link()
+        handoffs = []
+
+        def sender():
+            handoff = link.try_send_burst(_burst(env, meta="A"))
+            yield handoff - env.now
+            yield gap
+            link.send(Segment(0, 1, payload_bytes=16, meta="control"))
+            handoffs.append(link.try_send_burst(_burst(env, meta="B")))
+
+        env.process(sender())
+        env.run()
+        assert handoffs[0] is not None
+        assert [b.meta for b in bursts] == ["A", "B"]
+        flow_done = bursts[-1].last_at
+
+        env2 = Environment()
+        link2 = Link(env2, rate=units.gbps(100), latency=units.us(1))
+        arrivals = []
+        link2.connect(lambda s: arrivals.append((env2.now, s.meta)))
+
+        def paced(meta):
+            for i in range(8):
+                done = link2.send(Segment(0, 1, payload_bytes=seg, meta=meta))
+                if i < 7:
+                    yield done - env2.now
+
+        def replay():
+            yield from paced("A")
+            yield gap
+            link2.send(Segment(0, 1, payload_bytes=16, meta="control"))
+            yield from paced("B")
+
+        env2.process(replay())
+        env2.run()
+        assert [m for _, m in arrivals[7:10]] == ["A", "control", "B"]
+        assert flow_done == arrivals[-1][0] == 44.582240000000004e-6
+
+    def test_continuation_queues_behind_a_tail_control(self):
+        # A control frame sent at a sub-burst's handoff slots at its tail;
+        # the message's next sub-burst, offered at that instant, starts
+        # behind it, as the packet loop's next segment would.
+        seg = 32 * units.KIB
+        env, link, segments, bursts = self._flow_link()
+
+        def sender():
+            handoff = link.try_send_burst(_burst(env, meta="A"))
+            yield env.timeout_at(handoff)
+            link.send(Segment(0, 1, payload_bytes=16, meta="control"))
+            link.try_send_burst(_burst(env, meta="A", seq_base=8))
+
+        env.process(sender())
+        env.run()
+
+        env2 = Environment()
+        link2 = Link(env2, rate=units.gbps(100), latency=units.us(1))
+        arrivals = []
+        link2.connect(lambda s: arrivals.append(env2.now))
+
+        def replay():
+            for i in range(16):
+                done = link2.send(Segment(0, 1, payload_bytes=seg))
+                if i == 7:
+                    link2.send(Segment(0, 1, payload_bytes=16))
+                if i < 15:
+                    yield done - env2.now
+
+        env2.process(replay())
+        env2.run()
+        assert len(bursts) == 2
+        assert bursts[-1].last_at == arrivals[-1] == 44.582240000000004e-6
 
     def test_sub_burst_continuation_matches_packet_timing(self):
         # One 16-segment message as 2 sub-bursts vs 16 paced segments:

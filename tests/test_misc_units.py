@@ -16,7 +16,7 @@ from repro.driver.request import CclRequest
 from repro.cclo.config_mem import CommunicatorConfig
 from repro.errors import NetworkError
 from repro.network import StarTopology
-from repro.sim import Environment, Event, any_of
+from repro.sim import Environment, Event
 from repro.sim.kernel import SimulationError
 
 
@@ -108,23 +108,6 @@ class TestEndpointEdges:
 
 
 class TestKernelEdges:
-    def test_any_of_propagates_failure(self):
-        env = Environment()
-        good = env.timeout(5)
-        bad = env.event()
-        caught = {}
-
-        def waiter():
-            try:
-                yield any_of(env, [good, bad])
-            except ValueError as exc:
-                caught["exc"] = exc
-
-        env.process(waiter())
-        bad.fail(ValueError("poisoned"))
-        env.run()
-        assert str(caught["exc"]) == "poisoned"
-
     def test_event_value_before_trigger_rejected(self):
         env = Environment()
         ev = env.event()

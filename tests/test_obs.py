@@ -23,7 +23,7 @@ from repro.obs import (
 from repro.obs import runtime as obs_runtime
 from repro.bench.artifacts import SCENARIOS
 from repro.obs.capture import trace_artifact
-from repro.sim.monitor import percentile_of
+from repro.obs.metrics import percentile_of
 from tests.helpers import make_cluster
 
 
@@ -65,12 +65,22 @@ class TestMetrics:
         values = [float(v) for v in range(1, 101)]
         for v in values:
             h.observe(v)
-        for pct in (50, 90, 99):
-            assert h.percentile(pct) == pytest.approx(
-                percentile_of(values, pct))
+        for pct, expected in ((50, 50.5), (90, 90.1), (99, 99.01)):
+            assert h.percentile(pct) == pytest.approx(expected)
         s = h.summary()
         assert s["count"] == 100 and s["min"] == 1.0 and s["max"] == 100.0
         assert s["mean"] == pytest.approx(50.5)
+
+    def test_percentile_of_interpolates_and_rejects_bad_input(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert percentile_of(values, 50) == pytest.approx(2.5)
+        assert percentile_of(values, 0) == 1.0
+        assert percentile_of(values, 100) == 4.0
+        assert percentile_of([7.0], 99) == 7.0
+        with pytest.raises(ValueError):
+            percentile_of([], 50)
+        with pytest.raises(ValueError):
+            percentile_of(values, 101)
 
     def test_histogram_windowed_rate(self):
         h = Histogram("lat")

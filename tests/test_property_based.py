@@ -10,7 +10,8 @@ from repro.cclo.match import MatchTable
 from repro.collectives.util import block_ranges
 from repro.network import Link, Switch
 from repro.network.packet import ETHERNET_HEADER_BYTES, Burst, Segment
-from repro.sim import BandwidthResource, Environment, Monitor
+from repro.obs import Histogram
+from repro.sim import BandwidthResource, Environment
 from repro.sim.resources import TokenBucket
 
 fast = settings(max_examples=60, deadline=None,
@@ -224,17 +225,17 @@ class TestMonitorProperties:
     @fast
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
     def test_percentiles_bounded_and_monotone(self, values):
-        mon = Monitor()
+        hist = Histogram("samples")
         for i, v in enumerate(values):
-            mon.record(float(i), v)
-        p0, p50, p100 = (mon.percentile(p) for p in (0, 50, 100))
+            hist.observe(v, t=float(i))
+        p0, p50, p100 = (hist.percentile(p) for p in (0, 50, 100))
         assert p0 == min(values)
         assert p100 == max(values)
         assert p0 <= p50 <= p100
         # The mean may fall a rounding ulp outside [min, max] (summation
         # error); assert containment up to float tolerance.
         eps = 1e-9 * max(1.0, abs(p100), abs(p0))
-        assert min(values) - eps <= mon.mean() <= max(values) + eps
+        assert min(values) - eps <= hist.mean() <= max(values) + eps
 
 
 class TestUnitsProperties:
@@ -558,6 +559,93 @@ class TestLinkFifoProperties:
             assert arrived[key] >= latest, key
             latest = arrived[key]
         assert link.bytes_carried == submitted
+
+
+#: One message per entry: (segments, gap before it in segment times,
+#: control frames sent inside that gap as fractions of it).
+_b2b_messages = st.lists(
+    st.tuples(st.integers(2, 40), st.floats(0.0, 3.0),
+              st.lists(st.floats(0.0, 1.0), max_size=2)),
+    min_size=2, max_size=5)
+
+#: The first control slots at A's tail; the second is sent just after A's
+#: last segment leaves, while the first is still on the wire.
+_CONTROL_BEHIND_CONTROL = [(8, 0.0, []), (8, 1.001, [0.0, 1.0])]
+#: A control sent at the 29-segment message's handoff, where a relative
+#: sleep to that handoff wakes an ulp early.
+_CONTROL_AT_HANDOFF = [(8, 3.0, []), (29, 2.625, []), (2, 0.0, [0.0])]
+
+
+def _b2b_run(messages, flow):
+    """Send *messages* one after another through one 100 Gb/s link: as
+    sub-bursts of at most 33 segments offered at each handoff (``flow``,
+    as the POE does) or as paced segments.  Returns the delivery time of
+    each message's last segment and of each control frame, by key."""
+    env = Environment()
+    link = Link(env, rate=units.gbps(100), latency=units.us(1))
+    done = {}
+    link.connect(lambda s: done.__setitem__(s.meta, env.now))
+    link.connect_burst(lambda b: done.__setitem__(b.meta, env.now),
+                       at_tail=True)
+    seg_time = Segment(0, 1, _FIFO_SEG).wire_bytes / link.rate
+
+    def sender():
+        for i, (n, gap, controls) in enumerate(messages):
+            t0 = env.now
+            for k, frac in enumerate(sorted(controls)):
+                at = t0 + frac * gap * seg_time
+                if at > env.now:
+                    yield at - env.now
+                link.send(Segment(0, 1, 16, meta=("control", i, k)))
+            at = t0 + gap * seg_time
+            if at > env.now:
+                yield at - env.now
+            sent = 0
+            while sent < n:
+                k = n - sent if n - sent <= 33 else 32
+                if flow:
+                    handoff = link.try_send_burst(Burst(
+                        src=0, dst=1, payload_bytes=k * _FIFO_SEG,
+                        n_segments=k, segment_bytes=_FIFO_SEG,
+                        last_bytes=_FIFO_SEG, meta=("message", i),
+                        head_at=env.now, spacing=0.0, last_at=env.now,
+                        seq_base=sent))
+                    assert handoff is not None
+                    # Wake at exactly the handoff.  The link orders a
+                    # control against the train by time, and a relative
+                    # sleep can wake an ulp early, ahead of the last
+                    # segment; the packet loop orders by call instead.
+                    yield env.timeout_at(handoff)
+                else:
+                    for j in range(sent, sent + k):
+                        egress = link.send(Segment(
+                            0, 1, _FIFO_SEG, meta=("message", i), seqno=j))
+                        if j < n - 1:
+                            yield egress - env.now
+                sent += k
+
+    env.process(sender())
+    env.run()
+    return done
+
+
+class TestFlowMatchesPacketProperties:
+    """The first hop carries back-to-back messages analytically, each one
+    queued behind the previous one's last segment and any control frames
+    sent in between, exactly where packet FIFO puts them."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(messages=_b2b_messages)
+    @example(messages=_CONTROL_BEHIND_CONTROL)
+    @example(messages=_CONTROL_AT_HANDOFF)
+    def test_back_to_back_messages_match_paced_packets(self, messages):
+        flow = _b2b_run(messages, flow=True)
+        packet = _b2b_run(messages, flow=False)
+        assert flow.keys() == packet.keys()
+        for key, at in packet.items():
+            # Closed-form and stepwise sums differ in the last bits.
+            assert abs(flow[key] - at) <= 1e-12 * at, key
 
 
 class TestProtocolProperties:

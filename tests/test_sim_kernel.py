@@ -7,7 +7,6 @@ from repro.sim import (
     Event,
     SimulationError,
     all_of,
-    any_of,
 )
 
 
@@ -213,20 +212,6 @@ def test_all_of_waits_for_every_event():
     assert times["done"] == pytest.approx(5)
 
 
-def test_any_of_returns_at_first_event():
-    env = Environment()
-    times = {}
-
-    def waiter():
-        evs = [env.timeout(4), env.timeout(2)]
-        yield any_of(env, evs)
-        times["done"] = env.now
-
-    env.process(waiter())
-    env.run()
-    assert times["done"] == pytest.approx(2)
-
-
 def test_all_of_empty_is_immediate():
     env = Environment()
     times = {}
@@ -423,7 +408,7 @@ def test_many_processes_scale():
 # edge cases: failed condition children, instrumentation
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("combinator", [any_of, all_of])
+@pytest.mark.parametrize("combinator", [all_of])
 def test_condition_with_already_failed_child_raises_in_waiter(combinator):
     env = Environment()
     bad = Event(env)

@@ -1,9 +1,8 @@
-"""Unit tests for unit helpers and the Monitor."""
+"""Unit tests for unit helpers."""
 
 import pytest
 
 from repro import units
-from repro.sim import Monitor
 
 
 class TestUnits:
@@ -39,56 +38,3 @@ class TestUnits:
         assert units.KIB == 1024
         assert units.MIB == 1024**2
         assert units.GIB == 1024**3
-
-
-class TestMonitor:
-    def test_record_and_stats(self):
-        mon = Monitor("lat")
-        for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            mon.record(float(i), v)
-        assert len(mon) == 4
-        assert mon.mean() == pytest.approx(2.5)
-        assert mon.minimum() == 1.0
-        assert mon.maximum() == 4.0
-        assert mon.percentile(50) == pytest.approx(2.5)
-        assert mon.percentile(0) == 1.0
-        assert mon.percentile(100) == 4.0
-
-    def test_stddev(self):
-        mon = Monitor()
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            mon.record(0.0, v)
-        assert mon.stddev() == pytest.approx(2.138, abs=1e-3)
-
-    def test_single_sample_stddev_zero(self):
-        mon = Monitor()
-        mon.record(0.0, 1.0)
-        assert mon.stddev() == 0.0
-
-    def test_empty_monitor_raises(self):
-        mon = Monitor()
-        with pytest.raises(ValueError):
-            mon.mean()
-        with pytest.raises(ValueError):
-            mon.percentile(50)
-
-    def test_bad_percentile_rejected(self):
-        mon = Monitor()
-        mon.record(0.0, 1.0)
-        with pytest.raises(ValueError):
-            mon.percentile(101)
-
-    def test_summary_keys(self):
-        mon = Monitor("x")
-        mon.record(0.0, 1.0)
-        mon.record(1.0, 3.0)
-        s = mon.summary()
-        assert s["count"] == 2
-        assert s["mean"] == pytest.approx(2.0)
-        assert set(s) == {"name", "count", "mean", "min", "max", "p50", "p99"}
-
-    def test_clear(self):
-        mon = Monitor()
-        mon.record(0.0, 1.0)
-        mon.clear()
-        assert len(mon) == 0
