@@ -81,8 +81,9 @@ def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
     ``per_node`` adds the figures that ``bench profile scale
     --per-node`` commits to the perf section of ``BENCH_results.json``:
     ``bytes_per_node`` for construction and ``run_bytes_per_node`` for
-    the run-time state (pipe busy history, TLB mappings, lazily peered
-    queue pairs) that one untimed allreduce leaves on the built cluster.
+    the run-time state (TLB mappings, lazily peered queue pairs, cached
+    flow-control returns) that one untimed allreduce leaves on the built
+    cluster.
     The timed allreduce runs on a fresh cluster without ``tracemalloc``.
     """
     from repro.bench.harness import accl_collective_time, \

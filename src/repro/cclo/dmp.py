@@ -221,8 +221,9 @@ class DataMovementProcessor:
         gate = self._slots.try_acquire()
         if gate is not None:
             yield gate
-        self.engine.trace("dmp", "issue", op0=mc.op0.kind.value,
-                          res=mc.res.kind.value, nbytes=mc.nbytes)
+        if self.engine.tracer is not None:
+            self.engine.trace("dmp", "issue", op0=mc.op0.kind.value,
+                              res=mc.res.kind.value, nbytes=mc.nbytes)
         sid = -1
         if self.engine._span_begin is not None:
             if self.env.now > t_q:
@@ -249,7 +250,8 @@ class DataMovementProcessor:
             self.instructions_executed += 1
             return data
         finally:
-            self.engine.trace("dmp", "retire", nbytes=mc.nbytes)
+            if self.engine.tracer is not None:
+                self.engine.trace("dmp", "retire", nbytes=mc.nbytes)
             self.engine.span_end(sid)
             self._slots.release()
 

@@ -457,8 +457,9 @@ class MicroController:
             # the FIFO plus the uC-time pipe's existing backlog.
             queued_until = self._uc_time.busy_until()
             yield self.charge(dispatch_instrs)
-            self.engine.trace("uc", "dispatch", opcode=args.opcode,
-                              nbytes=args.nbytes, tag=args.tag)
+            if engine.tracer is not None:
+                engine.trace("uc", "dispatch", opcode=args.opcode,
+                             nbytes=args.nbytes, tag=args.tag)
             self.commands_executed += 1
             # Engine-direct calls bypass the driver; open the op's root
             # collective span here so phase attribution still has a frame.

@@ -172,9 +172,6 @@ class Link:
     def bytes_carried(self) -> int:
         return self._pipe.bytes_moved
 
-    def utilization(self, since: float = 0.0) -> float:
-        return self._pipe.utilization(since)
-
     def send(self, segment: Segment) -> float:
         """Enqueue *segment* for transmission.
 
@@ -301,7 +298,6 @@ class Link:
         egress_done = start + duration
         pipe._busy_time += duration
         pipe._bytes_moved += segment.wire_bytes
-        pipe._record_busy(start, egress_done)
         self._intr_free = egress_done
         self.segments_carried += 1
         self._flow_decision("interleave")
@@ -470,7 +466,6 @@ class Link:
         pipe._free_at = f_last
         pipe._busy_time += (n - 1) * dur_full + dur_last
         pipe._bytes_moved += burst.wire_total
-        pipe._record_busy(base, f_last)
         self._relay = (burst, base) if burst.seq_base == 0 else None
         self._last_owner = burst.meta
         self._train_prev = self._train if continues else None
@@ -630,7 +625,7 @@ class Link:
         ``origin + phase*dur`` plus one serialization) does not depend on
         the grid step for an opening sub-burst.  Wire bookkeeping (busy
         time, bytes) was charged when the train was first laid and does
-        not change with spacing; only the busy span and ``free_at`` grow.
+        not change with spacing; only ``free_at`` grows.
         Returns the handoff (the penultimate slot's egress).
         """
         pipe = self._pipe
@@ -647,7 +642,6 @@ class Link:
             convoy["tail"] = f_last
         if f_last > pipe._free_at:
             pipe._free_at = f_last
-        pipe._record_busy(start_head, f_last)
         latency = self.latency
         burst.convoy = convoy["token"]
         burst.spacing = step
@@ -700,7 +694,6 @@ class Link:
             pipe._free_at = f_last
         pipe._busy_time += (n - 1) * dur + dur_last
         pipe._bytes_moved += burst.wire_total
-        pipe._record_busy(head_at, f_last)
         self._last_owner = burst.meta
         self._convoy_token = token
         # Sibling trains fill each other's slot gaps: no control-segment

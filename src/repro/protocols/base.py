@@ -94,7 +94,7 @@ class BasePoe:
       engines override it to supply the QP or session.
     - :meth:`_tx_flow_control` -- an event to wait on before each segment
       (window/credits), or ``None`` when the segment may go at once.
-    - :meth:`_on_segment_delivered` -- receive-side accounting (acks).
+    - :meth:`_return_bucket` -- the bucket a flow-control return refills.
     - :meth:`_rx_complete` -- how a reassembled message reaches its
       consumer.
     """
@@ -116,6 +116,12 @@ class BasePoe:
     #: reports and ``bench check`` keep apart from real events.
     _FLOW_TX_ELIDED_PER_SEGMENT = 0
     _FLOW_RX_ELIDED_PER_SEGMENT = 0
+    #: header kind of the flow-control return (RDMA credit, TCP ACK) a
+    #: receiver sends back for every delivered data segment; ``None``
+    #: sends none.  A message may not use this kind.
+    return_kind: Optional[str] = None
+    #: payload bytes of one return segment
+    return_bytes = 0
 
     def __init__(self, env: Environment, endpoint: Endpoint, name: str = ""):
         self.env = env
@@ -127,6 +133,12 @@ class BasePoe:
         self._rx_state: Dict[tuple, _Reassembly] = {}
         self.messages_sent = 0
         self.messages_received = 0
+        #: flow-control returns sent (TCP's ACK count)
+        self.returns_sent = 0
+        #: return segments by peer address, then by returned amount: every
+        #: return from one peer for one amount is the same immutable
+        #: segment, built on first use
+        self._returns: Dict[int, Dict[int, Segment]] = {}
         #: multi-segment transmit processes currently between start and
         #: local completion.  >1 means concurrent bulk messages share the
         #: uplink; when they are *symmetric* (all fast-forwarding, started
@@ -230,10 +242,15 @@ class BasePoe:
         ``pace`` (a byte TokenBucket) throttles segmentation to a producer
         that is still generating the data — the cut-through streaming path.
         ``lead`` is a fixed delay the message spends before it reaches the
-        POE (the CCLO's Tx FSM).
+        POE (the CCLO's Tx FSM).  The return kind is not a message kind:
+        it raises here too.
         """
         if nbytes < 0:
             raise ProtocolError(f"negative message size: {nbytes}")
+        if kind == self.return_kind:
+            raise ProtocolError(
+                f"{self.name}: kind {kind!r} is reserved for flow-control "
+                "returns")
         header = MessageHeader(
             msg_id=next(self._msg_ids),
             src_addr=self.address,
@@ -453,13 +470,20 @@ class BasePoe:
             Environment.total_events_fast_forwarded += (
                 (k - 1) + k * self._FLOW_TX_ELIDED_PER_SEGMENT)
             # Resume at the handoff, or later if the bulk bookkeeping
-            # takes longer.
-            pause = handoff - env.now
+            # takes longer.  A relative sleep to the handoff wakes at
+            # ``now + (handoff - now)``, which may miss it by an ulp; only
+            # then does the wait take an Event at exactly the handoff.
+            now = env._now
+            pause = handoff - now
             post = self._flow_tx_post(header, burst)
             if post is not None and post > pause:
-                pause = post
-            if pause > 0.0:
-                yield pause
+                if post > 0.0:
+                    yield post
+            elif pause > 0.0:
+                if now + pause == handoff:
+                    yield pause
+                else:
+                    yield env.timeout_at(handoff)
             sent += k
             if sent < n_total:
                 if self._tx_bulk_packet > 0:
@@ -543,6 +567,11 @@ class BasePoe:
 
     def _on_segment(self, segment: Segment) -> None:
         header: MessageHeader = segment.meta
+        if header.kind == self.return_kind:
+            bucket = self._return_bucket(header.src_addr)
+            if bucket is not None:
+                bucket.give(header.meta)
+            return
         key = (header.src_addr, header.msg_id)
         state = self._rx_state.get(key)
         if state is None:
@@ -551,7 +580,8 @@ class BasePoe:
         state.bytes_seen += segment.payload_bytes
         if segment.data is not None:
             state.data = segment.data
-        self._on_segment_delivered(segment)
+        if segment.payload_bytes and self.return_kind is not None:
+            self._send_return(segment.src, segment.payload_bytes)
         if state.bytes_seen >= header.nbytes:
             del self._rx_state[key]
             self.messages_received += 1
@@ -598,8 +628,33 @@ class BasePoe:
         else:
             self._deliver(header, data)
 
-    def _on_segment_delivered(self, segment: Segment) -> None:
-        """Subclass hook: receive-side per-segment work (acks/credits)."""
+    def _send_return(self, peer: int, amount: int) -> None:
+        """Give *amount* bytes of flow control back to *peer*.
+
+        The return segment carries nothing that differs between two
+        returns from this engine to *peer* for the same amount, so it is
+        built once and sent again: the links never mutate a segment.
+        """
+        by_amount = self._returns.get(peer)
+        if by_amount is None:
+            by_amount = self._returns[peer] = {}
+        ret = by_amount.get(amount)
+        if ret is None:
+            address = self.address
+            header = MessageHeader(
+                msg_id=0, src_addr=address, dst_addr=peer,
+                nbytes=self.return_bytes, kind=self.return_kind,
+                meta=amount)
+            ret = by_amount[amount] = Segment(
+                src=address, dst=peer, payload_bytes=self.return_bytes,
+                protocol=self.protocol_name, meta=header, mtu=self.mtu)
+        self.returns_sent += 1
+        self.endpoint.send(ret)
+
+    def _return_bucket(self, peer: int):
+        """Subclass hook: the bucket (a ``TokenBucket``) that a return
+        from *peer* refills, or ``None`` when there is none."""
+        return None
 
     def _deliver(self, header: MessageHeader, data: Any) -> None:
         if self._handler is None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ProtocolError
-from repro.network.packet import Segment
 from repro.protocols.base import BasePoe, DeferredPayload, MessageHeader
 from repro.sim import Event
 from repro.sim.resources import TokenBucket
@@ -54,6 +53,8 @@ class RdmaPoe(BasePoe):
     #: 16-byte credit-return segment (three wire hops) on the receive side
     _FLOW_TX_ELIDED_PER_SEGMENT = 1
     _FLOW_RX_ELIDED_PER_SEGMENT = 3
+    return_kind = "credit"
+    return_bytes = 16
 
     DEFAULT_CREDIT_BYTES = 1 * units.MIB
 
@@ -197,35 +198,12 @@ class RdmaPoe(BasePoe):
                 and self._segment_writer is not None):
             self._segment_writer(header, burst.last_bytes)
 
-    def _on_segment_delivered(self, segment) -> None:
-        if segment.payload_bytes == 0:
-            return
-        credit_hdr = MessageHeader(
-            msg_id=0,
-            src_addr=self.address,
-            dst_addr=segment.src,
-            nbytes=16,
-            kind="credit",
-            meta=segment.payload_bytes,
-        )
-        self.endpoint.send(
-            Segment(
-                src=self.address,
-                dst=segment.src,
-                payload_bytes=16,
-                protocol=self.protocol_name,
-                meta=credit_hdr,
-                mtu=self.mtu,
-            )
-        )
+    def _return_bucket(self, peer: int) -> Optional[TokenBucket]:
+        qp = self._by_remote.get(peer)
+        return None if qp is None else qp.credits
 
     def _on_segment(self, segment) -> None:
         header: MessageHeader = segment.meta
-        if header.kind == "credit":
-            qp = self._by_remote.get(header.src_addr)
-            if qp is not None:
-                qp.credits.give(header.meta)
-            return
         if (header.kind == RdmaOpcode.WRITE.value
                 and segment.payload_bytes > 0
                 and self._segment_writer is not None):

@@ -49,10 +49,13 @@ class TcpPoe(BasePoe):
     #: transmit side; one 58-byte ACK segment (three wire hops) back
     _FLOW_TX_ELIDED_PER_SEGMENT = 2
     _FLOW_RX_ELIDED_PER_SEGMENT = 3
+    #: a cumulative ACK per delivered segment (coalescing would change
+    #: little at 32 KiB segments) restores the sender's window
+    return_kind = "ack"
+    return_bytes = 58
 
     MAX_SESSIONS = 1000
     DEFAULT_WINDOW_BYTES = 256 * units.KIB
-    ACK_BYTES = 58
 
     def __init__(
         self,
@@ -68,13 +71,16 @@ class TcpPoe(BasePoe):
         self._session_ids = itertools.count(1)
         self._sessions: Dict[int, TcpSession] = {}
         self._by_remote: Dict[int, TcpSession] = {}
-        self.acks_sent = 0
 
     # -- session management -------------------------------------------------
 
     @property
     def session_count(self) -> int:
         return len(self._sessions)
+
+    @property
+    def acks_sent(self) -> int:
+        return self.returns_sent
 
     def connect(self, remote_addr: int) -> Event:
         """Three-way handshake (modeled as one fabric RTT); the event value
@@ -178,37 +184,8 @@ class TcpPoe(BasePoe):
             self.retx_memory.access_delay(head_bytes)
         return self.retx_memory.access_delay(burst.last_bytes)
 
-    # -- receive path overrides ----------------------------------------------
+    # -- flow-control returns ------------------------------------------------
 
-    def _on_segment(self, segment: Segment) -> None:
-        header: MessageHeader = segment.meta
-        if header.kind == "ack":
-            session = self._by_remote.get(header.src_addr)
-            if session is not None:
-                session.window.give(header.meta)
-            return
-        super()._on_segment(segment)
-
-    def _on_segment_delivered(self, segment: Segment) -> None:
-        if segment.payload_bytes == 0:
-            return
-        # Cumulative ACK per segment (coalescing would change little at
-        # 32 KiB segments); restores the sender's window.
-        ack_header = MessageHeader(
-            msg_id=0,
-            src_addr=self.address,
-            dst_addr=segment.src,
-            nbytes=self.ACK_BYTES,
-            kind="ack",
-            meta=segment.payload_bytes,
-        )
-        ack = Segment(
-            src=self.address,
-            dst=segment.src,
-            payload_bytes=self.ACK_BYTES,
-            protocol=self.protocol_name,
-            meta=ack_header,
-            mtu=self.mtu,
-        )
-        self.acks_sent += 1
-        self.endpoint.send(ack)
+    def _return_bucket(self, peer: int) -> Optional[TokenBucket]:
+        session = self._by_remote.get(peer)
+        return None if session is None else session.window

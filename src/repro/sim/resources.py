@@ -10,16 +10,10 @@ costs O(1) events regardless of its size.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Deque, Optional
 
 from repro.sim.kernel import Environment, Event
-
-#: end of the open busy interval before a pipe's first transfer; every
-#: record starts at or after time 0, so the first one always opens anew
-_NO_BUSY = float("-inf")
-
 
 class Resource:
     """A counted resource with FIFO queueing (e.g. DMA engines, QP slots)."""
@@ -76,10 +70,13 @@ class BandwidthResource:
     ``rate`` and small transfers pay ``per_transfer_overhead`` each —
     exactly the behaviour that produces the classic throughput-vs-message-
     size ramp of Figure 7.
+
+    A pipe keeps three numbers whatever its traffic: the free-at
+    watermark, the total busy time and the bytes moved.
     """
 
     __slots__ = ("env", "rate", "overhead", "name", "_free_at", "_busy_time",
-                 "_bytes_moved", "_busy_start", "_busy_end", "_busy_history")
+                 "_bytes_moved")
 
     def __init__(
         self,
@@ -99,63 +96,29 @@ class BandwidthResource:
         self._free_at = 0.0
         self._busy_time = 0.0
         self._bytes_moved = 0
-        # Busy time in timestamped form: merged, non-overlapping occupancy
-        # intervals, sorted by start.  Back-to-back transfers extend the
-        # open interval [_busy_start, _busy_end]; an idle gap closes it
-        # onto _busy_history as two doubles, so the history costs 16 B
-        # per gap and holds no Python object the cyclic GC would walk.
-        # The array is created on the first gap, so building a cluster
-        # allocates none.
-        self._busy_start = _NO_BUSY
-        self._busy_end = _NO_BUSY
-        self._busy_history: Optional[array] = None
 
     @property
     def bytes_moved(self) -> int:
         return self._bytes_moved
 
-    def _record_busy(self, start: float, finish: float) -> None:
-        """Add occupancy ``[start, finish]`` to the busy history.
+    def utilization(self) -> float:
+        """Fraction of ``[0, now]`` the pipe was busy.
 
-        A record that starts inside the open interval only extends its
-        end; any other closes the open interval and opens a new one.
-        """
-        end = self._busy_end
-        if start <= end:
-            if finish > end:
-                self._busy_end = finish
-            return
-        if end != _NO_BUSY:
-            history = self._busy_history
-            if history is None:
-                history = self._busy_history = array("d")
-            history.append(self._busy_start)
-            history.append(end)
-        self._busy_start = start
-        self._busy_end = finish
-
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of wall time the pipe was busy in ``[since, now]``.
-
-        Occupancy scheduled beyond *now* (a transfer still in flight) is
-        clipped to the window, so the result is exact for any ``since``.
+        Time reserved past *now* is taken as one busy stretch ending at the
+        free-at watermark and left out, which is exact for a FIFO pipe: its
+        transfers start at ``max(now, free_at)``, so no idle time sits
+        inside what is reserved.  A flow-mode train queued behind an idle
+        gap under-reports until it starts.
         """
         now = self.env.now
-        elapsed = now - since
-        if elapsed <= 0:
+        if now <= 0.0:
             return 0.0
-        busy = 0.0
-        end = self._busy_end
-        if end > since:
-            busy += max(0.0, min(end, now) - max(self._busy_start, since))
-            history = self._busy_history
-            if history is not None:
-                for i in range(len(history) - 2, -1, -2):
-                    end = history[i + 1]
-                    if end <= since:
-                        break
-                    busy += max(0.0, min(end, now) - max(history[i], since))
-        return min(1.0, busy / elapsed)
+        busy = self._busy_time
+        if self._free_at > now:
+            # now less the idle time, which is exactly zero for a stretch
+            # that has been busy since time 0
+            busy = now - (self._free_at - busy)
+        return min(1.0, max(0.0, busy) / now)
 
     def busy_until(self) -> float:
         """Simulation time at which the pipe becomes idle."""
@@ -164,9 +127,8 @@ class BandwidthResource:
     def reserve(self, nbytes: int) -> float:
         """Occupy the pipe for *nbytes*; returns the completion *time*.
 
-        This is the hottest non-kernel function in a sweep (every segment on
-        every link lands here), so the busy-interval merge is inlined; only
-        an idle gap calls :meth:`_record_busy`.
+        This is the hottest non-kernel function in a sweep: every segment
+        on every link lands here.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
@@ -178,12 +140,6 @@ class BandwidthResource:
         self._free_at = finish
         self._busy_time += duration
         self._bytes_moved += nbytes
-        end = self._busy_end
-        if start <= end:
-            if finish > end:
-                self._busy_end = finish
-        else:
-            self._record_busy(start, finish)
         return finish
 
     def register_metrics(self, registry, name: Optional[str] = None,

@@ -480,3 +480,47 @@ class TestBulkConvoyShare:
         assert cluster.engine(0).poe.flow_tx_decisions == {
             "admit": 4, "window:readmit": 1020}
         assert cluster.engine(1).poe.flow_tx_decisions == {}
+
+
+class _HandoffEndpoint:
+    """Endpoint stub whose uplink takes every burst and hands its last
+    segment to the wire at one fixed instant."""
+
+    address = 0
+    fidelity = "flow"
+    uplink = None
+
+    def __init__(self, handoff):
+        self.handoff = handoff
+
+    def on_receive(self, handler):
+        pass
+
+    def send_burst(self, burst):
+        return self.handoff
+
+
+class TestFlowHandoffWake:
+    """A flow transmit resumes at its sub-burst's handoff exactly, also
+    where the relative sleep ``now + (handoff - now)`` would miss it."""
+
+    def test_resumes_at_the_handoff(self):
+        from repro.protocols import UdpPoe
+        from repro.protocols.base import MessageHeader
+
+        start, handoff = 0.7, 3.1
+        assert start + (handoff - start) != handoff
+        env = Environment()
+        poe = UdpPoe(env, _HandoffEndpoint(handoff))
+        header = MessageHeader(msg_id=1, src_addr=0, dst_addr=1,
+                               nbytes=2 * poe.segment_bytes)
+        woke = []
+
+        def sender():
+            yield start
+            sent = yield from poe._flow_tx_run(header, None, None)
+            woke.append((env.now, sent))
+
+        env.process(sender())
+        env.run()
+        assert woke == [(handoff, (0, 2))]

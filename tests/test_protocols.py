@@ -316,7 +316,18 @@ class TestTransmit:
         env.run()
         assert done[0].meta == "m" and done[0].nbytes == 4096
 
-    @pytest.mark.parametrize("kind", ["send", "datagram", "ack"])
+    def test_tcp_ack_kind_raises_at_the_call(self):
+        # "ack" is the TCP POE's window return: a message of that kind
+        # would be taken for one at the receiver and never delivered.
+        env, a, b = make_pair(TcpPoe)
+        a.accept(1)
+        b.accept(0)
+        b.on_message(lambda hdr, data: None)
+        with pytest.raises(ProtocolError, match="flow-control return"):
+            a.transmit(1, 4096, meta=1, kind="ack")
+        assert self._nothing_scheduled(env, a)
+
+    @pytest.mark.parametrize("kind", ["send", "datagram", "ack", "credit"])
     def test_rdma_kinds_other_than_write_are_sends(self, kind):
         env, a, b = make_pair(RdmaPoe)
         got, writes = [], []
@@ -341,6 +352,83 @@ class TestTransmit:
         assert got == []
         (hdr, data), = writes
         assert (hdr.kind, hdr.meta, data) == ("write", "desc", "payload")
+
+
+def connected_pair(poe_cls, **kwargs):
+    """Two engines with the QP or session between them in place."""
+    env, a, b = make_pair(poe_cls, **kwargs)
+    if poe_cls is TcpPoe:
+        a.accept(1)
+        b.accept(0)
+    else:
+        a.create_qp(1)
+        b.create_qp(0)
+    return env, a, b
+
+
+def bucket_to(poe, peer):
+    if isinstance(poe, TcpPoe):
+        return poe.session_to(peer).window
+    return poe.qp_to(peer).credits
+
+
+class TestFlowControlReturns:
+    """RDMA credits and TCP ACKs take one return path: the receiver sends
+    one return per delivered data segment, and the sender's bucket for that
+    peer takes the amount back."""
+
+    # 32 full 32 KiB segments and a 1000 B tail
+    SIZE = units.MIB + 1000
+
+    def returns_seen_by(self, poe):
+        """Record every return segment arriving at *poe*."""
+        seen = []
+        endpoint = poe.endpoint
+        handler = endpoint._rx_handler
+
+        def record(segment):
+            if segment.meta.kind == poe.return_kind:
+                seen.append(segment)
+            handler(segment)
+
+        endpoint._rx_handler = record
+        return seen
+
+    @pytest.mark.parametrize("poe_cls", [RdmaPoe, TcpPoe])
+    def test_equal_amounts_from_one_peer_share_one_return(self, poe_cls):
+        env, a, b = connected_pair(poe_cls)
+        b.on_message(lambda hdr, data: None)
+        seen = self.returns_seen_by(a)
+        env.process(a.transmit(1, self.SIZE))
+        env.run()
+        assert [s.meta.meta for s in seen] == [a.segment_bytes] * 32 + [1000]
+        full = seen[:32]
+        assert all(s is full[0] for s in full)
+        assert seen[-1] is not full[0]
+        assert full[0].payload_bytes == a.return_bytes
+
+    @pytest.mark.parametrize("poe_cls,kwargs", [
+        (RdmaPoe, {"credit_bytes": 128 * units.KIB}),
+        (TcpPoe, {"window_bytes": 128 * units.KIB}),
+    ])
+    def test_bucket_back_at_capacity_after_a_multi_segment_send(
+            self, poe_cls, kwargs):
+        env, a, b = connected_pair(poe_cls, **kwargs)
+        got = []
+        b.on_message(lambda hdr, data: got.append(hdr))
+        env.process(a.transmit(1, self.SIZE))
+        env.run()
+        assert len(got) == 1
+        bucket = bucket_to(a, 1)
+        assert bucket.available == bucket.capacity == 128 * units.KIB
+
+    def test_tcp_counts_one_ack_per_delivered_data_segment(self):
+        env, a, b = connected_pair(TcpPoe)
+        b.on_message(lambda hdr, data: None)
+        env.process(a.transmit(1, self.SIZE))
+        env.process(a.transmit(1, 0))
+        env.run()
+        assert b.acks_sent == 33 and a.acks_sent == 0
 
 
 class TestDeferredPayload:
