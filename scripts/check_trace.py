@@ -53,7 +53,7 @@ def check(path: str) -> int:
         problems.append(f"phase spans for ops without roots: {orphan_ops}")
 
     other = doc.get("otherData", {})
-    for key in ("unclosed", "spans_dropped", "events_dropped"):
+    for key in ("unclosed", "spans_dropped"):
         if other.get(key, 0):
             problems.append(f"otherData.{key} = {other[key]} (truncated trace)")
 

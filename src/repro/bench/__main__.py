@@ -104,8 +104,8 @@ def _print_summary(runner: SweepRunner, wall: float) -> None:
     records = runner.records
     perf = perf_section(records, wall)
     cached_n = sum(1 for r in records if r.cached)
-    # Sum per-point drop counts: the class-wide Tracer.total_dropped is
-    # per-process and undercounts when points ran in pool workers.
+    # Per-point counts: each point traces into its own scoped bundle,
+    # inline or in a pool worker.
     dropped = sum(r.dropped for r in records)
     snap_dropped = sum(r.snap_dropped for r in records)
     events_ff = perf["events_ff"]
@@ -113,7 +113,7 @@ def _print_summary(runner: SweepRunner, wall: float) -> None:
     print(f"all: {len(records)} points ({cached_n} cached), "
           f"{perf['events']} events{ff_note} in {wall:.2f}s — "
           f"{perf['ns_per_event']:.0f} ns/event, "
-          f"tracer.dropped={dropped}, "
+          f"spans.dropped={dropped}, "
           f"snapshots.dropped={snap_dropped}", file=sys.stderr)
 
 
@@ -338,8 +338,7 @@ def _trace(args) -> int:
     print(f"  {summary['spans']} spans over {len(cap.op_ids)} collectives, "
           f"{summary['metrics']} metrics "
           f"(unclosed={summary['unclosed_spans']}, "
-          f"dropped={summary['events_dropped']}+"
-          f"{summary['spans_dropped']})")
+          f"dropped={summary['spans_dropped']})")
     print()
     print(render_phase_table(cap.breakdowns()))
     if args.trace_out:
@@ -362,8 +361,9 @@ def _trace(args) -> int:
 
 
 def _critpath(args) -> int:
-    from repro.obs.critpath import (critical_path, per_node_report,
-                                    render_critpath, render_per_node)
+    from repro.obs.critpath import (per_node_report, render_critpath,
+                                    render_per_node)
+    from repro.obs.export import attribute_op
 
     cap = _capture(args)
     if cap is None:
@@ -372,7 +372,7 @@ def _critpath(args) -> int:
 
     print(f"critpath {cap.artifact}: {cap.description}")
     print()
-    reports = [critical_path(cap.tracer, op) for op in cap.op_ids]
+    reports = [attribute_op(cap.tracer, op) for op in cap.op_ids]
     per_node = None
     if args.per_node:
         per_node = per_node_report(cap.tracer, cap.op_ids)

@@ -182,9 +182,9 @@ def profile_artifact(
     (tracemalloc current/peak) and ``profile_out`` (pstats dump path)
     entries.  With ``obs=True`` the artifact runs again with the
     observability layer enabled, and the report gains an ``obs`` block:
-    instrumented wall time, its overhead over the plain run, collected
-    metric/span counts, and — for artifacts with a traced scenario — a
-    per-collective phase breakdown.
+    instrumented wall time, its overhead over the plain run, the merged
+    metric count and the points' dropped spans, and — for artifacts with a
+    traced scenario — a per-collective phase breakdown.
     """
     from repro.bench.artifacts import ARTIFACTS
     from repro.bench.runner import SweepRunner
@@ -250,40 +250,38 @@ def _measure_obs_overhead(artifact, kwargs: Dict[str, Any],
         runner = SweepRunner(jobs=1, cache=None)
         measured = measure(lambda: fn(runner=runner, **kwargs),
                            f"{name}+obs")
-        summary = bundle.summary()
     finally:
         obs_runtime.disable()
 
     enabled = measured["report"]
+    # Each point traces into its own scoped bundle; only its metrics merge
+    # back into the global one, so span drops are summed per point.
     block = {
         "ns_per_event": enabled["ns_per_event"],
         "wall_s": enabled["wall_s"],
         "events": enabled["events"],
         "overhead_pct": _overhead_pct(enabled, baseline),
-        "summary": summary,
+        "summary": {"metrics": len(bundle.registry),
+                    "spans_dropped": sum(r.dropped for r in runner.records)},
     }
 
     # Third pass: spans + telemetry.  Snapshot overhead is quoted against
     # the span-only run so the two costs are separable in the report.
-    bundle = obs_runtime.enable(telemetry_cadence=_OBS_TELEMETRY_CADENCE)
+    obs_runtime.enable(telemetry_cadence=_OBS_TELEMETRY_CADENCE)
     try:
         runner = SweepRunner(jobs=1, cache=None)
         measured = measure(lambda: fn(runner=runner, **kwargs),
                            f"{name}+obs+telemetry")
-        tm_summary = bundle.summary()
     finally:
         obs_runtime.disable()
     telemetry = measured["report"]
-    snapshots = tm_summary.get("telemetry_samples", 0)
-    snap_dropped = tm_summary.get("telemetry_dropped", 0)
-    for rec in runner.records:
-        snapshots += getattr(rec, "snapshots", 0)
-        snap_dropped += getattr(rec, "snap_dropped", 0)
+    # The global session only merges the points' own series, so the
+    # per-point counts are the whole count.
     block["telemetry"] = {
         "cadence_s": _OBS_TELEMETRY_CADENCE,
         "wall_s": telemetry["wall_s"],
-        "snapshots": snapshots,
-        "snapshots_dropped": snap_dropped,
+        "snapshots": sum(r.snapshots for r in runner.records),
+        "snapshots_dropped": sum(r.snap_dropped for r in runner.records),
         "overhead_pct": _overhead_pct(telemetry, enabled),
     }
     if artifact.scenario is not None:
@@ -368,8 +366,7 @@ def render_report(report: Dict[str, Any]) -> str:
         summary = obs.get("summary", {})
         lines.append(
             f"    collected {summary.get('metrics', 0)} metrics; "
-            f"dropped events={summary.get('events_dropped', 0)} "
-            f"spans={summary.get('spans_dropped', 0)}")
+            f"dropped spans={summary.get('spans_dropped', 0)}")
         telemetry = obs.get("telemetry")
         if telemetry:
             lines.append(

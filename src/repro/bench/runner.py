@@ -117,9 +117,8 @@ class PointResult:
     #: reported beside ``events``, never added to it.
     events_ff: int = 0
     key: Optional[str] = None
-    #: trace events this point's tracers evicted (ring-buffer truncation).
-    #: Measured per run — class-wide ``Tracer.total_dropped`` undercounts in
-    #: pooled sweeps because each worker process has its own copy.
+    #: spans this point's own tracer evicted (ring-buffer truncation; 0
+    #: when observability was off for the run).
     dropped: int = 0
     #: telemetry samples this point's session took / evicted (0 when
     #: telemetry was off for the run).
@@ -135,28 +134,27 @@ def execute_point(point: SweepPoint) -> Dict[str, Any]:
     import repro.bench.harness  # noqa: F401 — populates KERNELS on import
     from repro.obs import runtime as obs_runtime
     from repro.sim.kernel import Environment
-    from repro.trace import Tracer
 
     fn = KERNELS[point.kernel]
     events0 = Environment.total_events_processed
     ff0 = Environment.total_events_fast_forwarded
     sim0 = Environment.total_sim_time
-    dropped0 = Tracer.total_dropped
     obs_snapshot = None
     telemetry_snapshot = None
-    snapshots = snap_dropped = 0
+    dropped = snapshots = snap_dropped = 0
     start = time.perf_counter()
     if obs_runtime.is_enabled():
         # Per-point bundle: the snapshot shipped back covers exactly this
         # point, so the parent can merge worker metrics without double
         # counting (each point builds its own hermetic clusters).  The
-        # telemetry cadence (if any) is inherited from the enabled global;
-        # the point's series is tagged with its key so merged series stay
-        # attributable.
+        # trace capacity and telemetry cadence (if any) are inherited from
+        # the enabled global; the point's series is tagged with its key so
+        # merged series stay attributable.
         with obs_runtime.scoped(
                 telemetry_source=point.key()) as point_obs:
             value = fn(**point.kwargs())
         obs_snapshot = point_obs.registry.snapshot()
+        dropped = point_obs.tracer.spans_dropped
         if point_obs.telemetry is not None:
             telemetry_snapshot = point_obs.telemetry.snapshot()
             snapshots = point_obs.telemetry.samples_taken
@@ -169,7 +167,7 @@ def execute_point(point: SweepPoint) -> Dict[str, Any]:
         "sim_s": Environment.total_sim_time - sim0,
         "events": Environment.total_events_processed - events0,
         "events_ff": Environment.total_events_fast_forwarded - ff0,
-        "dropped": Tracer.total_dropped - dropped0,
+        "dropped": dropped,
         "snapshots": snapshots,
         "snap_dropped": snap_dropped,
     }

@@ -140,7 +140,7 @@ class DataMovementProcessor:
         record = yield engine.rbm.await_message(
             slot.comm_id, slot.src_rank, slot.tag
         )
-        if engine._span_complete is not None and env.now > t_wait:
+        if engine.tracer is not None and env.now > t_wait:
             engine.span_complete(
                 "dmp", "wait:rx_match", t_wait, env.now,
                 phase="wait", op_id=op_id, cause="rx_match",
@@ -221,11 +221,8 @@ class DataMovementProcessor:
         gate = self._slots.try_acquire()
         if gate is not None:
             yield gate
-        if self.engine.tracer is not None:
-            self.engine.trace("dmp", "issue", op0=mc.op0.kind.value,
-                              res=mc.res.kind.value, nbytes=mc.nbytes)
         sid = -1
-        if self.engine._span_begin is not None:
+        if self.engine.tracer is not None:
             if self.env.now > t_q:
                 self.engine.span_complete(
                     "dmp", "wait:dmp_slot", t_q, self.env.now,
@@ -250,8 +247,6 @@ class DataMovementProcessor:
             self.instructions_executed += 1
             return data
         finally:
-            if self.engine.tracer is not None:
-                self.engine.trace("dmp", "retire", nbytes=mc.nbytes)
             self.engine.span_end(sid)
             self._slots.release()
 

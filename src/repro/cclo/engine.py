@@ -110,74 +110,55 @@ class CcloEngine:
 
         self._rndz_targets: Dict[int, dict] = {}
         self._target_ids = itertools.count(1)
+        #: the cluster's :class:`repro.obs.spans.SpanTracer`, or None while
+        #: untraced; hot paths test it directly, so the disabled cost is one
+        #: None check.
         self.tracer = None
-        # Cached span-tracer entry points (None while no SpanTracer is
-        # attached).  Hot paths test these attributes directly, so the
-        # disabled cost is one None check.
-        self._span_tracer = None
-        self._span_begin = None
-        self._span_end = None
-        self._span_complete = None
 
     # -- tracing ------------------------------------------------------------
 
     def attach_tracer(self, tracer) -> None:
-        """Record uC/DMP/Tx/Rx events into *tracer* (see repro.trace).
-
-        A :class:`repro.obs.spans.SpanTracer` additionally activates span
-        instrumentation (duck-typed on ``span_begin``): the uC, DMP and POE
-        emit structured phase spans carrying per-collective op ids.
-        """
+        """Record this node's spans into *tracer* (a
+        :class:`repro.obs.spans.SpanTracer`; ``None`` detaches): the uC, DMP,
+        RBM, Rx path and POE emit structured phase and wait spans carrying
+        per-collective op ids."""
         self.tracer = tracer
-        if hasattr(tracer, "span_begin"):
-            self._span_tracer = tracer
-            self._span_begin = tracer.span_begin
-            self._span_end = tracer.span_end
-            self._span_complete = tracer.span_complete
-        else:
-            self._span_tracer = None
-            self._span_begin = None
-            self._span_end = None
-            self._span_complete = None
         # Sub-blocks with their own blocking sites get the raw hook; they
         # carry node-qualified component names already.
-        self.rbm._span_complete = self._span_complete
-        self.rx._span_complete = self._span_complete
+        span_complete = None if tracer is None else tracer.span_complete
+        self.rbm._span_complete = span_complete
+        self.rx._span_complete = span_complete
         self.rx._trace_node = self.name
         bind = getattr(self.poe, "bind_tracer", None)
         if bind is not None:
-            bind(self._span_tracer, self.name)
-
-    def trace(self, component: str, event: str, **detail) -> None:
-        if self.tracer is not None:
-            self.tracer.record(self.env.now, f"{self.name}.{component}",
-                               event, **detail)
+            bind(tracer, self.name)
 
     def next_op_id(self) -> int:
-        """Allocate a collective op id, or -1 while spans are disabled."""
-        if self._span_tracer is None:
+        """Allocate a collective op id, or -1 while untraced."""
+        if self.tracer is None:
             return -1
-        return self._span_tracer.next_op_id()
+        return self.tracer.next_op_id()
 
     def span_begin(self, component: str, name: str, phase: str = "other",
                    op_id: int = -1, parent: int = -1, **detail) -> int:
-        """Open a span on this node's *component* track; -1 when disabled."""
-        if self._span_begin is None:
+        """Open a span on this node's *component* track; -1 when untraced."""
+        if self.tracer is None:
             return -1
-        return self._span_begin(self.env.now, f"{self.name}.{component}",
-                                name, phase=phase, op_id=op_id,
-                                parent=parent, **detail)
+        return self.tracer.span_begin(self.env.now,
+                                      f"{self.name}.{component}", name,
+                                      phase=phase, op_id=op_id,
+                                      parent=parent, **detail)
 
     def span_end(self, sid: int, **detail) -> None:
-        if self._span_end is not None and sid >= 0:
-            self._span_end(self.env.now, sid, **detail)
+        if sid >= 0 and self.tracer is not None:
+            self.tracer.span_end(self.env.now, sid, **detail)
 
     def span_complete(self, component: str, name: str, t0: float, t1: float,
                       phase: str = "other", op_id: int = -1,
                       **detail) -> None:
-        if self._span_complete is not None:
-            self._span_complete(f"{self.name}.{component}", name, t0, t1,
-                                phase=phase, op_id=op_id, **detail)
+        if self.tracer is not None:
+            self.tracer.span_complete(f"{self.name}.{component}", name, t0,
+                                      t1, phase=phase, op_id=op_id, **detail)
 
     def register_metrics(self, registry) -> None:
         """Register every sub-block's counters as callback gauges."""

@@ -141,8 +141,8 @@ class FirmwareContext:
         Returns a plain delay for the firmware to ``yield`` — the kernel's
         allocation-free sleep path.
         """
-        span_complete = self.engine._span_complete
-        if span_complete is None:
+        tracer = self.engine.tracer
+        if tracer is None:
             return self.uc.charge(instructions)
         # Record-only split of the charge: the pipe backlog before our
         # instructions start is a uc_dispatch wait (another command holds
@@ -153,23 +153,24 @@ class FirmwareContext:
             now = self.env.now
             comp = f"{self.engine.name}.uc"
             if queued_until > now:
-                span_complete(comp, "wait:uc_dispatch", now, queued_until,
-                              phase="wait", op_id=self.args.op_id,
-                              cause="uc_dispatch")
-            span_complete(comp, "step", queued_until, now + delay,
-                          phase="uc", op_id=self.args.op_id)
+                tracer.span_complete(comp, "wait:uc_dispatch", now,
+                                     queued_until, phase="wait",
+                                     op_id=self.args.op_id,
+                                     cause="uc_dispatch")
+            tracer.span_complete(comp, "step", queued_until, now + delay,
+                                 phase="uc", op_id=self.args.op_id)
         return delay
 
     def _wait_span(self, t0: float, cause: str, **detail) -> None:
         """Record a blocking interval ``[t0, now]`` with its cause."""
-        span_complete = self.engine._span_complete
-        if span_complete is None:
+        tracer = self.engine.tracer
+        if tracer is None:
             return
         now = self.env.now
         if now > t0:
-            span_complete(f"{self.engine.name}.uc", f"wait:{cause}", t0, now,
-                          phase="wait", op_id=self.args.op_id, cause=cause,
-                          **detail)
+            tracer.span_complete(f"{self.engine.name}.uc", f"wait:{cause}",
+                                 t0, now, phase="wait", op_id=self.args.op_id,
+                                 cause=cause, **detail)
 
     def _issue(self, mc: Microcode) -> Event:
         """Issue DMP microcode stamped with this command's op id."""
@@ -457,17 +458,15 @@ class MicroController:
             # the FIFO plus the uC-time pipe's existing backlog.
             queued_until = self._uc_time.busy_until()
             yield self.charge(dispatch_instrs)
-            if engine.tracer is not None:
-                engine.trace("uc", "dispatch", opcode=args.opcode,
-                             nbytes=args.nbytes, tag=args.tag)
             self.commands_executed += 1
             # Engine-direct calls bypass the driver; open the op's root
             # collective span here so phase attribution still has a frame.
             root_sid = -1
-            if engine._span_tracer is not None:
+            tracer = engine.tracer
+            if tracer is not None:
                 if args.op_id < 0:
-                    args.op_id = engine.next_op_id()
-                    root_sid = engine._span_begin(
+                    args.op_id = tracer.next_op_id()
+                    root_sid = tracer.span_begin(
                         enq_t, f"{engine.name}.uc",
                         f"collective:{args.opcode}", phase="collective",
                         op_id=args.op_id, nbytes=args.nbytes)

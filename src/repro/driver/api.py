@@ -270,18 +270,18 @@ class Accl:
 
     def _pcie_wait(self, args: CollectiveArgs, t0: float, step: str) -> None:
         """Record host<->device time (MMIO/XDMA) as a ``wait:pcie`` span."""
-        span_complete = self.engine._span_complete
+        tracer = self.engine.tracer
         now = self.env.now
-        if span_complete is not None and args.op_id >= 0 and now > t0:
-            span_complete(f"{self.engine.name}.driver", "wait:pcie", t0, now,
-                          phase="wait", op_id=args.op_id, cause="pcie",
-                          step=step)
+        if tracer is not None and args.op_id >= 0 and now > t0:
+            tracer.span_complete(f"{self.engine.name}.driver", "wait:pcie",
+                                 t0, now, phase="wait", op_id=args.op_id,
+                                 cause="pcie", step=step)
 
     def _invoke(self, args: CollectiveArgs, stage: list, unstage: list):
         # Observability: allocate the collective's op id and open its root
         # span; every uC/DMP/POE/wire span downstream links back to it.
         root_sid = -1
-        if self.engine._span_tracer is not None:
+        if self.engine.tracer is not None:
             args.op_id = self.engine.next_op_id()
             root_sid = self.engine.span_begin(
                 "driver", f"collective:{args.opcode}", phase="collective",

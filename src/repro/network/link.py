@@ -133,8 +133,9 @@ class Link:
                     nbytes=burst.payload_bytes)
 
     def bind_tracer(self, span_tracer) -> None:
-        """Record queueing delay behind this link as ``wait:link_busy``
-        spans (record-only; ``None`` deactivates)."""
+        """Record this link's spans into *span_tracer* — queueing delay as
+        ``wait:link_busy``, flow-mode bursts and decisions — record-only;
+        ``None`` deactivates."""
         self._span_tracer = span_tracer
 
     def connect(self, sink: Callable[[Segment], None],

@@ -7,15 +7,15 @@ The simulation platform exists to shorten "hardware debugging cycles"
   / :class:`Histogram` instruments that components register into, with
   sim-time-windowed rates and cross-process merging for pooled sweeps;
 - :mod:`repro.obs.spans` — :class:`SpanTracer`, structured begin/end spans
-  with ids, parent links and per-collective ``op_id`` propagation layered on
-  the flat :class:`repro.trace.Tracer` ring buffer;
+  with ids, parent links and per-collective ``op_id`` propagation in one
+  bounded ring buffer;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (opens in Perfetto),
   CSV metrics dumps and the :func:`phase_breakdown` report API;
 - :mod:`repro.obs.critpath` — per-collective critical paths with
-  wait-cause attribution, blocking DAGs and collapsed-stack flamegraphs;
+  wait-cause attribution and collapsed-stack flamegraphs;
 - :mod:`repro.obs.timeseries` — :class:`TelemetrySession`, continuous
-  sim-time-cadenced registry snapshots (JSONL / Prometheus / Chrome
-  counter exports, merged across pooled sweep workers);
+  sim-time-cadenced registry snapshots, merged across pooled sweep
+  workers;
 - :mod:`repro.obs.dashboard` — a self-contained HTML report over one
   traced artifact (``bench dashboard``);
 - :mod:`repro.obs.ledger` — :class:`OpLedger`, per-op latency histograms
@@ -49,8 +49,6 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.critpath import (
-    blocking_dag,
-    critical_path,
     per_node_report,
     render_critpath,
     render_per_node,
@@ -89,7 +87,7 @@ __all__ = [
     "NULL_REGISTRY", "Span", "SpanTracer", "to_chrome_trace",
     "validate_chrome_trace", "write_chrome_trace", "metrics_to_csv",
     "attribute_op", "phase_breakdown", "render_phase_table",
-    "critical_path", "blocking_dag", "render_critpath",
+    "render_critpath",
     "per_node_report", "render_per_node",
     "to_collapsed_stacks", "write_flamegraph",
     "LedgerEntry", "OpLedger", "entry_key", "ledger_from_records",

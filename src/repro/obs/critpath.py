@@ -8,14 +8,12 @@ stalls, Rx-pool backpressure, rendezvous handshakes, POE flow control
 (TCP retransmission window / RDMA credits), link egress contention and
 PCIe staging.  This module turns them into answers:
 
-- :func:`critical_path` — one exclusive timeline over the op's wall
+- :func:`render_critpath` — one exclusive timeline over the op's wall
   window where every instant is either productive or explained by a wait
-  cause.  Shares its interval sweep with
-  :func:`~repro.obs.export.phase_breakdown` (both are views of
-  :func:`~repro.obs.export.attribute_op`), so the cause totals reconcile
+  cause, as :func:`~repro.obs.export.attribute_op` reports it.  That
+  report shares its interval sweep with
+  :func:`~repro.obs.export.phase_breakdown`, so the cause totals reconcile
   exactly against the phase buckets and the wall sim-time.
-- :func:`blocking_dag` — the op's spans as a DAG (parent edges), each
-  node annotated with its cause and whether it lies on the critical path.
 - :func:`to_collapsed_stacks` / :func:`write_flamegraph` — collapsed-stack
   output (``frame;frame;frame count``) for flamegraph.pl / speedscope /
   inferno; frame values are exclusive self-time in integer nanoseconds.
@@ -34,51 +32,10 @@ from repro.obs.export import attribute_op
 from repro.obs.spans import Span, SpanTracer
 
 
-def critical_path(tracer: SpanTracer, op_id: int) -> Dict[str, Any]:
-    """Exclusive critical-path report for one collective operation.
-
-    Returns the :func:`~repro.obs.export.attribute_op` report:
-    ``segments`` (the path, contiguous over ``[t0, t1]``), ``totals``
-    (exclusive seconds per bucket, summing to ``wall_s``), ``phases`` /
-    ``fractions`` (bitwise-identical to ``phase_breakdown``) and
-    ``wait_observed`` (raw per-cause stall unions).
-    """
-    return attribute_op(tracer, op_id)
-
-
-def blocking_dag(tracer: SpanTracer, op_id: int) -> Dict[str, Any]:
-    """The op's span graph: nodes with cause annotations, parent edges,
-    and the set of span ids that carry the critical path."""
-    report = attribute_op(tracer, op_id)
-    on_path = {seg["sid"] for seg in report["segments"] if seg["sid"] >= 0}
-    root = tracer.root_span(op_id)
-    spans = [root] + [s for s in tracer.spans_for(op_id)
-                      if s.sid != root.sid]
-    ids = {s.sid for s in spans}
-    nodes: List[Dict[str, Any]] = []
-    edges: List[Dict[str, Any]] = []
-    for s in spans:
-        detail = dict(s.detail)
-        nodes.append({
-            "sid": s.sid,
-            "component": s.component,
-            "name": s.name,
-            "phase": s.phase,
-            "cause": detail.get("cause"),
-            "t0": s.t0,
-            "t1": s.t1 if s.closed else None,
-            "dur_s": s.duration if s.closed else None,
-            "on_critical_path": s.sid in on_path or s.sid == root.sid,
-        })
-        if s.parent >= 0 and s.parent in ids and s.sid != root.sid:
-            edges.append({"src": s.sid, "dst": s.parent, "kind": "child"})
-    return {"op_id": op_id, "nodes": nodes, "edges": edges,
-            "critical_sids": sorted(on_path)}
-
-
 def render_critpath(report: Dict[str, Any]) -> str:
-    """Human-readable critical path with per-cause totals and the
-    reconciliation line ``bench critpath`` prints."""
+    """Human-readable critical path of one
+    :func:`~repro.obs.export.attribute_op` report, with per-cause totals
+    and the reconciliation line ``bench critpath`` prints."""
     wall_us = report["wall_s"] * 1e6
     lines = [
         f"op {report['op_id']}  {report['name']}  "
@@ -147,10 +104,11 @@ def per_node_report(tracer: SpanTracer, op_ids: Iterable[int],
     For every entity the report sums *raw* span time clipped to the ops'
     windows — productive time by phase, stall time by wait cause — plus
     the entity's share of the exclusive critical path
-    (:func:`critical_path` segments).  Raw time is comparable across
-    symmetric peers (every rank of a ring does the same work), so each
-    entity gets a z-score of its total observed time against the other
-    entities of its kind; ``|z| >= z_threshold`` flags it a straggler.
+    (:func:`~repro.obs.export.attribute_op` segments).  Raw time is
+    comparable across symmetric peers (every rank of a ring does the same
+    work), so each entity gets a z-score of its total observed time
+    against the other entities of its kind; ``|z| >= z_threshold`` flags
+    it a straggler.
     An injected slow node or throttled uplink surfaces at the top of its
     table with the wait causes that explain it.
     """

@@ -322,16 +322,16 @@ def render_dashboard(capture: TraceCapture,
     badges = (f'<span class="badge">{len(capture.op_ids)} ops</span>'
               f'<span class="badge">{summary["spans"]} spans</span>'
               f'<span class="badge">fidelity: {escape(fidelity)}</span>')
-    drops = summary["events_dropped"] + summary.get("spans_dropped", 0)
-    drop_note = (f'<p class="note">⚠ {drops} trace events/spans dropped at '
-                 "capacity — totals below are partial.</p>" if drops else "")
+    drops = summary["spans_dropped"]
+    drop_note = (f'<p class="note">⚠ {drops} spans dropped at capacity — '
+                 "totals below are partial.</p>" if drops else "")
     sections = [
         ("Run", f'<table>'
                 f'<tr><th>artifact</th><td>{escape(capture.artifact)}</td></tr>'
                 f'<tr><th>scenario</th><td>{escape(capture.description)}</td></tr>'
                 f'<tr><th>traced wall</th><td>{_fmt_us(wall)} us</td></tr>'
-                f'<tr><th>trace events</th><td>{summary["trace_events"]:,} '
-                f'({summary["events_dropped"]} dropped)</td></tr>'
+                f'<tr><th>spans</th><td>{summary["spans"]:,} '
+                f'({drops} dropped)</td></tr>'
                 f'<tr><th>telemetry</th><td>'
                 f'{summary.get("telemetry_samples", 0)} samples '
                 f'({summary.get("telemetry_dropped", 0)} dropped)</td></tr>'

@@ -127,7 +127,6 @@ def to_chrome_trace(tracer: SpanTracer,
             "truncated_spans": len(open_spans),
             "unclosed": tracer.unclosed_count,
             "spans_dropped": tracer.spans_dropped,
-            "events_dropped": tracer.dropped,
         },
     }
 

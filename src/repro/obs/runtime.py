@@ -48,13 +48,11 @@ class Observability:
         return attach(cluster, self)
 
     def summary(self) -> dict:
-        """Counts for run reports: spans, events, drops, open spans."""
+        """Counts for run reports: metrics, spans, open and dropped spans."""
         out = {
             "metrics": len(self.registry),
-            "trace_events": len(self.tracer),
             "spans": len(self.tracer.completed_spans),
             "unclosed_spans": self.tracer.unclosed_count,
-            "events_dropped": self.tracer.dropped,
             "spans_dropped": self.tracer.spans_dropped,
         }
         if self.telemetry is not None:
@@ -66,7 +64,7 @@ class Observability:
 def attach(cluster, obs: Optional[Observability] = None) -> Observability:
     """Wire *obs* (or a fresh bundle) into every layer of *cluster*.
 
-    Engines get the span tracer (which also feeds the flat event trace);
+    Engines (and through them their POEs) and links get the span tracer;
     engines, POEs, links and endpoints register callback gauges into the
     registry; the sim kernel's global event counters are exposed too.
     """
@@ -87,10 +85,9 @@ def attach(cluster, obs: Optional[Observability] = None) -> Observability:
     iter_links = getattr(cluster.topology, "iter_links", None)
     if iter_links is not None:
         # Links record queueing stalls as wait:link_busy spans (critical-path
-        # attribution); span-less tracers leave links untraced.
-        span_tracer = obs.tracer if hasattr(obs.tracer, "span_begin") else None
+        # attribution).
         for link in iter_links():
-            link.bind_tracer(span_tracer)
+            link.bind_tracer(obs.tracer)
     from repro.sim.kernel import Environment
 
     registry.gauge("kernel_events_processed",
@@ -143,21 +140,23 @@ def auto_attach(cluster) -> None:
 
 
 @contextmanager
-def scoped(trace_capacity: int = 100_000,
-           telemetry_cadence: Optional[float] = None,
+def scoped(telemetry_cadence: Optional[float] = None,
            telemetry_source: str = "main") -> Iterator[Observability]:
     """Run a block against a fresh global bundle, then restore the old one.
 
     Used by :func:`repro.bench.runner.execute_point` so each sweep point
     collects into its own registry — the snapshot it ships back to the
     parent covers exactly that point, whether the point ran inline or in a
-    forked pool worker.  A telemetry cadence (explicit, or inherited from
-    the bundle being shadowed) gives the point its own
+    forked pool worker.  The fresh bundle's tracer has the capacity of the
+    bundle being shadowed, so ``enable(trace_capacity=...)`` sizes every
+    point's tracer.  A telemetry cadence (explicit, or inherited from the
+    shadowed bundle) gives the point its own
     :class:`~repro.obs.timeseries.TelemetrySession`, tagged with
     *telemetry_source* so merged series stay attributable per point.
     """
     global _GLOBAL
     prev = _GLOBAL
+    trace_capacity = 100_000 if prev is None else prev.tracer.capacity
     if telemetry_cadence is None and prev is not None \
             and prev.telemetry is not None:
         telemetry_cadence = prev.telemetry.cadence

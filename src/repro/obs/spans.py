@@ -1,15 +1,15 @@
-"""Structured span tracing layered on the flat event ring buffer.
+"""Structured span tracing: the simulator's one trace surface.
 
 A *span* is a named interval on one component's timeline: it has an id, an
 optional parent span, an optional per-collective ``op_id``, and a *phase*
 label (``"collective"``, ``"uc"``, ``"dmp"``, ``"poe"``, ``"wire"``, …)
 that the breakdown report attributes time by.
 
-:class:`SpanTracer` extends :class:`repro.trace.Tracer`: every
-``span_begin``/``span_end`` also records a flat event into the ring buffer
-(so existing ``Tracer`` consumers — ``summary()``, ``filter()``,
-``to_csv()`` — keep working), while completed :class:`Span` records
-accumulate in a separate bounded list for the exporters.
+:class:`SpanTracer` keeps completed :class:`Span` records in one bounded
+ring buffer: at capacity the *oldest* span is evicted and
+``spans_dropped`` counts the evictions, so the tail of a long run — the
+part debugging needs — is always retained and a truncated trace is never
+mistaken for a complete one.
 
 ``op_id`` is the propagation key: the driver (or the uC, for engine-direct
 calls) allocates one id per collective command via :meth:`next_op_id`, it
@@ -27,8 +27,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterator, List, Optional
-
-from repro.trace import Tracer
 
 
 @dataclass
@@ -65,23 +63,23 @@ class Span:
                 f"phase={self.phase} op={self.op_id} {dur}>")
 
 
-class SpanTracer(Tracer):
-    """Tracer with explicit span begin/end, ids, parents and op ids.
+class SpanTracer:
+    """Span recorder with explicit begin/end, ids, parents and op ids.
 
-    Completed spans are kept in a bounded deque (same ring-buffer policy as
-    the flat event buffer: oldest evicted first, ``spans_dropped`` counts
-    evictions).  One SpanTracer is shared by every engine of a cluster so
-    span ids and op ids are unique cluster-wide.
+    Completed spans are kept in a ring buffer of *capacity* spans (oldest
+    evicted first, ``spans_dropped`` counts evictions).  One SpanTracer is
+    shared by every engine of a cluster so span ids and op ids are unique
+    cluster-wide.
     """
 
-    def __init__(self, capacity: int = 100_000,
-                 span_capacity: Optional[int] = None):
-        super().__init__(capacity)
-        span_capacity = span_capacity or capacity
+    def __init__(self, capacity: int = 100_000):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
         self._span_ids = itertools.count(1)
         self._op_ids = itertools.count(1)
         self._open: Dict[int, Span] = {}
-        self._completed: Deque[Span] = deque(maxlen=span_capacity)
+        self._completed: Deque[Span] = deque(maxlen=capacity)
         self._roots: Dict[int, int] = {}  # op_id -> root span id
         self.spans_dropped = 0
 
@@ -113,8 +111,6 @@ class SpanTracer(Tracer):
         self._open[sid] = span
         if phase == "collective" and op_id >= 0:
             self._roots.setdefault(op_id, sid)
-        self.record(time, component, "span_begin", span=sid, name=name,
-                    phase=phase, op=op_id, parent=parent)
         return sid
 
     def span_end(self, time: float, sid: int, **detail: Any) -> None:
@@ -126,8 +122,6 @@ class SpanTracer(Tracer):
         if detail:
             span.detail = span.detail + tuple(sorted(detail.items()))
         self._store(span)
-        self.record(time, span.component, "span_end", span=sid,
-                    name=span.name)
 
     def span_complete(self, component: str, name: str, t0: float, t1: float,
                       phase: str = "other", op_id: int = -1,
@@ -142,8 +136,6 @@ class SpanTracer(Tracer):
                     t0=t0, t1=t1, op_id=op_id, parent=parent,
                     detail=tuple(sorted(detail.items())))
         self._store(span)
-        self.record(t1, component, "span", span=sid, name=name, phase=phase,
-                    op=op_id, dur=t1 - t0)
         return sid
 
     def _store(self, span: Span) -> None:
@@ -187,10 +179,3 @@ class SpanTracer(Tracer):
     def op_ids(self) -> List[int]:
         """Operation ids with a recorded root span, in allocation order."""
         return sorted(self._roots)
-
-    def clear(self) -> None:
-        super().clear()
-        self._open.clear()
-        self._completed.clear()
-        self._roots.clear()
-        self.spans_dropped = 0

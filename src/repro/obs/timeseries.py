@@ -1,10 +1,10 @@
 """Continuous telemetry: sim-time-cadenced snapshots of the metrics registry.
 
-End-of-run summaries answer "how did it go"; a serving front end (and any
-divergence hunt) needs "how was it going" — utilization ramps, credit
-stalls, convoy formation over time.  A :class:`TelemetrySession` rides the
-simulation heap: every ``cadence`` sim-seconds it reads every instrument in
-a :class:`~repro.obs.metrics.MetricsRegistry` (callback gauges sample live
+End-of-run summaries answer "how did it go"; a divergence hunt needs "how
+was it going" — utilization ramps, credit stalls, convoy formation over
+time.  A :class:`TelemetrySession` rides the simulation heap: every
+``cadence`` sim-seconds it reads every instrument in a
+:class:`~repro.obs.metrics.MetricsRegistry` (callback gauges sample live
 component state) and appends one row to a bounded ring buffer.
 
 The sampler is self-rescheduling and *self-stopping*: a tick only re-arms
@@ -15,20 +15,14 @@ keeps a dead simulation alive.  Drivers that alternate ``run()`` phases call
 
 Snapshots are plain picklable dicts so pooled sweep workers ship their ring
 back to the parent, which :meth:`~TelemetrySession.merge`\\ s them into one
-time-ordered series (rows carry a ``source`` tag per worker).  Exports:
-
-- :meth:`to_jsonl` — one JSON object per sample, for ad-hoc tooling;
-- :meth:`to_prometheus` — text exposition format (latest sample per
-  source), for scrape-style ingestion;
-- :meth:`to_chrome_counters` — ``ph:"C"`` counter events that overlay the
-  span trace in Perfetto / ``chrome://tracing``.
+time-ordered series (rows carry a ``source`` tag per worker); ``bench
+dashboard`` charts the series.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                _key_str)
@@ -36,29 +30,6 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
 #: default ring capacity — at the default cadence this covers the longest
 #: traced artifact with room to spare; older samples drop first.
 DEFAULT_CAPACITY = 4096
-
-
-def _prom_sanitize(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
-def _prom_escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
-
-
-def _prom_line(ks: str, value: float, source: str, t: float) -> str:
-    """One exposition line from a ``name{k=v,...}`` key string."""
-    if "{" in ks:
-        name, rest = ks.split("{", 1)
-        inner = rest[:-1]
-        pairs = [p.split("=", 1) for p in inner.split(",") if "=" in p]
-    else:
-        name, pairs = ks, []
-    pairs.append(["source", source])
-    labels = ",".join(f'{_prom_sanitize(k)}="{_prom_escape(v)}"'
-                      for k, v in pairs)
-    stamp = int(round(t * 1e3))  # sim-time milliseconds
-    return f"repro_{_prom_sanitize(name)}{{{labels}}} {value:.17g} {stamp}"
 
 
 class TelemetrySession:
@@ -159,41 +130,6 @@ class TelemetrySession:
             self.samples = deque(combined, maxlen=self.capacity)
         self.dropped += snapshot.get("dropped", 0)
         self.samples_taken += snapshot.get("taken", len(incoming))
-
-    # -- exports -----------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One JSON object per sample: ``{"t", "source", "values"}``."""
-        return "\n".join(
-            json.dumps(s, sort_keys=True) for s in self.samples)
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition: the latest sample per source, metric
-        names prefixed ``repro_`` and timestamped in sim-time ms."""
-        latest: Dict[str, Dict[str, Any]] = {}
-        for s in self.samples:
-            latest[s.get("source", "main")] = s
-        lines: List[str] = []
-        for source in sorted(latest):
-            s = latest[source]
-            for ks in sorted(s["values"]):
-                lines.append(_prom_line(ks, s["values"][ks], source, s["t"]))
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_chrome_counters(self, pid: int = 1) -> List[Dict[str, Any]]:
-        """Chrome-trace ``ph:"C"`` counter events (merge into a span trace's
-        event list to overlay metrics on the timeline)."""
-        events: List[Dict[str, Any]] = []
-        for s in self.samples:
-            ts = s["t"] * 1e6  # trace timestamps are microseconds
-            source = s.get("source", "main")
-            for ks, value in s["values"].items():
-                name = ks if source == "main" else f"{ks}@{source}"
-                events.append({
-                    "ph": "C", "name": name, "pid": pid, "tid": 0,
-                    "ts": ts, "args": {"value": value},
-                })
-        return events
 
     def summary(self) -> Dict[str, Any]:
         return {

@@ -170,10 +170,8 @@ class BasePoe:
             endpoint.on_receive_burst(self._on_burst)
 
     def bind_tracer(self, span_tracer, node: str) -> None:
-        """Activate span tracing; *node* names this POE's trace tracks.
-
-        Pass ``None`` to deactivate (a plain event tracer has no spans).
-        """
+        """Record spans into *span_tracer* (``None`` deactivates); *node*
+        names this POE's trace tracks."""
         self._span_tracer = span_tracer
         self._trace_node = node
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.bench import profile as profile_mod
 from repro.bench.__main__ import main as bench_main
-from repro.trace import Tracer
 
 
 class TestMicrobenchmarks:
@@ -78,6 +77,8 @@ class TestProfileArtifact:
         assert set(obs) == {"ns_per_event", "wall_s", "events",
                             "overhead_pct", "summary", "telemetry",
                             "breakdowns"}
+        assert obs["summary"]["metrics"] > 0
+        assert obs["summary"]["spans_dropped"] == 0
         assert not any(key.endswith("_per_s") for key in telemetry)
         assert "% overhead" in profile_mod.render_report(report)
 
@@ -178,19 +179,22 @@ class TestPerfSection:
         assert perf["ns_per_event"] == 0.0
 
 
-class TestTracerDropCounter:
-    def test_total_dropped_aggregates_across_instances(self):
-        before = Tracer.total_dropped
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.record(float(i), "c", "e")
-        assert tracer.dropped == 3
-        assert Tracer.total_dropped == before + 3
-        other = Tracer(capacity=1)
-        other.record(0.0, "c", "e")
-        other.record(1.0, "c", "e")
-        assert Tracer.total_dropped == before + 4
-        # clear() resets the instance, not the process-wide total
-        tracer.clear()
-        assert tracer.dropped == 0
-        assert Tracer.total_dropped == before + 4
+class TestSpanDropCounter:
+    def test_point_records_its_own_bundles_dropped_spans(self):
+        """A point traces into its own scoped bundle, sized by the enabled
+        one, and reports that bundle's evictions as its ``dropped``."""
+        from repro import units
+        from repro.bench.runner import SweepPoint, execute_point
+        from repro.obs import runtime as obs_runtime
+
+        point = SweepPoint.make(
+            "t", "accl_collective", opcode="allreduce",
+            size=4 * units.KIB, n_nodes=2)
+        obs_runtime.enable(trace_capacity=4)
+        try:
+            out = execute_point(point)
+        finally:
+            obs_runtime.disable()
+        assert out["dropped"] > 0
+        # the same point untraced drops nothing
+        assert execute_point(point)["dropped"] == 0

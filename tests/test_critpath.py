@@ -12,8 +12,6 @@ from repro import units
 from repro.obs import (
     SpanTracer,
     attribute_op,
-    blocking_dag,
-    critical_path,
     phase_breakdown,
     render_critpath,
     to_chrome_trace,
@@ -41,7 +39,7 @@ class TestAttribution:
         cap = fig07_capture
         assert cap.op_ids
         for op in cap.op_ids:
-            report = critical_path(cap.tracer, op)
+            report = attribute_op(cap.tracer, op)
             wall = report["wall_s"]
             assert abs(sum(report["totals"].values()) - wall) <= _reltol(wall)
             assert abs(sum(report["phases"].values()) - wall) <= _reltol(wall)
@@ -59,7 +57,7 @@ class TestAttribution:
     def test_segments_tile_the_wall_window(self, fig07_capture):
         cap = fig07_capture
         for op in cap.op_ids:
-            report = critical_path(cap.tracer, op)
+            report = attribute_op(cap.tracer, op)
             segs = report["segments"]
             assert segs[0]["t0"] == report["t0"]
             assert segs[-1]["t1"] == report["t1"]
@@ -71,7 +69,7 @@ class TestAttribution:
         cap = fig07_capture
         causes = set()
         for op in cap.op_ids:
-            causes |= set(critical_path(cap.tracer, op)["wait_observed"])
+            causes |= set(attribute_op(cap.tracer, op)["wait_observed"])
         assert "rendezvous" in causes  # the 1 MiB rendezvous transfer
         assert "pcie" in causes        # coyote host invocation
 
@@ -87,7 +85,7 @@ class TestAttribution:
 
     def test_render_reports_reconciliation_ok(self, fig07_capture):
         cap = fig07_capture
-        text = render_critpath(critical_path(cap.tracer, cap.op_ids[0]))
+        text = render_critpath(attribute_op(cap.tracer, cap.op_ids[0]))
         assert "critical path:" in text
         assert "[OK]" in text and "MISMATCH" not in text
 
@@ -105,22 +103,8 @@ class TestAttribution:
         cluster.env.run(until=all_of(cluster.env, [r.event for r in reqs]))
         ops = obs.tracer.op_ids()
         assert len(ops) == 2
-        second = critical_path(obs.tracer, ops[1])
+        second = attribute_op(obs.tracer, ops[1])
         assert second["wait_observed"].get("uc_dispatch", 0.0) > 0
-
-
-class TestBlockingDag:
-    def test_dag_structure(self, fig07_capture):
-        cap = fig07_capture
-        dag = blocking_dag(cap.tracer, cap.op_ids[0])
-        sids = {n["sid"] for n in dag["nodes"]}
-        roots = [n for n in dag["nodes"] if n["phase"] == "collective"]
-        assert len(roots) == 1 and roots[0]["on_critical_path"]
-        for edge in dag["edges"]:
-            assert edge["src"] in sids and edge["dst"] in sids
-        assert set(dag["critical_sids"]) <= sids
-        waits = [n for n in dag["nodes"] if n["cause"]]
-        assert waits, "fig07 must surface at least one annotated wait"
 
 
 class TestFlamegraph:

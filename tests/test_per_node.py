@@ -5,8 +5,8 @@ import pytest
 
 from repro import units
 from repro.obs import capture
-from repro.obs.critpath import (critical_path, per_node_report,
-                                render_critpath, render_per_node)
+from repro.obs.critpath import (per_node_report, render_critpath,
+                                render_per_node)
 from repro.obs.export import attribute_op, phase_breakdown
 from repro.obs.runtime import Observability, attach
 
@@ -109,7 +109,7 @@ class TestIncompleteFlag:
     def test_critpath_and_per_node_warn(self):
         obs = self._overflowed_capture()
         op_ids = obs.tracer.op_ids()
-        report = critical_path(obs.tracer, op_ids[0])
+        report = attribute_op(obs.tracer, op_ids[0])
         assert report["incomplete"] is True
         assert "INCOMPLETE" in render_critpath(report)
         per_node = per_node_report(obs.tracer, op_ids)
@@ -121,7 +121,7 @@ class TestIncompleteFlag:
         for op in cap.op_ids:
             assert attribute_op(cap.tracer, op)["incomplete"] is False
         assert "INCOMPLETE" not in render_critpath(
-            critical_path(cap.tracer, cap.op_ids[0]))
+            attribute_op(cap.tracer, cap.op_ids[0]))
 
 
 class TestCliWarnings:

@@ -201,7 +201,7 @@ class TestUtilizationProperties:
             assert busy_error <= 1e-12 * pipe.busy_until()
 
 
-class TestMonitorProperties:
+class TestHistogramProperties:
     @fast
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
     def test_percentiles_bounded_and_monotone(self, values):

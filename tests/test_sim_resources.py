@@ -232,7 +232,7 @@ def test_bandwidth_back_to_back_transfers_merge_busy_intervals():
     assert pipe.utilization() == 1.0
 
 
-def test_bandwidth_busy_history_grows_by_two_doubles_per_idle_gap():
+def test_bandwidth_pipe_stays_constant_size_across_idle_gaps():
     """Run-time memory stays bounded: a pipe keeps a fixed set of numbers,
     so an idle gap adds at most 1 B to it and no object for the cyclic GC
     to walk."""

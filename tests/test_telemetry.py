@@ -1,8 +1,6 @@
 """Fidelity-aware telemetry: flow-mode reconciliation, decision counters,
 continuous time-series sessions, and the self-contained HTML dashboard."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -207,40 +205,6 @@ class TestTelemetrySession:
         assert len(a.samples) == 3
         assert a.dropped == 3  # six rows into a three-row ring
         assert [s["t"] for s in a.samples] == [1.5, 2.0, 2.5]
-
-    def test_jsonl_round_trips(self):
-        reg, c = self._registry()
-        ts = TelemetrySession(reg, cadence=1.0)
-        c.inc(2)
-        ts.sample(1e-6)
-        rows = [json.loads(line) for line in ts.to_jsonl().splitlines()]
-        assert rows == [{"t": 1e-6, "source": "main",
-                         "values": {"ticks_done": 2.0}}]
-
-    def test_prometheus_exposition(self):
-        reg = MetricsRegistry()
-        c = reg.counter("reqs_done", link="l0.up")
-        h = reg.histogram("lat_us")
-        ts = TelemetrySession(reg, cadence=1.0)
-        c.inc(3)
-        h.observe(5.0)
-        h.observe(7.0)
-        ts.sample(2e-3)  # exposition timestamps are sim-time ms
-        text = ts.to_prometheus()
-        assert 'repro_reqs_done{link="l0.up",source="main"} 3 2\n' in text
-        assert 'repro_lat_us_count{source="main"} 2 2' in text
-        assert 'repro_lat_us_sum{source="main"} 12 2' in text
-
-    def test_chrome_counter_events(self):
-        reg, c = self._registry()
-        ts = TelemetrySession(reg, cadence=1.0, source="fig07/p0")
-        c.inc()
-        ts.sample(3e-6)
-        events = ts.to_chrome_counters(pid=9)
-        assert events == [{
-            "ph": "C", "name": "ticks_done@fig07/p0", "pid": 9, "tid": 0,
-            "ts": pytest.approx(3.0), "args": {"value": 1.0},
-        }]
 
     def test_capture_scenarios_take_samples(self):
         cap = trace_artifact("fig08", telemetry=units.us(5))

@@ -1,19 +1,31 @@
-"""Tests of the tracing subsystem."""
+"""Tests of the tracing subsystem: the span ring and the engine's spans."""
+
+import importlib.util
+import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.cclo.microcontroller import CollectiveArgs
+from repro.obs import SpanTracer, attach, write_chrome_trace
 from repro.sim import all_of
-from repro.trace import TraceEvent, Tracer
 from tests.helpers import dev_buffer, empty_dev_buffer, make_cluster
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _check_trace_script():
+    spec = importlib.util.spec_from_file_location(
+        "check_trace", os.path.join(_REPO, "scripts", "check_trace.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_traced_sendrecv():
     cluster = make_cluster(2)
-    tracer = Tracer()
-    for node in cluster.nodes:
-        node.engine.attach_tracer(tracer)
+    tracer = attach(cluster).tracer
     payload = np.ones(128, np.float32)
     sview = dev_buffer(cluster, 0, payload)
     rview = empty_dev_buffer(cluster, 1, 128)
@@ -24,162 +36,67 @@ def run_traced_sendrecv():
             opcode="send", peer=1, nbytes=payload.nbytes, sbuf=sview)),
     ]
     cluster.env.run(until=all_of(cluster.env, events))
-    return tracer
+    return cluster, tracer
 
 
 class TestTracerCore:
-    def test_record_and_len(self):
-        tracer = Tracer()
-        tracer.record(1.0, "uc", "dispatch", opcode="send")
-        tracer.record(2.0, "dmp", "issue")
-        assert len(tracer) == 2
-
-    def test_capacity_bound_drops_oldest(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.record(float(i), "x", "e")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        # Ring-buffer semantics: the *tail* of the run is retained.
-        assert [ev.time for ev in tracer] == [3.0, 4.0]
-
-    def test_summary_surfaces_truncation(self):
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.record(float(i), "x", "e")
-        summary = tracer.summary()
-        assert summary["x.e"] == 2
-        assert summary["tracer.dropped"] == 3
-
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
-            Tracer(capacity=0)
+            SpanTracer(capacity=0)
 
-    def test_filter_by_component_and_event(self):
-        tracer = Tracer()
-        tracer.record(0.0, "uc", "dispatch")
-        tracer.record(1.0, "uc", "complete")
-        tracer.record(2.0, "dmp", "dispatch")
-        assert len(tracer.filter(component="uc")) == 2
-        assert len(tracer.filter(event="dispatch")) == 2
-        assert len(tracer.filter(component="uc", event="dispatch")) == 1
+    def test_full_ring_of_begin_end_spans_is_complete(self, tmp_path):
+        """Regression: each span is stored once, so a ring of N spans
+        holding N begin/end spans has dropped nothing — a second, flat
+        copy of every begin and end used to fill first and make the
+        export look truncated."""
+        n = 8
+        tracer = SpanTracer(capacity=n)
+        op = tracer.next_op_id()
+        root = tracer.span_begin(0.0, "cclo0.uc", "collective:send",
+                                 phase="collective", op_id=op)
+        for i in range(n - 1):
+            sid = tracer.span_begin(i * 1e-6, "cclo0.dmp", "instr",
+                                    phase="dmp", op_id=op)
+            tracer.span_end((i + 1) * 1e-6, sid)
+        tracer.span_end(n * 1e-6, root)
+        assert len(tracer.completed_spans) == n
+        assert tracer.spans_dropped == 0 and tracer.unclosed_count == 0
 
-    def test_summary_counts(self):
-        tracer = Tracer()
-        for _ in range(3):
-            tracer.record(0.0, "uc", "dispatch")
-        tracer.record(0.0, "dmp", "issue")
-        assert tracer.summary() == {"uc.dispatch": 3, "dmp.issue": 1}
-
-    def test_spans_pairing(self):
-        tracer = Tracer()
-        tracer.record(1.0, "dmp", "issue")
-        tracer.record(3.0, "dmp", "retire")
-        tracer.record(4.0, "dmp", "issue")
-        tracer.record(9.0, "dmp", "retire")
-        assert tracer.spans("dmp", "issue", "retire") == [2.0, 5.0]
-
-    def test_spans_nested_pairing_is_lifo(self):
-        """Regression: nested spans must pair inner-first, not inverted.
-
-        outer [1, 10] wraps inner [2, 3]: FIFO pairing would report
-        [2.0, 8.0] — the inner duration credited to the outer start.
-        """
-        tracer = Tracer()
-        tracer.record(1.0, "dmp", "issue")    # outer start
-        tracer.record(2.0, "dmp", "issue")    # inner start
-        tracer.record(3.0, "dmp", "retire")   # inner end
-        tracer.record(10.0, "dmp", "retire")  # outer end
-        assert tracer.spans("dmp", "issue", "retire") == [1.0, 9.0]
-
-    def test_spans_overlapping_other_components_ignored(self):
-        tracer = Tracer()
-        tracer.record(1.0, "dmp", "issue")
-        tracer.record(2.0, "uc", "issue")
-        tracer.record(3.0, "uc", "retire")
-        tracer.record(4.0, "dmp", "retire")
-        assert tracer.spans("dmp", "issue", "retire") == [3.0]
-        assert tracer.spans("uc", "issue", "retire") == [1.0]
-
-    def test_event_rendering(self):
-        ev = TraceEvent(1e-6, "cclo0.uc", "dispatch", (("opcode", "send"),))
-        text = str(ev)
-        assert "cclo0.uc.dispatch" in text and "opcode=send" in text
-
-    def test_clear(self):
-        tracer = Tracer(capacity=1)
-        tracer.record(0.0, "a", "b")
-        tracer.record(0.0, "a", "b")
-        tracer.clear()
-        assert len(tracer) == 0 and tracer.dropped == 0
-
-    def test_to_csv(self, tmp_path):
-        tracer = Tracer()
-        tracer.record(1.5e-6, "uc", "dispatch", opcode="send")
-        path = tmp_path / "trace.csv"
-        assert tracer.to_csv(str(path)) == 1
-        content = path.read_text()
-        assert "uc" in content and '""opcode"": ""send""' in content
-
-    def test_csv_round_trip_preserves_hostile_details(self, tmp_path):
-        """Regression: detail values containing the old ';'/'=' field
-        separators must survive to_csv -> read_csv unchanged."""
-        tracer = Tracer()
-        tracer.record(1e-6, "uc", "dispatch",
-                      expr="a=b;c=d", note="x;y", n=3)
-        path = tmp_path / "trace.csv"
-        tracer.to_csv(str(path))
-        (ev,) = Tracer.read_csv(str(path))
-        detail = ev.detail_dict()
-        assert detail["expr"] == "a=b;c=d"
-        assert detail["note"] == "x;y"
-        assert detail["n"] == 3
-        assert ev.component == "uc" and ev.event == "dispatch"
-        assert ev.time == pytest.approx(1e-6)
-
-    def test_read_csv_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "not_a_trace.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            Tracer.read_csv(str(path))
-
-    def test_spans_with_counts_reports_truncation(self):
-        tracer = Tracer()
-        tracer.record(1.0, "dmp", "retire")   # start was evicted/not seen
-        tracer.record(2.0, "dmp", "issue")
-        tracer.record(3.0, "dmp", "retire")
-        tracer.record(4.0, "dmp", "issue")    # never retires
-        durations, counts = tracer.spans("dmp", "issue", "retire",
-                                         with_counts=True)
-        assert durations == [1.0]
-        assert counts == {"unclosed": 1, "unmatched_ends": 1}
-        # default return shape is unchanged for existing callers
-        assert tracer.spans("dmp", "issue", "retire") == [1.0]
+        path = tmp_path / "trace.json"
+        assert write_chrome_trace(tracer, str(path)) == n
+        other = json.loads(path.read_text())["otherData"]
+        assert set(other) == {"spans", "truncated_spans", "unclosed",
+                              "spans_dropped"}
+        assert other["unclosed"] == 0 and other["spans_dropped"] == 0
+        assert _check_trace_script().check(str(path)) == 0
 
 
 class TestEngineIntegration:
     def test_sendrecv_produces_expected_events(self):
-        tracer = run_traced_sendrecv()
-        summary = tracer.summary()
-        uc_dispatches = [v for k, v in summary.items()
-                         if k.endswith("uc.dispatch")]
-        assert sum(uc_dispatches) == 2  # one send + one recv command
-        assert any("dmp.issue" in k for k in summary)
-        assert any("dmp.retire" in k for k in summary)
+        _, tracer = run_traced_sendrecv()
+        dispatches = [s for s in tracer.completed_spans
+                      if s.component.endswith(".uc") and s.name == "dispatch"]
+        assert len(dispatches) == 2  # one send + one recv command
+        assert {s.component for s in dispatches} == {"cclo0.uc", "cclo1.uc"}
 
-    def test_events_time_ordered(self):
-        tracer = run_traced_sendrecv()
-        times = [ev.time for ev in tracer]
-        assert times == sorted(times)
+    def test_spans_lie_within_the_run(self):
+        cluster, tracer = run_traced_sendrecv()
+        spans = tracer.completed_spans
+        assert spans and tracer.unclosed_count == 0
+        for span in spans:
+            assert 0.0 <= span.t0 <= span.t1 <= cluster.env.now
 
     def test_dmp_spans_positive(self):
-        tracer = run_traced_sendrecv()
-        components = {ev.component for ev in tracer if "dmp" in ev.component}
-        for comp in components:
-            for span in tracer.spans(comp, "issue", "retire"):
-                assert span > 0
+        _, tracer = run_traced_sendrecv()
+        instrs = [s for s in tracer.completed_spans
+                  if s.component.endswith(".dmp") and s.name == "instr"]
+        assert instrs
+        for span in instrs:
+            assert span.duration > 0
 
     def test_untraced_engine_has_no_overhead_path(self):
         cluster = make_cluster(2)
-        assert cluster.engine(0).tracer is None
-        cluster.engine(0).trace("uc", "noop")  # must be a no-op, not crash
+        engine = cluster.engine(0)
+        assert engine.tracer is None
+        assert engine.span_begin("uc", "noop") == -1
+        engine.span_end(-1)  # must be a no-op, not crash
