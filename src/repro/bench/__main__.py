@@ -22,13 +22,13 @@ from repro.bench.artifacts import ARTIFACTS, SCENARIOS
 from repro.bench.cache import ResultCache
 from repro.bench.formats import format_rows
 from repro.bench.runner import ShardIncomplete, SweepRunner
+from repro.errors import ConfigurationError
 
 DEFAULT_CACHE_DIR = ".bench_cache"
 DEFAULT_JSON_OUT = "BENCH_results.json"
 
 #: record fields a shard trajectory point carries into the result cache
-_MERGE_FIELDS = ("wall_s", "sim_s", "events", "events_ff", "dropped",
-                 "snapshots", "snap_dropped")
+_MERGE_FIELDS = ("wall_s", "sim_s", "events", "events_ff")
 
 
 def _write_json(path: str, doc) -> None:
@@ -104,17 +104,11 @@ def _print_summary(runner: SweepRunner, wall: float) -> None:
     records = runner.records
     perf = perf_section(records, wall)
     cached_n = sum(1 for r in records if r.cached)
-    # Per-point counts: each point traces into its own scoped bundle,
-    # inline or in a pool worker.
-    dropped = sum(r.dropped for r in records)
-    snap_dropped = sum(r.snap_dropped for r in records)
     events_ff = perf["events_ff"]
     ff_note = f" (+{events_ff} fast-forwarded)" if events_ff else ""
     print(f"all: {len(records)} points ({cached_n} cached), "
           f"{perf['events']} events{ff_note} in {wall:.2f}s — "
-          f"{perf['ns_per_event']:.0f} ns/event, "
-          f"spans.dropped={dropped}, "
-          f"snapshots.dropped={snap_dropped}", file=sys.stderr)
+          f"{perf['ns_per_event']:.0f} ns/event", file=sys.stderr)
 
 
 def _sweep(names, cache, jobs: int, quick: bool, json_out, shard=None,
@@ -234,7 +228,7 @@ def _profile(args) -> int:
 
     report = profile_mod.profile_artifact(
         args.target, quick=args.quick, profile_out=args.profile_out,
-        memory=args.memory, obs=args.obs, per_node=args.per_node)
+        memory=args.memory, per_node=args.per_node)
     print(profile_mod.render_report(report))
     if args.target == "scale" and args.per_node:
         if profile_mod.record_scale_block(report, DEFAULT_JSON_OUT):
@@ -303,7 +297,7 @@ def _capture(args, **kwargs):
     try:
         return capture.trace_artifact(args.scenario, **kwargs,
                                       **dict(args.scenario_args))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ConfigurationError) as exc:
         print(exc, file=sys.stderr)
         return None
 
@@ -630,9 +624,6 @@ def _parser():
     p.add_argument("--per-node", action="store_true",
                    help="scale: report construction bytes per node and "
                         f"record the scale block in {DEFAULT_JSON_OUT}")
-    p.add_argument("--obs", action="store_true",
-                   help="also run with observability on and report its "
-                        "overhead (plus a phase breakdown when traced)")
     p.add_argument("--profile-out", metavar="PATH",
                    help="run under cProfile and dump pstats to PATH")
     json_flag(p, "the profile report")

@@ -173,18 +173,13 @@ def profile_artifact(
     quick: bool = False,
     profile_out: Optional[str] = None,
     memory: bool = False,
-    obs: bool = False,
     per_node: bool = False,
 ) -> Dict[str, Any]:
     """Profile one artifact (or ``"scale"`` for :func:`profile_scale`).
 
     Returns a :func:`measure` report, plus optional ``memory``
     (tracemalloc current/peak) and ``profile_out`` (pstats dump path)
-    entries.  With ``obs=True`` the artifact runs again with the
-    observability layer enabled, and the report gains an ``obs`` block:
-    instrumented wall time, its overhead over the plain run, the merged
-    metric count and the points' dropped spans, and — for artifacts with a
-    traced scenario — a per-collective phase breakdown.
+    entries.
     """
     from repro.bench.artifacts import ARTIFACTS
     from repro.bench.runner import SweepRunner
@@ -219,81 +214,7 @@ def profile_artifact(
     if profiler:
         profiler.dump_stats(profile_out)
         report["profile_out"] = profile_out
-    if obs:
-        report["obs"] = _measure_obs_overhead(artifact, kwargs, report)
     return report
-
-
-#: metrics-snapshot cadence for the telemetry overhead pass (sim-seconds);
-#: 50 sim-us matches a serving-style scrape resolution — frequent enough
-#: to ramp-profile the quick sweeps, coarse enough that the quoted cost
-#: reflects steady-state sampling rather than degenerate oversampling.
-_OBS_TELEMETRY_CADENCE = units.us(50)
-
-
-def _measure_obs_overhead(artifact, kwargs: Dict[str, Any],
-                          baseline: Dict[str, Any]) -> Dict[str, Any]:
-    """Re-run *artifact* with observability enabled; quantify the cost.
-
-    Two instrumented passes isolate the two cost sources: spans only
-    (record-only tracing, no extra heap events), then spans + continuous
-    telemetry snapshots.  The baseline (disabled) run has already happened
-    — that order keeps the disabled path the one any warm-up effects favor
-    *against*, so the reported overheads are if anything pessimistic.
-    """
-    from repro.bench.runner import SweepRunner
-    from repro.obs import runtime as obs_runtime
-
-    name, fn = artifact.name, artifact.run
-    bundle = obs_runtime.enable()
-    try:
-        runner = SweepRunner(jobs=1, cache=None)
-        measured = measure(lambda: fn(runner=runner, **kwargs),
-                           f"{name}+obs")
-    finally:
-        obs_runtime.disable()
-
-    enabled = measured["report"]
-    # Each point traces into its own scoped bundle; only its metrics merge
-    # back into the global one, so span drops are summed per point.
-    block = {
-        "ns_per_event": enabled["ns_per_event"],
-        "wall_s": enabled["wall_s"],
-        "events": enabled["events"],
-        "overhead_pct": _overhead_pct(enabled, baseline),
-        "summary": {"metrics": len(bundle.registry),
-                    "spans_dropped": sum(r.dropped for r in runner.records)},
-    }
-
-    # Third pass: spans + telemetry.  Snapshot overhead is quoted against
-    # the span-only run so the two costs are separable in the report.
-    obs_runtime.enable(telemetry_cadence=_OBS_TELEMETRY_CADENCE)
-    try:
-        runner = SweepRunner(jobs=1, cache=None)
-        measured = measure(lambda: fn(runner=runner, **kwargs),
-                           f"{name}+obs+telemetry")
-    finally:
-        obs_runtime.disable()
-    telemetry = measured["report"]
-    # The global session only merges the points' own series, so the
-    # per-point counts are the whole count.
-    block["telemetry"] = {
-        "cadence_s": _OBS_TELEMETRY_CADENCE,
-        "wall_s": telemetry["wall_s"],
-        "snapshots": sum(r.snapshots for r in runner.records),
-        "snapshots_dropped": sum(r.snap_dropped for r in runner.records),
-        "overhead_pct": _overhead_pct(telemetry, enabled),
-    }
-    if artifact.scenario is not None:
-        block["breakdowns"] = artifact.scenario().breakdowns()
-    return block
-
-
-def _overhead_pct(run: Dict[str, Any], base: Dict[str, Any]) -> float:
-    """Wall-time overhead of *run* over *base*, in percent."""
-    if base["wall_s"] <= 0:
-        return 0.0
-    return (run["wall_s"] / base["wall_s"] - 1.0) * 100.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,29 +278,4 @@ def render_report(report: Dict[str, Any]) -> str:
     if report.get("profile_out"):
         lines.append(f"  pstats written to {report['profile_out']} "
                      f"(inspect: python -m pstats {report['profile_out']})")
-    obs = report.get("obs")
-    if obs:
-        lines.append(
-            f"  with observability: {obs['wall_s']:.2f}s wall "
-            f"({obs['ns_per_event']:.0f} ns/event) — "
-            f"{obs['overhead_pct']:+.1f}% overhead")
-        summary = obs.get("summary", {})
-        lines.append(
-            f"    collected {summary.get('metrics', 0)} metrics; "
-            f"dropped spans={summary.get('spans_dropped', 0)}")
-        telemetry = obs.get("telemetry")
-        if telemetry:
-            lines.append(
-                f"  with telemetry snapshots "
-                f"(every {telemetry['cadence_s'] * 1e6:.0f} sim-us): "
-                f"{telemetry['wall_s']:.2f}s wall — "
-                f"{telemetry['overhead_pct']:+.1f}% on top of spans "
-                f"({telemetry['snapshots']} snapshots, "
-                f"{telemetry['snapshots_dropped']} dropped)")
-        if obs.get("breakdowns"):
-            from repro.obs.export import render_phase_table
-
-            lines.append("  phase breakdown (traced scenario):")
-            lines.extend("    " + ln for ln in
-                         render_phase_table(obs["breakdowns"]).splitlines())
     return "\n".join(lines)

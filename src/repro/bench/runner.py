@@ -38,12 +38,6 @@ def point_kernel(name: str) -> Callable[[Callable], Callable]:
     return decorate
 
 
-def _global_obs():
-    from repro.obs.runtime import get_global
-
-    return get_global()
-
-
 def _worker_warmup() -> None:
     """Pool initializer: pay per-process start-up cost once per worker.
 
@@ -117,13 +111,6 @@ class PointResult:
     #: reported beside ``events``, never added to it.
     events_ff: int = 0
     key: Optional[str] = None
-    #: spans this point's own tracer evicted (ring-buffer truncation; 0
-    #: when observability was off for the run).
-    dropped: int = 0
-    #: telemetry samples this point's session took / evicted (0 when
-    #: telemetry was off for the run).
-    snapshots: int = 0
-    snap_dropped: int = 0
     #: True when a sharded run left this point to another shard (value is
     #: None and no execution metadata was recorded).
     skipped: bool = False
@@ -132,50 +119,21 @@ class PointResult:
 def execute_point(point: SweepPoint) -> Dict[str, Any]:
     """Run one point and measure it.  Top-level so it pickles to workers."""
     import repro.bench.harness  # noqa: F401 — populates KERNELS on import
-    from repro.obs import runtime as obs_runtime
     from repro.sim.kernel import Environment
 
     fn = KERNELS[point.kernel]
     events0 = Environment.total_events_processed
     ff0 = Environment.total_events_fast_forwarded
     sim0 = Environment.total_sim_time
-    obs_snapshot = None
-    telemetry_snapshot = None
-    dropped = snapshots = snap_dropped = 0
     start = time.perf_counter()
-    if obs_runtime.is_enabled():
-        # Per-point bundle: the snapshot shipped back covers exactly this
-        # point, so the parent can merge worker metrics without double
-        # counting (each point builds its own hermetic clusters).  The
-        # trace capacity and telemetry cadence (if any) are inherited from
-        # the enabled global; the point's series is tagged with its key so
-        # merged series stay attributable.
-        with obs_runtime.scoped(
-                telemetry_source=point.key()) as point_obs:
-            value = fn(**point.kwargs())
-        obs_snapshot = point_obs.registry.snapshot()
-        dropped = point_obs.tracer.spans_dropped
-        if point_obs.telemetry is not None:
-            telemetry_snapshot = point_obs.telemetry.snapshot()
-            snapshots = point_obs.telemetry.samples_taken
-            snap_dropped = point_obs.telemetry.dropped
-    else:
-        value = fn(**point.kwargs())
-    out = {
+    value = fn(**point.kwargs())
+    return {
         "value": value,
         "wall_s": time.perf_counter() - start,
         "sim_s": Environment.total_sim_time - sim0,
         "events": Environment.total_events_processed - events0,
         "events_ff": Environment.total_events_fast_forwarded - ff0,
-        "dropped": dropped,
-        "snapshots": snapshots,
-        "snap_dropped": snap_dropped,
     }
-    if obs_snapshot is not None:
-        out["obs"] = obs_snapshot
-    if telemetry_snapshot is not None:
-        out["telemetry"] = telemetry_snapshot
-    return out
 
 
 class SweepRunner:
@@ -244,9 +202,6 @@ class SweepRunner:
                     sim_s=record.get("sim_s", 0.0),
                     events=record.get("events", 0),
                     events_ff=record.get("events_ff", 0),
-                    dropped=record.get("dropped", 0),
-                    snapshots=record.get("snapshots", 0),
-                    snap_dropped=record.get("snap_dropped", 0),
                     cached=True, key=key,
                 )
             elif (self.shard is not None
@@ -267,20 +222,6 @@ class SweepRunner:
                     execute_point, [point for _, point, _ in pending],
                     chunksize=chunk))
             for (i, point, key), out in zip(pending, outputs):
-                # Metric and telemetry snapshots fold into the parent's live
-                # bundle and are never cached: the cache key ignores
-                # observability state, so a disabled run must be able to
-                # reuse the entry.
-                obs_snapshot = out.pop("obs", None)
-                telemetry_snapshot = out.pop("telemetry", None)
-                if obs_snapshot is not None or telemetry_snapshot is not None:
-                    parent_obs = _global_obs()
-                    if parent_obs is not None:
-                        if obs_snapshot is not None:
-                            parent_obs.registry.merge(obs_snapshot)
-                        if (telemetry_snapshot is not None
-                                and parent_obs.telemetry is not None):
-                            parent_obs.telemetry.merge(telemetry_snapshot)
                 results[i] = PointResult(point=point, cached=False, key=key,
                                          **out)
                 if self.cache is not None:
@@ -325,8 +266,7 @@ class SweepRunner:
         for rec in self.records:
             art = artifacts.setdefault(rec.point.artifact, {
                 "points": [], "wall_s": 0.0, "sim_s": 0.0,
-                "events": 0, "events_ff": 0, "dropped": 0,
-                "snapshots": 0, "snap_dropped": 0,
+                "events": 0, "events_ff": 0,
                 "cached_points": 0, "skipped_points": 0,
             })
             entry = {
@@ -337,9 +277,6 @@ class SweepRunner:
                 "sim_s": rec.sim_s,
                 "events": rec.events,
                 "events_ff": rec.events_ff,
-                "dropped": rec.dropped,
-                "snapshots": rec.snapshots,
-                "snap_dropped": rec.snap_dropped,
                 "cached": rec.cached,
             }
             if include_values:
@@ -351,9 +288,6 @@ class SweepRunner:
             art["sim_s"] += rec.sim_s
             art["events"] += rec.events
             art["events_ff"] += rec.events_ff
-            art["dropped"] += rec.dropped
-            art["snapshots"] += rec.snapshots
-            art["snap_dropped"] += rec.snap_dropped
             art["cached_points"] += int(rec.cached)
         totals = {
             "points": len(self.records),
@@ -365,10 +299,6 @@ class SweepRunner:
             "sim_s": sum(a["sim_s"] for a in artifacts.values()),
             "events": sum(a["events"] for a in artifacts.values()),
             "events_ff": sum(a["events_ff"] for a in artifacts.values()),
-            "dropped": sum(a["dropped"] for a in artifacts.values()),
-            "snapshots": sum(a["snapshots"] for a in artifacts.values()),
-            "snap_dropped": sum(a["snap_dropped"]
-                                for a in artifacts.values()),
         }
         return {
             "schema": 1,

@@ -16,7 +16,6 @@ from repro.cclo.engine import CcloEngine
 from repro.cclo.microcontroller import CollectiveArgs
 from repro.cluster.node import FpgaNode
 from repro.network.topology import StarTopology
-from repro.obs.runtime import auto_attach
 from repro.platform.coyote import CoyotePlatform
 from repro.platform.simplatform import SimPlatform
 from repro.platform.vitis import VitisPlatform
@@ -173,10 +172,7 @@ def build_fpga_cluster(
         )
 
     _establish_peering(env, nodes, protocol, peering)
-    cluster = FpgaCluster(env, nodes, topology, protocol)
-    # Global observability (repro.obs.runtime.enable): no-op while disabled.
-    auto_attach(cluster)
-    return cluster
+    return FpgaCluster(env, nodes, topology, protocol)
 
 
 def _establish_peering(env: Environment, nodes: List[FpgaNode],

@@ -3,9 +3,9 @@
 The simulation platform exists to shorten "hardware debugging cycles"
 (§4.3); this package is what makes that claim operational.  Three layers:
 
-- :mod:`repro.obs.metrics` — a registry of :class:`Counter` / :class:`Gauge`
-  / :class:`Histogram` instruments that components register into, with
-  sim-time-windowed rates and cross-process merging for pooled sweeps;
+- :mod:`repro.obs.metrics` — a registry of callback gauges
+  (:class:`Gauge`) that components register into, and the
+  :class:`Histogram` the op ledger keeps per entry;
 - :mod:`repro.obs.spans` — :class:`SpanTracer`, structured begin/end spans
   with ids, parent links and per-collective ``op_id`` propagation in one
   bounded ring buffer;
@@ -14,30 +14,22 @@ The simulation platform exists to shorten "hardware debugging cycles"
 - :mod:`repro.obs.critpath` — per-collective critical paths with
   wait-cause attribution and collapsed-stack flamegraphs;
 - :mod:`repro.obs.timeseries` — :class:`TelemetrySession`, continuous
-  sim-time-cadenced registry snapshots, merged across pooled sweep
-  workers;
+  sim-time-cadenced registry snapshots in a bounded ring;
 - :mod:`repro.obs.dashboard` — a self-contained HTML report over one
   traced artifact (``bench dashboard``);
 - :mod:`repro.obs.ledger` — :class:`OpLedger`, per-op latency histograms
   + wait-cause vectors keyed by (artifact, collective, size, algorithm,
-  nprocs, fidelity), mergeable like registries across shards/workers;
+  nprocs, fidelity), mergeable across ``--shard`` runs;
 - :mod:`repro.obs.diff` — differential comparison of two runs with
   ranked regression attribution (``bench diff``).
 
 Everything is opt-in: with no registry and no tracer attached (the
-default), instrumented components pay at most a ``None`` check.  Enable
-globally with :func:`repro.obs.runtime.enable` or per-cluster with
-:func:`repro.obs.runtime.attach`.
+default), instrumented components pay at most a ``None`` check.
+:func:`repro.obs.runtime.attach` wires a bundle into one built cluster;
+it is the only way to observe a run.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Span, SpanTracer
 from repro.obs.export import (
     attribute_op,
@@ -71,20 +63,13 @@ from repro.obs.diff import (
     render_diff,
     render_diff_html,
 )
-from repro.obs.runtime import (
-    Observability,
-    attach,
-    disable,
-    enable,
-    get_global,
-    is_enabled,
-)
+from repro.obs.runtime import Observability, attach
 from repro.obs.timeseries import TelemetrySession
 from repro.obs.dashboard import render_dashboard
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "NullRegistry",
-    "NULL_REGISTRY", "Span", "SpanTracer", "to_chrome_trace",
+    "Gauge", "Histogram", "MetricsRegistry",
+    "Span", "SpanTracer", "to_chrome_trace",
     "validate_chrome_trace", "write_chrome_trace", "metrics_to_csv",
     "attribute_op", "phase_breakdown", "render_phase_table",
     "render_critpath",
@@ -95,6 +80,5 @@ __all__ = [
     "diff_files", "diff_runs", "load_run", "metric_delta_attribution",
     "render_check_attribution", "render_diff", "render_diff_html",
     "Observability", "attach",
-    "enable", "disable", "get_global", "is_enabled",
     "TelemetrySession", "render_dashboard",
 ]

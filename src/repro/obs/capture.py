@@ -16,6 +16,7 @@ enough to engage the flow fast-forward path when it is on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -146,8 +147,12 @@ def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
     Must run after the cluster is built but before traffic starts — both
     the link's admission-rate field and its bandwidth pipe are rescaled,
     so packet serialisation and flow bursts slow down alike.  Returns the
-    throttled link names; raises if the pattern matches nothing.
+    throttled link names; raises ValueError unless *factor* is finite and
+    positive, or if the pattern matches nothing.
     """
+    if not (math.isfinite(factor) and factor > 0):
+        raise ValueError(
+            f"slow_factor must be finite and > 0, got {factor!r}")
     hits: List[str] = []
     for link in cluster.topology.iter_links():
         if pattern in link.name:

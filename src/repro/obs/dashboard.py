@@ -71,7 +71,7 @@ def _fmt_us(seconds: float) -> str:
 def _series_from_samples(samples: Sequence[Dict[str, Any]],
                          ) -> Dict[str, List[Tuple[float, float]]]:
     """Aggregate sampled values by metric *base name* (sum across label
-    sets and sources per timestamp) -> ordered (t, value) points."""
+    sets per timestamp) -> ordered (t, value) points."""
     acc: Dict[str, Dict[float, float]] = {}
     for s in samples:
         t = s["t"]

@@ -180,12 +180,10 @@ def validate_chrome_trace(doc: Dict[str, Any]) -> List[str]:
 # ---------------------------------------------------------------------------
 
 def metrics_to_csv(registry, path: str) -> int:
-    """Dump a registry's instruments to CSV; returns rows written."""
-    fields = ["metric", "kind", "value", "count", "sum", "mean",
-              "min", "max", "p50", "p99"]
+    """Dump a registry's gauges to CSV; returns rows written."""
     rows = registry.rows()
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, restval="")
+        writer = csv.DictWriter(fh, fieldnames=["metric", "kind", "value"])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -13,17 +13,16 @@ algorithm, nprocs, fidelity)`` and holds
 both taken from the shared :func:`~repro.obs.export.attribute_op` sweep,
 so an entry's cause totals reconcile exactly with ``phase_breakdown`` and
 with the histogram's summed wall sim-time.  Sweep points recorded through
-:func:`ledger_from_records` carry the latency histogram only (plain
-sweeps run with observability off); traced captures add the wait-cause
-vectors via :meth:`OpLedger.record_op`.
+:func:`ledger_from_records` carry the latency histogram only (sweeps
+run untraced); traced captures add the wait-cause vectors via
+:meth:`OpLedger.record_op`.
 
-Ledgers merge the same way registries do — histograms extend, totals
-add, flags OR — so pooled workers and ``--shard`` partial runs fold into
-one ledger whose totals are identical to an unsharded run's.  ``bench
-all`` persists the ledger alongside ``BENCH_results.json`` (see
-:func:`ledger_path_for`) and folds :meth:`OpLedger.summary` into the
-trajectory; ``bench diff`` consumes the saved files
-(:mod:`repro.obs.diff`).
+Ledgers merge — histograms extend, totals add, flags OR — so the
+partial ledgers of ``--shard`` runs fold into one ledger whose totals
+are identical to an unsharded run's.  ``bench all`` persists the ledger
+alongside ``BENCH_results.json`` (see :func:`ledger_path_for`) and folds
+:meth:`OpLedger.summary` into the trajectory; ``bench diff`` consumes
+the saved files (:mod:`repro.obs.diff`).
 """
 
 from __future__ import annotations
@@ -116,7 +115,8 @@ class LedgerEntry:
 
 
 class OpLedger:
-    """Keyed collection of :class:`LedgerEntry`, mergeable like a registry."""
+    """Keyed collection of :class:`LedgerEntry`; :meth:`merge` folds in
+    another ledger's snapshot."""
 
     def __init__(self, fidelity: Optional[str] = None):
         if fidelity is None:
@@ -207,9 +207,9 @@ class OpLedger:
                 "entries": entries}
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` (another worker's or shard's ledger)
-        into this one: latency histograms extend, attributed totals add,
-        the incomplete flag ORs."""
+        """Fold a :meth:`snapshot` (another shard's ledger) into this
+        one: latency histograms extend, attributed totals add, the
+        incomplete flag ORs."""
         for data in snapshot.get("entries", {}).values():
             ent = self.entry(data["artifact"], data["collective"],
                              data["size"], data.get("algorithm"),

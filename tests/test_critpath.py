@@ -195,6 +195,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "fig07" in err and "fig08" in err
 
+    _SLOW = ["figX_scale", "--arg", "n_nodes=8", "--arg", "size=65536",
+             "--arg", "slow_link=fpga3.down", "--arg"]
+
+    @pytest.mark.parametrize("argv", [
+        ["allreduce", "--arg", "n_nodes=0"],
+        ["allreduce", "--arg", "nbytes=0"],
+        _SLOW + ["slow_factor=0"],
+        _SLOW + ["slow_factor=inf"],
+        _SLOW + ["slow_factor=-2"],
+        _SLOW + ["slow_factor=nan"],
+    ], ids=["n_nodes=0", "nbytes=0", "slow_factor=0", "slow_factor=inf",
+            "slow_factor=-2", "slow_factor=nan"])
+    def test_rejected_scenario_args_exit_2(self, argv, capsys):
+        from repro.bench.__main__ import main
+
+        assert main(["trace", *argv]) == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1, captured.err
+        assert "Traceback" not in captured.err
+
     def test_critpath_cli_prints_reconciled_paths(self, capsys, tmp_path):
         from repro.bench.__main__ import main
 

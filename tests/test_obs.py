@@ -6,8 +6,6 @@ import pytest
 
 from repro import units
 from repro.obs import (
-    NULL_REGISTRY,
-    Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -20,7 +18,6 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs import runtime as obs_runtime
 from repro.bench.artifacts import SCENARIOS
 from repro.obs.capture import trace_artifact
 from repro.obs.metrics import percentile_of
@@ -28,37 +25,12 @@ from tests.helpers import make_cluster
 
 
 class TestMetrics:
-    def test_counter_monotonic(self):
-        c = Counter("msgs")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_counter_windowed_rate(self):
-        c = Counter("msgs")
-        for t in (1.0, 2.0, 3.0, 4.0):
-            c.inc(2, t=t)
-        # 4 marks of +2 over [0, 4]: 8 increments / 4 sim-seconds
-        assert c.rate(0.0, 4.0) == pytest.approx(2.0)
-        # window [2, 4] sees the marks at t=3 and t=4: +4 over 2 s
-        assert c.rate(2.0, 4.0) == pytest.approx(2.0)
-        # half-window ending before any mark
-        assert c.rate(5.0, 6.0) == 0.0
-        assert Counter("empty").rate(0.0, 1.0) == 0.0
-
     def test_gauge_set_and_callback(self):
-        g = Gauge("depth")
-        g.set(7)
-        assert g.value == 7.0
         live = {"n": 3}
-        gf = Gauge("live", fn=lambda: live["n"])
+        gf = Gauge("live", (), fn=lambda: live["n"])
         assert gf.value == 3.0
         live["n"] = 9
         assert gf.value == 9.0
-        with pytest.raises(ValueError):
-            gf.set(1)
 
     def test_histogram_percentiles_interpolate(self):
         h = Histogram("lat")
@@ -82,90 +54,18 @@ class TestMetrics:
         with pytest.raises(ValueError):
             percentile_of(values, 101)
 
-    def test_histogram_windowed_rate(self):
-        h = Histogram("lat")
-        for t in (0.5, 1.5, 2.5, 3.5):
-            h.observe(1.0, t=t)
-        assert h.rate(0.0, 4.0) == pytest.approx(1.0)
-        assert h.rate(2.0, 4.0) == pytest.approx(1.0)
-
     def test_registry_get_or_create_and_kind_clash(self):
         reg = MetricsRegistry()
-        assert reg.counter("a", node="x") is reg.counter("a", node="x")
-        assert reg.counter("a", node="x") is not reg.counter("a", node="y")
-        with pytest.raises(TypeError):
-            reg.gauge("a", node="x")
-
-    def test_merge_worker_snapshots(self):
-        """Counters add, gauges max, histograms extend — the pooled-sweep
-        fold in SweepRunner."""
-        parent = MetricsRegistry()
-        snapshots = []
-        for peak, obs in ((5.0, [1.0, 2.0]), (3.0, [10.0])):
-            worker = MetricsRegistry()
-            worker.counter("tx", node="n0").inc(10)
-            worker.gauge("hw", node="n0").set(peak)
-            for v in obs:
-                worker.histogram("lat", node="n0").observe(v)
-            snapshots.append(worker.snapshot())
-        for snap in snapshots:
-            assert json.loads(json.dumps(snap)) == snap  # picklable/plain
-            parent.merge(snap)
-        assert parent.counter("tx{node=n0}").value == 20.0
-        assert parent.gauge("hw{node=n0}").value == 5.0
-        merged = parent.histogram("lat{node=n0}")
-        assert merged.count == 3 and merged.total == 13.0
-
-    def test_merge_is_order_independent(self):
-        """Folding worker snapshots must commute: any arrival order of the
-        pooled-sweep results yields the same merged registry."""
-        import random
-
-        snapshots = []
-        for i in range(5):
-            worker = MetricsRegistry()
-            worker.counter("tx", node="n0").inc(i + 1)
-            worker.counter("rx", node=f"n{i % 2}").inc(10 * i)
-            worker.gauge("hw", node="n0").set(float(i * 3 % 7))
-            for v in (float(i), float(i) / 2):
-                worker.histogram("lat", node="n0").observe(v)
-            snapshots.append(worker.snapshot())
-
-        def folded(order):
-            parent = MetricsRegistry()
-            for idx in order:
-                parent.merge(snapshots[idx])
-            snap = parent.snapshot()
-            # Histogram observations arrive in merge order; the multiset
-            # is what must match, so compare sorted.
-            hists = {k: sorted(v) for k, v in snap["histograms"].items()}
-            return snap["counters"], snap["gauges"], hists
-
-        rng = random.Random(7)
-        reference = folded(range(len(snapshots)))
-        for _ in range(6):
-            order = list(range(len(snapshots)))
-            rng.shuffle(order)
-            assert folded(order) == reference
+        gauge = reg.gauge("a", fn=lambda: 1.0, node="x")
+        assert reg.gauge("a", fn=lambda: 2.0, node="x") is gauge
+        assert gauge.value == 2.0  # re-registering rebinds the callback
+        assert reg.gauge("a", fn=lambda: 3.0, node="y") is not gauge
+        assert len(reg) == 2
 
     def test_snapshot_resolves_callback_gauges(self):
         reg = MetricsRegistry()
         reg.gauge("live", fn=lambda: 42.0)
         assert reg.snapshot()["gauges"]["live"] == 42.0
-
-    def test_null_registry_is_total_no_op(self):
-        assert len(NULL_REGISTRY) == 0
-        c = NULL_REGISTRY.counter("x", node="y")
-        c.inc(5)
-        assert c.value == 0.0
-        g = NULL_REGISTRY.gauge("g")
-        g.set(3)
-        h = NULL_REGISTRY.histogram("h")
-        h.observe(1.0)
-        assert h.summary() == {"count": 0, "sum": 0.0}
-        assert NULL_REGISTRY.rows() == []
-        NULL_REGISTRY.merge({"counters": {"x": 1}})
-        assert NULL_REGISTRY.snapshot()["counters"] == {}
 
 
 class TestSpanTracer:
@@ -277,13 +177,13 @@ class TestExporters:
 
     def test_metrics_csv(self, tmp_path):
         reg = MetricsRegistry()
-        reg.counter("tx", node="n0").inc(3)
-        reg.histogram("lat").observe(1.0)
+        reg.gauge("tx", fn=lambda: 3, node="n0")
+        reg.gauge("lat", fn=lambda: 1.0)
         path = tmp_path / "metrics.csv"
         assert metrics_to_csv(reg, str(path)) == 2
         lines = path.read_text().splitlines()
         assert lines[0].startswith("metric,kind,")
-        assert any("tx{node=n0}" in ln for ln in lines)
+        assert "tx{node=n0},gauge,3.0" in lines
 
 
 class TestClusterWiring:
@@ -330,30 +230,6 @@ class TestClusterWiring:
         engine.span_end(-1)  # must be a no-op, not crash
         assert engine.next_op_id() == -1
 
-    def test_global_enable_auto_attaches(self):
-        bundle = obs_runtime.enable()
-        try:
-            cluster = make_cluster(2)
-            assert cluster.engine(0).tracer is bundle.tracer
-            assert len(bundle.registry) > 0
-        finally:
-            obs_runtime.disable()
-        cluster = make_cluster(2)
-        assert cluster.engine(0).tracer is None
-
-    def test_scoped_swaps_and_restores(self):
-        outer = obs_runtime.enable(trace_capacity=7)
-        try:
-            with obs_runtime.scoped() as inner:
-                assert obs_runtime.get_global() is inner
-                assert inner is not outer
-                assert inner.tracer.capacity == 7  # inherited
-            assert obs_runtime.get_global() is outer
-        finally:
-            obs_runtime.disable()
-        assert not obs_runtime.is_enabled()
-
-
 class TestCapture:
     def test_traceable_artifacts_listed(self):
         assert "fig08" in SCENARIOS and "fig07" in SCENARIOS
@@ -378,27 +254,20 @@ class TestCapture:
 
 
 class TestRunnerIntegration:
-    def test_enabled_sweep_merges_worker_metrics(self):
-        from repro.bench.runner import SweepPoint, SweepRunner
-        import repro.bench.harness  # noqa: F401 — registers kernels
+    def test_points_record_only_their_run(self):
+        """A sweep point carries its value and kernel counts, nothing of
+        observability: no per-point obs counts reach the trajectory."""
+        from repro.bench.runner import SweepPoint, SweepRunner, execute_point
 
-        bundle = obs_runtime.enable()
-        try:
-            runner = SweepRunner(jobs=1, cache=None)
-            runner.run([SweepPoint.make(
-                "t", "accl_collective", opcode="allreduce",
-                size=4 * units.KIB, n_nodes=2)])
-            merged = bundle.registry.snapshot()
-        finally:
-            obs_runtime.disable()
-        assert any(k.startswith("uc_commands_executed")
-                   for k in merged["gauges"])
-
-    def test_disabled_sweep_ships_no_obs(self):
-        from repro.bench.runner import SweepPoint, execute_point
-
-        out = execute_point(SweepPoint.make(
-            "t", "accl_collective", opcode="allreduce",
-            size=4 * units.KIB, n_nodes=2))
-        assert "obs" not in out
-        assert out["dropped"] >= 0
+        point = SweepPoint.make("t", "accl_collective", opcode="allreduce",
+                                size=4 * units.KIB, n_nodes=2)
+        out = execute_point(point)
+        assert set(out) == {"value", "wall_s", "sim_s", "events",
+                            "events_ff"}
+        runner = SweepRunner(jobs=1, cache=None)
+        runner.run([point])
+        trajectory = runner.trajectory()
+        for art in trajectory["artifacts"].values():
+            for entry in art["points"]:
+                assert not {"dropped", "snapshots",
+                            "snap_dropped"} & set(entry)

@@ -206,8 +206,8 @@ class TestHistogramProperties:
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
     def test_percentiles_bounded_and_monotone(self, values):
         hist = Histogram("samples")
-        for i, v in enumerate(values):
-            hist.observe(v, t=float(i))
+        for v in values:
+            hist.observe(v)
         p0, p50, p100 = (hist.percentile(p) for p in (0, 50, 100))
         assert p0 == min(values)
         assert p100 == max(values)

@@ -137,8 +137,15 @@ class TestTimingInvarianceFlow:
 
 class TestTelemetrySession:
     def _registry(self):
+        """A registry with one callback gauge, and the tick that moves it."""
         reg = MetricsRegistry()
-        return reg, reg.counter("ticks_done")
+        ticks = [0]
+        reg.gauge("ticks_done", fn=lambda: ticks[0])
+
+        def tick():
+            ticks[0] += 1
+
+        return reg, tick
 
     def test_rejects_bad_cadence_and_capacity(self):
         reg, _ = self._registry()
@@ -148,63 +155,37 @@ class TestTelemetrySession:
             TelemetrySession(reg, cadence=1.0, capacity=0)
 
     def test_sampler_self_stops_and_pokes(self):
-        reg, c = self._registry()
+        reg, tick = self._registry()
         env = Environment()
         ts = TelemetrySession(reg, cadence=units.us(1))
         ts.attach(env)
-        env.schedule_callback(units.us(3.5), c.inc)
+        env.schedule_callback(units.us(3.5), tick)
         env.run()
         first = ts.samples_taken
         assert first >= 4  # t = 0, 1, 2, 3 us at least
         # Heap drained -> sampler disarmed: a new run() phase without a
         # poke() takes no samples and never keeps the sim alive.
-        env.schedule_callback(units.us(1), c.inc)
+        env.schedule_callback(units.us(1), tick)
         env.run()
         assert ts.samples_taken == first
-        env.schedule_callback(units.us(1), c.inc)
+        env.schedule_callback(units.us(1), tick)
         ts.poke()
         env.run()
         assert ts.samples_taken > first
-        last = ts.snapshot()["samples"][-1]
+        last = ts.samples[-1]
         assert last["values"]["ticks_done"] == 3.0
 
     def test_ring_capacity_counts_drops(self):
-        reg, c = self._registry()
+        reg, tick = self._registry()
         ts = TelemetrySession(reg, cadence=1.0, capacity=4)
         for i in range(10):
-            c.inc()
+            tick()
             ts.sample(float(i))
         assert ts.samples_taken == 10
         assert ts.dropped == 6
-        snap = ts.snapshot()
-        assert [s["t"] for s in snap["samples"]] == [6.0, 7.0, 8.0, 9.0]
-        assert snap["taken"] == 10 and snap["dropped"] == 6
-
-    def test_merge_keeps_series_time_ordered(self):
-        reg, _ = self._registry()
-        a = TelemetrySession(reg, cadence=1.0, source="main")
-        b = TelemetrySession(reg, cadence=1.0, source="fig07/w1")
-        for t in (0.0, 2.0):
-            a.sample(t)
-        for t in (1.0, 3.0):
-            b.sample(t)
-        a.merge(b.snapshot())
-        assert [(s["t"], s["source"]) for s in a.samples] == [
-            (0.0, "main"), (1.0, "fig07/w1"),
-            (2.0, "main"), (3.0, "fig07/w1")]
-        assert a.samples_taken == 4
-
-    def test_merge_overflow_counts_dropped(self):
-        reg, _ = self._registry()
-        a = TelemetrySession(reg, cadence=1.0, capacity=3, source="main")
-        b = TelemetrySession(reg, cadence=1.0, capacity=3, source="w")
-        for t in (0.0, 1.0, 2.0):
-            a.sample(t)
-            b.sample(t + 0.5)
-        a.merge(b.snapshot())
-        assert len(a.samples) == 3
-        assert a.dropped == 3  # six rows into a three-row ring
-        assert [s["t"] for s in a.samples] == [1.5, 2.0, 2.5]
+        assert [s["t"] for s in ts.samples] == [6.0, 7.0, 8.0, 9.0]
+        assert [s["values"]["ticks_done"] for s in ts.samples] == [
+            7.0, 8.0, 9.0, 10.0]
 
     def test_capture_scenarios_take_samples(self):
         cap = trace_artifact("fig08", telemetry=units.us(5))

@@ -93,10 +93,3 @@ class TestEngineIntegration:
         assert instrs
         for span in instrs:
             assert span.duration > 0
-
-    def test_untraced_engine_has_no_overhead_path(self):
-        cluster = make_cluster(2)
-        engine = cluster.engine(0)
-        assert engine.tracer is None
-        assert engine.span_begin("uc", "noop") == -1
-        engine.span_end(-1)  # must be a no-op, not crash
