@@ -209,7 +209,6 @@ class CcloEngine:
             # target before the WRITE has landed (see :meth:`rndz_written`)
             "written": None,
             "landed": False,
-            "data": None,
             # completion time of the latest cut-through segment landing
             "landed_at": None,
         }
@@ -241,7 +240,6 @@ class CcloEngine:
                 f"{self.name}: WRITE targets unknown descriptor {descriptor}"
             )
         nbytes = header.nbytes
-        entry["data"] = data
         view = entry["view"]
         if view is None:
             self.env.process(self._rndz_stream_proc(entry, nbytes, data),

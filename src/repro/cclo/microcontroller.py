@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Optional
 
-import numpy as np
-
 from repro.errors import CcloError, CollectiveError
 from repro.sim import BandwidthResource, Channel, Environment, Event, all_of
 from repro.cclo.config_mem import CommunicatorConfig, ConfigMemory
@@ -375,7 +373,6 @@ class FirmwareContext:
         if written is not None:
             yield written
         self._wait_span(t_wait, "rendezvous", peer=src_rank, side="recv")
-        return entry.get("data")
 
     def _recv_reduce_proc(self, src_rank: int, acc: Any, nbytes: int,
                           tag: int, func: str, protocol: str):
@@ -383,14 +380,12 @@ class FirmwareContext:
             raise CollectiveError("recv from self is not a network operation")
         yield self.cost()
         if protocol == "rndz":
-            # Data lands in a scratch region via WRITE; then fold locally.
+            # Data lands in a scratch region via WRITE (the landing
+            # materializes its array); then fold locally.
             scratch = self.engine.scratch_alloc(nbytes)
             try:
-                data = yield from self._recv_rndz(
+                yield from self._recv_rndz(
                     src_rank, scratch.view(), nbytes, tag)
-                if data is not None:
-                    # Expose the landed payload to the local reduce below.
-                    scratch.array = np.asarray(data).reshape(-1)
                 mc = Microcode(
                     nbytes=nbytes,
                     op0=Slot.memory(scratch.view()),

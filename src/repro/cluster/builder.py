@@ -131,7 +131,7 @@ def build_fpga_cluster(
     time and always run eagerly.
     """
     if n_nodes < 1:
-        raise ConfigurationError(f"cluster needs at least 1 node, got {n_nodes}")
+        raise ConfigurationError(f"cluster needs n_nodes >= 1, got {n_nodes}")
     if protocol not in _POES:
         raise ConfigurationError(f"unknown protocol {protocol!r}")
     if platform not in _PLATFORMS:

@@ -15,7 +15,8 @@ separately deferred send would: one kernel event per switch hop.
 Routing resolves in three stages, cheapest and most specific first:
 
 1. exact per-address entries (:meth:`Switch.attach` — the ports endpoints
-   hang off);
+   hang off), which the forwarding paths look up inline before calling
+   :meth:`Switch._route`;
 2. *block* entries (:meth:`Switch.attach_block`) keyed by a resolver
    function over the destination address — one route per downstream
    leaf/pod/group instead of one per endpoint, which is what keeps route
@@ -114,7 +115,9 @@ class Switch:
     def ingress(self, segment: Segment) -> None:
         """Forward *segment*; runs at its arrival plus the forwarding
         latency (see :meth:`connect_ingress`)."""
-        egress = self._route(segment.src, segment.dst)
+        egress = self._egress.get(segment.dst)
+        if egress is None:
+            egress = self._route(segment.src, segment.dst)
         self.segments_forwarded += 1
         egress.send(segment)
 
@@ -127,7 +130,9 @@ class Switch:
         availability shifts by the same fixed latency, and the egress link
         decides whether the train stays analytic or expands.
         """
-        egress = self._route(burst.src, burst.dst)
+        egress = self._egress.get(burst.dst)
+        if egress is None:
+            egress = self._route(burst.src, burst.dst)
         self.segments_forwarded += burst.n_segments
         latency = self.forwarding_latency
         burst.head_at += latency

@@ -69,6 +69,16 @@ def _traced_cluster(n_nodes: int, protocol: str = "rdma",
     return cluster, obs, attach_drivers(cluster)
 
 
+def _check_sizes(arg: str, value: Any, *legs: int) -> None:
+    """Raise ValueError naming *arg* unless *value*, and every leg size
+    derived from it, is a positive multiple of 4 B (float32 data)."""
+    for nbytes in (value, *legs):
+        if not isinstance(nbytes, int) or nbytes <= 0 or nbytes % 4:
+            leg = "" if nbytes is value else f" (a leg of {nbytes} B is not)"
+            raise ValueError(f"{arg} must give positive multiples of 4 B, "
+                             f"got {arg}={value!r}{leg}")
+
+
 def _drain(cluster, requests, obs: Optional[Observability] = None) -> None:
     if obs is not None and obs.telemetry is not None:
         obs.telemetry.poke()
@@ -111,6 +121,7 @@ def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
                     telemetry: Optional[float] = None,
                     **_: Any) -> TraceCapture:
     """One cluster-wide allreduce — the richest per-phase picture."""
+    _check_sizes("nbytes", nbytes)
     cluster, obs, drivers = _traced_cluster(n_nodes, telemetry=telemetry)
     data = np.ones(nbytes // 4, dtype=np.float32)
     _drain(cluster, [
@@ -130,6 +141,7 @@ def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
     flow fast-forward floor — so under ``REPRO_FIDELITY=flow`` every bulk
     hop runs the burst admission/re-admission pipeline; under packet
     fidelity it is the heaviest traced scenario."""
+    _check_sizes("nbytes", nbytes)
     cluster, obs, drivers = _traced_cluster(n_nodes, telemetry=telemetry)
     data = np.ones(nbytes // 4, dtype=np.float32)
     _drain(cluster, [
@@ -194,6 +206,7 @@ def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
 
     n_nodes, size = int(n_nodes), int(size)
     slow_factor = float(slow_factor)
+    _check_sizes("size", size, max(size // 4, 256))
     factory = scale_topology_factory(fabric, n_nodes)
     cluster = build_fpga_cluster(n_nodes, topology_factory=factory,
                                  peering="lazy")

@@ -130,7 +130,7 @@ class BufferView:
         """
         if self.buffer.array is None:
             if self.offset == 0 and self.nbytes == self.buffer.nbytes:
-                self.buffer.array = np.array(values).reshape(-1).copy()
+                self.buffer.array = np.array(values, order="C").reshape(-1)
             return
         target = self.array
         target[...] = values.reshape(-1)

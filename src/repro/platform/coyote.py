@@ -142,12 +142,11 @@ class CoyotePlatform(BasePlatform):
         # Touch every page the access spans: a lazily-mapped buffer faults
         # once per page, an eagerly-mapped one pays only lookups.
         first_page, n_pages = buffer.pages
-        pages_touched = min(
-            n_pages, max(1, -(-nbytes // Tlb.PAGE_BYTES))
-        )
-        translate = sum(
-            self.tlb.translate(first_page + i) for i in range(pages_touched)
-        )
+        translate = self.tlb.translate(first_page)
+        if nbytes > Tlb.PAGE_BYTES:
+            end = first_page + min(n_pages, -(-nbytes // Tlb.PAGE_BYTES))
+            for page in range(first_page + 1, end):
+                translate += self.tlb.translate(page)
         if buffer.location is BufferLocation.DEVICE:
             return translate + self.device_memory.access_delay(nbytes)
         # Host memory: the access crosses PCIe and touches DRAM; both pipes

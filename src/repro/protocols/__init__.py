@@ -17,7 +17,7 @@ receive side, delivering ``(header, data)`` to the registered handler.
 from repro.protocols.base import BasePoe, MessageHeader
 from repro.protocols.udp import UdpPoe
 from repro.protocols.tcp import TcpPoe
-from repro.protocols.rdma import RdmaPoe, RdmaOpcode
+from repro.protocols.rdma import RdmaPoe
 
 __all__ = [
     "BasePoe",
@@ -25,5 +25,4 @@ __all__ = [
     "UdpPoe",
     "TcpPoe",
     "RdmaPoe",
-    "RdmaOpcode",
 ]

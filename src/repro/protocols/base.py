@@ -88,7 +88,8 @@ class BasePoe:
     """Shared transmit/receive plumbing for all protocol engines.
 
     Subclasses set class attributes (``protocol_name``, ``mtu``,
-    ``poe_latency``) and may override hooks:
+    ``poe_latency``, ``return_kind``, ``one_sided_kind``) and may override
+    hooks:
 
     - :meth:`transmit` -- the one transmit form; connection-oriented
       engines override it to supply the QP or session.
@@ -122,6 +123,10 @@ class BasePoe:
     return_kind: Optional[str] = None
     #: payload bytes of one return segment
     return_bytes = 0
+    #: header kind of the one-sided verb (RDMA WRITE): each of its data
+    #: segments, and each burst's last segment, goes to the writer set with
+    #: :meth:`set_segment_writer` before reassembly; ``None``: no such verb
+    one_sided_kind: Optional[str] = None
 
     def __init__(self, env: Environment, endpoint: Endpoint, name: str = ""):
         self.env = env
@@ -131,6 +136,9 @@ class BasePoe:
         self._handler: Optional[Callable[[MessageHeader, Any], None]] = None
         self._handler_latency = 0.0
         self._rx_state: Dict[tuple, _Reassembly] = {}
+        self._segment_writer: Optional[
+            Callable[[MessageHeader, int], None]
+        ] = None
         self.messages_sent = 0
         self.messages_received = 0
         #: flow-control returns sent (TCP's ACK count)
@@ -218,6 +226,16 @@ class BasePoe:
             raise ProtocolError(f"{self.name}: message handler already set")
         self._handler = handler
         self._handler_latency = latency
+
+    def set_segment_writer(
+        self, writer: Callable[[MessageHeader, int], None]
+    ) -> None:
+        """Install cut-through landing: called per arriving segment of the
+        one-sided kind so memory traffic overlaps the arrival instead of
+        trailing it."""
+        if self._segment_writer is not None:
+            raise ProtocolError(f"{self.name}: segment writer already set")
+        self._segment_writer = writer
 
     # -- transmit path ----------------------------------------------------
 
@@ -538,7 +556,14 @@ class BasePoe:
             state.data = burst.data
         Environment.total_events_fast_forwarded += (
             burst.n_segments * self._FLOW_RX_ELIDED_PER_SEGMENT)
-        self._flow_rx_effects(burst)
+        if (header.kind == self.one_sided_kind
+                and self._segment_writer is not None):
+            # Packet mode lands every segment as it arrives, and the
+            # rendezvous drain waits on the last landing.  The burst issues
+            # that completion-gating last landing; the earlier overlapped
+            # ones are elided (they finish long before the train does on
+            # any path idle enough to admit a burst).
+            self._segment_writer(header, burst.last_bytes)
         if state.bytes_seen < header.nbytes:
             return
         del self._rx_state[key]
@@ -558,47 +583,56 @@ class BasePoe:
                 nbytes=header.nbytes)
         self._rx_complete(header, state.data)
 
-    def _flow_rx_effects(self, burst: Burst) -> None:
-        """Subclass hook: receive-side burst bookkeeping (memory landings)."""
-
     # -- receive path ------------------------------------------------------
 
     def _on_segment(self, segment: Segment) -> None:
         header: MessageHeader = segment.meta
-        if header.kind == self.return_kind:
+        kind = header.kind
+        if kind == self.return_kind:
             bucket = self._return_bucket(header.src_addr)
             if bucket is not None:
                 bucket.give(header.meta)
             return
-        key = (header.src_addr, header.msg_id)
-        state = self._rx_state.get(key)
+        payload = segment.payload_bytes
+        if (kind == self.one_sided_kind and payload
+                and self._segment_writer is not None):
+            self._segment_writer(header, payload)
+        # A message that fits one segment completes without a record.
+        state = None
+        if payload < header.nbytes:
+            key = (header.src_addr, header.msg_id)
+            state = self._rx_state.get(key)
+            if state is None:
+                state = self._rx_state[key] = _Reassembly(header=header)
+            state.bytes_seen += payload
+            if segment.data is not None:
+                state.data = segment.data
+        if payload and self.return_kind is not None:
+            self._send_return(segment.src, payload)
         if state is None:
-            state = _Reassembly(header=header)
-            self._rx_state[key] = state
-        state.bytes_seen += segment.payload_bytes
-        if segment.data is not None:
-            state.data = segment.data
-        if segment.payload_bytes and self.return_kind is not None:
-            self._send_return(segment.src, segment.payload_bytes)
-        if state.bytes_seen >= header.nbytes:
+            data = segment.data
+        elif state.bytes_seen >= header.nbytes:
             del self._rx_state[key]
-            self.messages_received += 1
-            tracer = self._span_tracer
-            if tracer is not None:
-                now = self.env.now
-                op = getattr(header.meta, "op_id", -1)
-                if header.tx_t0 >= 0:
-                    # First byte on the wire to last byte reassembled: the
-                    # message's wire occupancy, on the receiver's track.
-                    tracer.span_complete(
-                        f"{self._trace_node}.wire", f"wire:{header.kind}",
-                        header.tx_t0, now, phase="wire", op_id=op,
-                        nbytes=header.nbytes, src=header.src_addr)
+            data = state.data
+        else:
+            return
+        self.messages_received += 1
+        tracer = self._span_tracer
+        if tracer is not None:
+            now = self.env.now
+            op = getattr(header.meta, "op_id", -1)
+            if header.tx_t0 >= 0:
+                # First byte on the wire to last byte reassembled: the
+                # message's wire occupancy, on the receiver's track.
                 tracer.span_complete(
-                    f"{self._trace_node}.poe", "rx", now,
-                    now + self.poe_latency, phase="poe", op_id=op,
-                    nbytes=header.nbytes)
-            self._rx_complete(header, state.data)
+                    f"{self._trace_node}.wire", f"wire:{kind}",
+                    header.tx_t0, now, phase="wire", op_id=op,
+                    nbytes=header.nbytes, src=header.src_addr)
+            tracer.span_complete(
+                f"{self._trace_node}.poe", "rx", now,
+                now + self.poe_latency, phase="poe", op_id=op,
+                nbytes=header.nbytes)
+        self._rx_complete(header, data)
 
     def _rx_complete(self, header: MessageHeader, data: Any) -> None:
         """Deliver a reassembled message one POE latency from now, and hand

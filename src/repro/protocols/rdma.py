@@ -16,7 +16,6 @@ credit-based, which is what makes rendezvous algorithms safe at scale.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
@@ -26,11 +25,6 @@ from repro.protocols.base import BasePoe, DeferredPayload, MessageHeader
 from repro.sim import Event
 from repro.sim.resources import TokenBucket
 from repro import units
-
-
-class RdmaOpcode(enum.Enum):
-    SEND = "send"
-    WRITE = "write"
 
 
 @dataclass(slots=True)
@@ -55,6 +49,7 @@ class RdmaPoe(BasePoe):
     _FLOW_RX_ELIDED_PER_SEGMENT = 3
     return_kind = "credit"
     return_bytes = 16
+    one_sided_kind = "write"
 
     DEFAULT_CREDIT_BYTES = 1 * units.MIB
 
@@ -76,9 +71,6 @@ class RdmaPoe(BasePoe):
         self._credit_name = f"{self.name}.crd"
         self._memory_writer: Optional[
             Callable[[MessageHeader, Any], None]
-        ] = None
-        self._segment_writer: Optional[
-            Callable[[MessageHeader, int], None]
         ] = None
         self.writes_completed = 0
 
@@ -143,26 +135,17 @@ class RdmaPoe(BasePoe):
             raise ProtocolError(f"{self.name}: memory writer already set")
         self._memory_writer = writer
 
-    def set_segment_writer(
-        self, writer: Callable[[MessageHeader, int], None]
-    ) -> None:
-        """Install cut-through landing: called per arriving WRITE segment so
-        memory traffic overlaps the arrival instead of trailing it."""
-        if self._segment_writer is not None:
-            raise ProtocolError(f"{self.name}: segment writer already set")
-        self._segment_writer = writer
-
     # -- verbs ------------------------------------------------------------------
 
     def transmit(self, dst_addr, nbytes, meta=None, data=None,
-                 kind=RdmaOpcode.SEND.value, session=0, pace=None, lead=0.0):
+                 kind="send", session=0, pace=None, lead=0.0):
         """Post a verb on the QP toward *dst_addr*: ``kind="write"`` is a
         one-sided WRITE whose *meta* is the remote buffer descriptor (it
         lands through the peer's memory writer); any other kind is a
         two-sided SEND.  *session* is ignored: the QP number is used."""
         qp = self.qp_to(dst_addr)
-        if kind != RdmaOpcode.WRITE.value:
-            kind = RdmaOpcode.SEND.value
+        if kind != "write":
+            kind = "send"
         return super().transmit(dst_addr, nbytes, meta, data, kind,
                                 qp.qp_num, pace, lead)
 
@@ -187,33 +170,14 @@ class RdmaPoe(BasePoe):
                 and credits._available == credits.capacity
                 and credits.capacity >= self._flow_window_floor())
 
-    def _flow_rx_effects(self, burst) -> None:
-        # Cut-through landings: packet mode writes every WRITE segment to
-        # memory as it arrives, and the rendezvous drain waits on the last
-        # of them.  The burst issues that completion-gating last landing;
-        # the earlier overlapped writes are elided (they finish long before
-        # the train does on any path idle enough to admit a burst).
-        header: MessageHeader = burst.meta
-        if (header.kind == RdmaOpcode.WRITE.value
-                and self._segment_writer is not None):
-            self._segment_writer(header, burst.last_bytes)
-
     def _return_bucket(self, peer: int) -> Optional[TokenBucket]:
         qp = self._by_remote.get(peer)
         return None if qp is None else qp.credits
 
-    def _on_segment(self, segment) -> None:
-        header: MessageHeader = segment.meta
-        if (header.kind == RdmaOpcode.WRITE.value
-                and segment.payload_bytes > 0
-                and self._segment_writer is not None):
-            self._segment_writer(header, segment.payload_bytes)
-        super()._on_segment(segment)
-
     # -- delivery ---------------------------------------------------------------
 
     def _rx_complete(self, header: MessageHeader, data: Any) -> None:
-        if header.kind == RdmaOpcode.WRITE.value:
+        if header.kind == "write":
             # One-sided: the data goes to memory at POE delivery, past the
             # message consumer and its front-end latency.
             self.env.schedule_callback(

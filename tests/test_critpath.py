@@ -201,12 +201,19 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["allreduce", "--arg", "n_nodes=0"],
         ["allreduce", "--arg", "nbytes=0"],
+        ["allreduce", "--arg", "nbytes=3"],
+        ["allreduce", "--arg", "nbytes=6"],
+        ["allreduce", "--arg", "nbytes=1023"],
+        ["fig12", "--arg", "nbytes=1022"],
+        # size itself is aligned; its second leg moves 1028 // 4 = 257 B
+        ["figX_scale", "--arg", "n_nodes=4", "--arg", "size=1028"],
         _SLOW + ["slow_factor=0"],
         _SLOW + ["slow_factor=inf"],
         _SLOW + ["slow_factor=-2"],
         _SLOW + ["slow_factor=nan"],
-    ], ids=["n_nodes=0", "nbytes=0", "slow_factor=0", "slow_factor=inf",
-            "slow_factor=-2", "slow_factor=nan"])
+    ], ids=["n_nodes=0", "nbytes=0", "nbytes=3", "nbytes=6", "nbytes=1023",
+            "fig12-nbytes=1022", "figX_scale-size=1028", "slow_factor=0",
+            "slow_factor=inf", "slow_factor=-2", "slow_factor=nan"])
     def test_rejected_scenario_args_exit_2(self, argv, capsys):
         from repro.bench.__main__ import main
 
@@ -214,6 +221,8 @@ class TestCli:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1, captured.err
         assert "Traceback" not in captured.err
+        arg = argv[-1].partition("=")[0]
+        assert arg in captured.err, captured.err
 
     def test_critpath_cli_prints_reconciled_paths(self, capsys, tmp_path):
         from repro.bench.__main__ import main

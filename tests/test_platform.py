@@ -30,9 +30,11 @@ def run_event(env, make_event):
     return t["done"] - start
 
 
-def access(plat, buf, direction):
-    """A whole-buffer CCLO access, charged when the process issues it."""
-    return lambda: plat.device_access_delay(buf, buf.nbytes, direction)
+def access(plat, buf, direction, nbytes=None):
+    """A CCLO access from the buffer's start (of the whole buffer unless
+    *nbytes* is given), charged when the process issues it."""
+    nbytes = buf.nbytes if nbytes is None else nbytes
+    return lambda: plat.device_access_delay(buf, nbytes, direction)
 
 
 class TestTlb:
@@ -68,28 +70,39 @@ class TestTlb:
             assert tlb.translate(page) == tlb.lookup_latency
 
 
+#: accesses from the start of an 8 MiB buffer and the 2 MiB hugepages
+#: each touches
+_PAGE_ACCESSES = pytest.mark.parametrize("nbytes,pages", [
+    (32 * units.KIB, 1),
+    (2 * units.MIB, 1),
+    (2 * units.MIB + 1, 2),
+    (8 * units.MIB, 4),
+], ids=["32KiB", "2MiB", "2MiB+1B", "8MiB"])
+
+
 class TestCoyote:
-    def test_buffer_pages_eagerly_mapped(self):
+    @_PAGE_ACCESSES
+    def test_buffer_pages_eagerly_mapped(self, nbytes, pages):
         env = Environment()
         plat = CoyotePlatform(env)
         buf = plat.allocate(8 * units.MIB, BufferLocation.HOST)
         assert plat.tlb.faults == 0
-        elapsed = run_event(env, access(plat, buf, "read"))
+        elapsed = run_event(env, access(plat, buf, "read", nbytes))
         assert plat.tlb.faults == 0
-        assert plat.tlb.hits == 4  # one lookup per touched 2 MiB hugepage
+        assert plat.tlb.hits == pages  # one lookup per touched hugepage
         assert elapsed > 0
 
-    def test_lazy_buffer_faults_on_first_touch(self):
+    @_PAGE_ACCESSES
+    def test_lazy_buffer_faults_on_first_touch(self, nbytes, pages):
         env = Environment()
         plat = CoyotePlatform(env)
         buf = plat.allocate(8 * units.MIB, BufferLocation.HOST,
                             eager_map=False)
-        run_event(env, access(plat, buf, "read"))
-        assert plat.tlb.faults == 4
+        run_event(env, access(plat, buf, "read", nbytes))
+        assert plat.tlb.faults == pages
         # Second access hits the now-populated translations.
-        faults_before = plat.tlb.faults
-        run_event(env, access(plat, buf, "read"))
-        assert plat.tlb.faults == faults_before
+        run_event(env, access(plat, buf, "read", nbytes))
+        assert plat.tlb.faults == pages and plat.tlb.hits == pages
 
     def test_host_access_rides_pcie(self):
         env = Environment()
@@ -159,6 +172,33 @@ class TestCoyote:
         assert plat.device_memory.free_bytes == before
         with pytest.raises(PlatformError):
             buf.free()
+
+
+class TestBufferView:
+    def array_less(self, nbytes=64):
+        return CoyotePlatform(Environment()).allocate(
+            nbytes, BufferLocation.DEVICE)
+
+    def test_whole_write_materializes_a_flat_copy(self):
+        buf = self.array_less()
+        # a transposed 2-D payload: not contiguous in C order
+        payload = np.arange(16, dtype=np.float32).reshape(4, 4).T
+        buf.view().set_array(payload)
+        assert buf.array.shape == (16,)
+        assert np.array_equal(buf.array, payload.reshape(-1))
+        assert not np.shares_memory(buf.array, payload)
+
+    def test_partial_write_without_array_is_timing_only(self):
+        buf = self.array_less()
+        buf.view(0, 32).set_array(np.ones(8, dtype=np.float32))
+        assert buf.array is None
+
+    def test_write_into_existing_array_lands_in_place(self):
+        arr = np.zeros(16, dtype=np.float32)
+        buf = CoyotePlatform(Environment()).wrap(arr, BufferLocation.DEVICE)
+        buf.view(16, 32).set_array(np.ones((2, 4), dtype=np.float32))
+        assert buf.array is arr
+        assert arr.tolist() == [0.0] * 4 + [1.0] * 8 + [0.0] * 4
 
 
 class TestVitis:

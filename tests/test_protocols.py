@@ -278,6 +278,34 @@ class TestRdma:
         goodput = units.to_gbps(size / done["t"])
         assert goodput > 90  # 4 KiB MTU: tiny header tax
 
+    def test_segment_writer_sees_each_write_segment_once(self):
+        """A 3-segment WRITE lands segment by segment; a 2-segment SEND and
+        the credit returns of all five segments never reach a writer."""
+        env, a, b = make_pair(RdmaPoe)
+        landed, at_sender = [], []
+        b.on_message(lambda hdr, data: None)
+        b.set_memory_writer(lambda hdr, data: None)
+        b.set_segment_writer(
+            lambda hdr, nbytes: landed.append((hdr.kind, nbytes)))
+        a.set_segment_writer(
+            lambda hdr, nbytes: at_sender.append((hdr.kind, nbytes)))
+        a.create_qp(1)
+        b.create_qp(0)
+        seg = a.segment_bytes
+
+        def sender():
+            yield from a.transmit(1, 2 * seg + 100, meta="buf",
+                                  kind="write")
+            yield from a.transmit(1, seg + 1, meta="ctl")
+
+        env.process(sender())
+        env.run()
+        assert landed == [("write", seg), ("write", seg), ("write", 100)]
+        assert at_sender == []
+        assert b.returns_sent == 5
+        credits = a.qp_to(1).credits
+        assert credits.available == credits.capacity
+
 
 class TestTransmit:
     """``transmit`` is the one transmit form: a generator a process runs
@@ -355,12 +383,13 @@ class TestTransmit:
 
 
 def connected_pair(poe_cls, **kwargs):
-    """Two engines with the QP or session between them in place."""
+    """Two engines with the QP or session between them in place (UDP
+    needs neither)."""
     env, a, b = make_pair(poe_cls, **kwargs)
     if poe_cls is TcpPoe:
         a.accept(1)
         b.accept(0)
-    else:
+    elif poe_cls is RdmaPoe:
         a.create_qp(1)
         b.create_qp(0)
     return env, a, b
@@ -429,6 +458,44 @@ class TestFlowControlReturns:
         env.process(a.transmit(1, 0))
         env.run()
         assert b.acks_sent == 33 and a.acks_sent == 0
+
+
+class _RecordingDict(dict):
+    """A reassembly table that remembers every key stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+class TestReassembly:
+    """A message that arrives in one segment is delivered without a
+    reassembly record; a longer one is still reassembled."""
+
+    @pytest.mark.parametrize("poe_cls", [UdpPoe, TcpPoe, RdmaPoe])
+    def test_only_multi_segment_messages_take_a_record(self, poe_cls):
+        env, a, b = connected_pair(poe_cls)
+        got = []
+        b.on_message(lambda hdr, data: got.append((hdr.nbytes, data)))
+        b._rx_state = _RecordingDict()
+        payload = np.arange(16)
+        multi = 2 * a.segment_bytes + 1
+
+        def sender():
+            yield from a.transmit(1, payload.nbytes, data=payload)
+            yield from a.transmit(1, 0, data="empty")
+            yield from a.transmit(1, multi, data="whole")
+
+        env.process(sender())
+        env.run()
+        assert [n for n, _ in got] == [payload.nbytes, 0, multi]
+        assert np.array_equal(got[0][1], payload)
+        assert got[1][1] == "empty" and got[2][1] == "whole"
+        assert b._rx_state == {} and len(b._rx_state.stored) == 1
 
 
 class TestDeferredPayload:
