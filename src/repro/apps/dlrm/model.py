@@ -76,10 +76,13 @@ class DlrmModel:
         self.weights = []
         for fan_in, fan_out in zip(dims, dims[1:]):
             scale = 1.0 / np.sqrt(fan_in)
-            self.weights.append(
-                (rng.standard_normal((fan_out, fan_in)) * scale)
-                .astype(config.dtype)
-            )
+            # The same draws in blocks of 256 rows, each rounded to the
+            # weight dtype: no full-size float64 temporary.
+            w = np.empty((fan_out, fan_in), dtype=config.dtype)
+            for r in range(0, fan_out, 256):
+                w[r:r + 256] = rng.standard_normal(
+                    (min(256, fan_out - r), fan_in)) * scale
+            self.weights.append(w)
 
     @property
     def flops_per_inference(self) -> int:

@@ -197,7 +197,8 @@ class DataMovementProcessor:
         pace.give(SIGNATURE_BYTES)  # the header needs no kernel data
         payload.set((yield from self._stream_in(mc.nbytes, pace)))
         yield sent
-        yield env.timeout_at(max(noc_done, env._now))
+        if noc_done > env._now:
+            yield env.timeout_at(noc_done)
         self.instructions_executed += 1
         return payload.get()
 
@@ -307,7 +308,8 @@ class DataMovementProcessor:
                 res.signature, res.dest_addr, res.descriptor, data)
         elif res.kind is not SlotKind.NONE:
             raise CcloError(f"slot kind {res.kind} is not a result")
-        yield env.timeout_at(max(done, env._now))
+        if done > env._now:  # else every leg has drained: no kernel turn
+            yield env.timeout_at(done)
         return data
 
     def register_metrics(self, registry, **labels) -> None:

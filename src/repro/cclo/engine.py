@@ -247,15 +247,19 @@ class CcloEngine:
             return
         # Segments landed as they arrived; otherwise the whole WRITE lands
         # now.  A callback at the absolute completion time fires at exactly
-        # that float (a relative delay could round it).
+        # that float (a relative delay could round it); landings that are
+        # done already complete the WRITE here, with no kernel turn.
         env = self.env
         landed_at = entry["landed_at"]
         if landed_at is None:
             buffer = view.buffer
             landed_at = env._now + buffer.platform.device_access_delay(
                 buffer, nbytes, "write")
-        env.schedule_callback_at(max(landed_at, env._now), self._rndz_landed,
-                                 entry, nbytes, data)
+        if landed_at > env._now:
+            env.schedule_callback_at(landed_at, self._rndz_landed, entry,
+                                     nbytes, data)
+        else:
+            self._rndz_landed(entry, nbytes, data)
 
     def _rndz_segment_landing(self, header: MessageHeader, nbytes: int) -> None:
         """Cut-through landing: charge memory per WRITE segment on arrival.

@@ -37,13 +37,13 @@ class MatchTable:
     def wait(self, key: Hashable) -> Event:
         """Event that succeeds with the next value posted under *key*."""
         values = self._values.get(key)
-        ev = Event(self.env)
         if values:
-            ev.succeed(values.popleft())
+            value = values.popleft()
             if not values:
                 del self._values[key]
-        else:
-            self._waiters[key].append(ev)
+            return self.env.done(value)
+        ev = Event(self.env)
+        self._waiters[key].append(ev)
         return ev
 
     def pending(self, key: Hashable) -> int:

@@ -58,6 +58,8 @@ class RxBufManager:
         self._space = TokenBucket(env, config.rx_pool_bytes, name=f"{name}.space")
         self._slots = TokenBucket(env, config.rx_max_messages, name=f"{name}.slots")
         self._arrivals = MatchTable(env, name=f"{name}.arrivals")
+        # Stores still waiting for tokens; later arrivals queue behind them.
+        self._pending_stores = 0
         self.messages_buffered = 0
         self.bytes_buffered = 0
         self.high_watermark = 0
@@ -68,23 +70,35 @@ class RxBufManager:
     def free_bytes(self) -> int:
         return self._space.available
 
-    def handle_incoming(self, signature: Signature, data: Any) -> Event:
-        """Buffer an inbound eager message; fires when it is queryable."""
-        if signature.nbytes > self.config.rx_pool_bytes:
+    def handle_incoming(self, signature: Signature, data: Any) -> None:
+        """Stage an inbound eager message into the Rx pool for the DMP to
+        match: one callback at the end of the write when the pool has room
+        and no earlier message waits for it, else a process that waits."""
+        nbytes = signature.nbytes
+        if nbytes > self.config.rx_pool_bytes:
             raise CcloError(
-                f"{self.name}: eager message of {signature.nbytes}B exceeds "
+                f"{self.name}: eager message of {nbytes}B exceeds "
                 f"the whole Rx pool ({self.config.rx_pool_bytes}B); use the "
                 "rendezvous protocol for messages this large"
             )
-        return self.env.process(
-            self._store(signature, data), name=f"{self.name}.store"
-        )
+        reserve = max(1, nbytes)
+        if (not self._pending_stores and self._slots.has(1)
+                and self._space.has(reserve)):
+            self._slots.try_take(1)
+            self._space.try_take(reserve)
+            self.env.schedule_callback(
+                self.memory.access_delay(nbytes) if nbytes > 0 else 0.0,
+                self._buffered, signature, data)
+        else:
+            self._pending_stores += 1
+            self.env.process(self._store(signature, data, reserve),
+                             name=f"{self.name}.store")
 
-    def _store(self, signature: Signature, data: Any):
-        reserve = max(1, signature.nbytes)
+    def _store(self, signature: Signature, data: Any, reserve: int):
         t_q = self.env.now
         yield self._slots.take(1)
         yield self._space.take(reserve)
+        self._pending_stores -= 1
         span_complete = self._span_complete
         if span_complete is not None and self.env.now > t_q:
             # Pool exhaustion stalled this inbound eager message — the
@@ -95,13 +109,16 @@ class RxBufManager:
         # Stage the payload into the selected Rx buffer (memory write).
         if signature.nbytes > 0:
             yield self.memory.access_delay(signature.nbytes)
+        self._buffered(signature, data)
+
+    def _buffered(self, signature: Signature, data: Any) -> None:
+        """The message is in its Rx buffer: record it for the DMP."""
         record = RxRecord(signature=signature, data=data)
         self.messages_buffered += 1
         self.bytes_buffered += signature.nbytes
         in_use = self.config.rx_pool_bytes - self._space.available
         self.high_watermark = max(self.high_watermark, in_use)
         self._arrivals.post(signature.match_key(), record)
-        return record
 
     def await_message(self, comm_id: int, src_rank: int, tag: int) -> Event:
         """DMP query: event yielding the matching :class:`RxRecord`."""

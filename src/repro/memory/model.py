@@ -59,13 +59,14 @@ class Memory:
         self.name = name
         self._port = BandwidthResource(env, bandwidth, name=f"{name}.port")
         self._allocations: Dict[int, Allocation] = {}
+        #: bytes of the live allocations, kept as a running total
+        self._allocated = 0
         self._next_offset = 0
-        self._freed_bytes = 0
         self._handles = itertools.count(1)
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(a.nbytes for a in self._allocations.values())
+        return self._allocated
 
     @property
     def free_bytes(self) -> int:
@@ -87,9 +88,10 @@ class Memory:
         if self._next_offset + nbytes > self.capacity:
             # Bump pointer wrapped: compact (we only model capacity, not
             # fragmentation, which is a software-allocator concern).
-            self._next_offset = self.allocated_bytes
+            self._next_offset = self._allocated
         alloc = Allocation(self, self._next_offset, nbytes, next(self._handles))
         self._next_offset += nbytes
+        self._allocated += nbytes
         self._allocations[alloc.handle] = alloc
         return alloc
 
@@ -98,7 +100,7 @@ class Memory:
             raise PlatformError(
                 f"{self.name}: double free or foreign allocation {alloc.handle}"
             )
-        self._freed_bytes += alloc.nbytes
+        self._allocated -= alloc.nbytes
 
     def access_delay(self, nbytes: int) -> float:
         """Charge a read or write of *nbytes* to the port; returns the delay

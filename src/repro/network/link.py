@@ -4,22 +4,26 @@ A :class:`Link` is unidirectional; duplex connections are two links.  The
 transmitter serializes segments at the link rate (FIFO — this is where egress
 contention and in-cast congestion appear) and the receiver sees the segment
 after an additional fixed propagation/PHY latency.
+
+A link is its own serializer: a :class:`BandwidthResource` (no per-transfer
+overhead) whose three numbers and one ``rate`` its paths update in place.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.sim import BandwidthResource, Environment
+from repro.sim import BandwidthResource, Environment, SimulationError
 from repro.network.fidelity import LINK_FLOW_DECISIONS
 from repro.network.packet import Burst, Segment
 from repro import units
 
 
-class Link:
+class Link(BandwidthResource):
     """Unidirectional serializing link.
 
     Args:
@@ -37,11 +41,11 @@ class Link:
     # Large fabrics build thousands of links; a fixed attribute layout
     # drops the per-instance __dict__.
     __slots__ = (
-        "env", "rate", "latency", "name", "_pipe", "_sink", "_forwarding",
-        "_burst_sink", "_burst_at_tail", "_last_owner", "_train",
-        "_train_prev", "_train_tail", "_intr_free", "_convoy",
-        "_convoy_token", "_relay", "segments_carried", "_in_flight",
-        "_pump_scheduled", "_span_tracer", "flow_decisions",
+        "latency", "_sink", "_forwarding", "_burst_sink", "_burst_at_tail",
+        "_last_owner", "_train", "_train_prev", "_train_tail", "_intr_free",
+        "_convoy", "_convoy_token", "_relay", "segments_carried",
+        "_in_flight", "_pump_scheduled", "_pump_entry", "_span_tracer",
+        "flow_decisions",
     )
 
     def __init__(
@@ -53,11 +57,8 @@ class Link:
     ):
         if latency < 0:
             raise ValueError(f"negative latency: {latency}")
-        self.env = env
-        self.rate = rate
+        BandwidthResource.__init__(self, env, rate, 0.0, name)
         self.latency = latency
-        self.name = name
-        self._pipe = BandwidthResource(env, rate, name=f"{name}.pipe")
         self._sink: Optional[Callable[[Segment], None]] = None
         # Port-to-port latency of a switch sink, added to every delivery
         # (see connect).
@@ -104,11 +105,12 @@ class Link:
         self._relay: Optional[Tuple[Burst, float]] = None
         self.segments_carried = 0
         # Delivery pump state: in-flight segments with their delivery times.
-        # The pipe is FIFO and the latency constant, so delivery times never
-        # decrease within one link and a single self-rescheduling heap entry
-        # can drain the queue in order.
+        # The serializer is FIFO and the latency constant, so delivery times
+        # never decrease within one link and a single self-rescheduling heap
+        # entry, built once, can drain the queue in order.
         self._in_flight: Deque[Tuple[float, Segment]] = deque()
         self._pump_scheduled = False
+        self._pump_entry = (self._pump, ())
         # Span tracing (None = disabled): bound via bind_tracer.
         self._span_tracer = None
         #: per-reason flow-fidelity decision counts (see
@@ -169,9 +171,7 @@ class Link:
         self._burst_sink = sink
         self._burst_at_tail = at_tail
 
-    @property
-    def bytes_carried(self) -> int:
-        return self._pipe.bytes_moved
+    bytes_carried = BandwidthResource.bytes_moved
 
     def send(self, segment: Segment) -> float:
         """Enqueue *segment* for transmission.
@@ -180,6 +180,13 @@ class Link:
         transmitter (useful for senders that pace subsequent segments).
         Delivery to the sink happens ``latency`` (plus a switch sink's
         forwarding latency) later.
+
+        The wire is reserved and the delivery queued with no further call;
+        only an idle pump is armed, through the kernel, and a back-to-back
+        train keeps one heap entry, the pump's.  A fire time keeps the
+        rounding of ``now + (deliver_at - now)`` and then adds a switch
+        sink's forwarding latency: bit for bit where a link delivery and a
+        separately deferred switch send would land.
         """
         if self._sink is None:
             raise NetworkError(f"link {self.name!r} has no sink connected")
@@ -190,62 +197,53 @@ class Link:
                 "protocol engines must segment large messages"
             )
         env = self.env
-        pipe = self._pipe
+        now = env._now
+        free_at = self._free_at
+        egress_done = -1.0
         if self._train is not None:
-            if (segment.n_frames == 1 and pipe._free_at > env._now
-                    and pipe._free_at == self._train_tail):
-                egress_done = self._interleave(segment)
-                if egress_done >= 0.0:
-                    return egress_done
-            if self._intr_free > pipe._free_at:
+            if (segment.n_frames == 1 and free_at > now
+                    and free_at == self._train_tail):
+                egress_done = self._interleave(segment, now)
+            if egress_done < 0.0 and self._intr_free > free_at:
                 # A control frame slotted at the train's tail is still
                 # ahead of this segment: queue behind it, as FIFO would.
-                pipe._free_at = self._intr_free
-        tracer = self._span_tracer
-        if tracer is not None:
-            queued_until = self._pipe.busy_until()
-            if queued_until > env.now:
-                # The serializer is still busy with earlier traffic: the
-                # segment queues.  Attribute the head-of-line delay to the
-                # owning collective (ack/credit segments carry no op id).
-                meta = getattr(segment.meta, "meta", None)
-                op = getattr(meta, "op_id", -1)
-                if op >= 0:
-                    tracer.span_complete(
-                        self.name, "wait:link_busy", env.now, queued_until,
-                        phase="wait", op_id=op, cause="link_busy",
-                        nbytes=segment.wire_bytes)
-        egress_done = self._pipe.reserve(segment.wire_bytes)
-        self._last_owner = segment.meta
+                free_at = self._intr_free
+        if egress_done < 0.0:
+            if self._span_tracer is not None and free_at > now:
+                self._trace_queued(segment, now, free_at)
+            wire = segment.wire_bytes
+            duration = wire / self.rate
+            egress_done = (free_at if free_at > now else now) + duration
+            self._free_at = egress_done
+            self._busy_time += duration
+            self._bytes_moved += wire
+            self._last_owner = segment.meta
         self.segments_carried += 1
-        self._deliver(env._now, egress_done, segment)
-        return egress_done
-
-    def _deliver(self, now: float, egress_done: float,
-                 segment: Segment) -> None:
-        """Queue *segment* for its sink, one latency after *egress_done*.
-
-        A back-to-back segment train keeps one heap entry alive instead of
-        one per segment: the pump delivers each segment at its exact
-        reserved time, so timing and per-link order are unchanged.  The
-        fire time keeps the float rounding of a relative schedule,
-        ``now + (deliver_at - now)``, and then adds a switch sink's
-        forwarding latency: bit for bit the time a link delivery followed
-        by a separately deferred switch send would reach.
-        """
-        deliver_at = egress_done + self.latency
-        fire_at = now + (deliver_at - now) + self._forwarding
+        fire_at = now + (egress_done + self.latency - now) + self._forwarding
         self._in_flight.append((fire_at, segment))
         if not self._pump_scheduled:
             self._pump_scheduled = True
-            self.env.schedule_callback_at(fire_at, self._pump)
+            env.schedule_callback_at(fire_at, self._pump)
+        return egress_done
 
     def _pump(self) -> None:
         in_flight = self._in_flight
-        _deliver_at, segment = in_flight.popleft()
-        self._sink(segment)
+        self._sink(in_flight.popleft()[1])
         if in_flight:
-            self.env.schedule_callback_at(in_flight[0][0], self._pump)
+            # Re-arm with the cached entry as ``schedule_callback_at``
+            # would, a call saved per delivery (see ``Environment``).
+            # Delivery times never decrease within one link.
+            env = self.env
+            fire_at = in_flight[0][0]
+            if fire_at > env._now:
+                env._seq += 1
+                heappush(env._heap, (fire_at, env._seq, self._pump_entry))
+            elif fire_at == env._now:
+                env._seq += 1
+                env._bucket.append((env._seq, self._pump_entry))
+            else:
+                raise SimulationError(
+                    f"link {self.name!r} cannot deliver at {fire_at!r}")
         else:
             self._pump_scheduled = False
 
@@ -272,7 +270,7 @@ class Link:
             return f_last
         return -1.0
 
-    def _interleave(self, segment: Segment) -> float:
+    def _interleave(self, segment: Segment, now: float) -> float:
         """Serialize a single-frame segment *inside* an analytic train.
 
         Packet-level FIFO lets a tiny control segment (ack, credit
@@ -283,10 +281,9 @@ class Link:
         frame of wire time, ~100 ns) is deliberately not modelled; the
         reservation and the already-scheduled burst delivery stand.
 
-        Returns the egress-complete time, or a negative value when *now*
-        falls outside every recorded train window.
+        Returns the egress-complete time (``send`` queues the delivery),
+        or a negative value when *now* falls outside every train window.
         """
-        now = self.env._now
         start = self._train_boundary(now)
         if start < 0.0:
             return -1.0
@@ -294,25 +291,26 @@ class Link:
             # A previously interleaved segment still occupies the slot:
             # queue right behind it, as FIFO would.
             start = self._intr_free
-        pipe = self._pipe
-        duration = pipe.overhead + segment.wire_bytes / pipe.rate
+        duration = segment.wire_bytes / self.rate
         egress_done = start + duration
-        pipe._busy_time += duration
-        pipe._bytes_moved += segment.wire_bytes
+        self._busy_time += duration
+        self._bytes_moved += segment.wire_bytes
         self._intr_free = egress_done
-        self.segments_carried += 1
         self._flow_decision("interleave")
-        tracer = self._span_tracer
-        if tracer is not None and start > now:
-            meta = getattr(segment.meta, "meta", None)
-            op = getattr(meta, "op_id", -1)
-            if op >= 0:
-                tracer.span_complete(
-                    self.name, "wait:link_busy", now, start,
-                    phase="wait", op_id=op, cause="link_busy",
-                    nbytes=segment.wire_bytes)
-        self._deliver(now, egress_done, segment)
+        if self._span_tracer is not None and start > now:
+            self._trace_queued(segment, now, start)
         return egress_done
+
+    def _trace_queued(self, segment: Segment, now: float,
+                      start: float) -> None:
+        """The serializer is still busy with earlier traffic: record the
+        segment's head-of-line wait until *start* for its collective
+        (ack/credit segments carry no op id)."""
+        op = segment.op_id
+        if op >= 0:
+            self._span_tracer.span_complete(
+                self.name, "wait:link_busy", now, start, phase="wait",
+                op_id=op, cause="link_busy", nbytes=segment.wire_bytes)
 
     def send_burst(self, burst: Burst) -> float:
         """Carry a whole segment train in one analytic step (flow fidelity).
@@ -347,7 +345,6 @@ class Link:
                 f"burst chunks of {burst.segment_bytes}B exceed the "
                 f"{self.MAX_SEGMENT_BYTES}B link segment bound"
             )
-        pipe = self._pipe
         head_at = burst.head_at
         if burst.convoy is not None:
             # Downstream hop of a convoy train: siblings interleave here
@@ -368,7 +365,7 @@ class Link:
         if self._burst_sink is None:
             self._flow_decision("burst:expand:unwired", burst)
             return self._expand_burst(burst)
-        if pipe._free_at > head_at and self._last_owner is not burst.meta:
+        if self._free_at > head_at and self._last_owner is not burst.meta:
             self._flow_decision("burst:expand:busy", burst)
             return self._expand_burst(burst)
         return self._single_burst(burst)
@@ -432,8 +429,7 @@ class Link:
         if tracer is not None:
             op = burst.op_id
             if op >= 0:
-                pipe = self._pipe
-                dur = pipe.overhead + burst.wire_full / pipe.rate
+                dur = burst.wire_full / self.rate
                 t1 = burst.last_at - self.latency
                 t0 = burst.head_at - self.latency - dur
                 tracer.span_complete(
@@ -443,18 +439,17 @@ class Link:
 
     def _single_burst(self, burst: Burst) -> float:
         self._flow_decision("burst:carry", burst)
-        pipe = self._pipe
         head_at = burst.head_at
         # Serialization of the head starts when it has arrived, the
         # reserved tail has drained and any control frame slotted at that
         # tail has left: where packet FIFO starts its first segment.
-        base = head_at if head_at >= pipe._free_at else pipe._free_at
+        base = head_at if head_at >= self._free_at else self._free_at
         if self._intr_free > base:
             base = self._intr_free
         n = burst.n_segments
-        rate = pipe.rate
-        dur_full = pipe.overhead + burst.wire_full / rate
-        dur_last = pipe.overhead + burst.wire_last / rate
+        rate = self.rate
+        dur_full = burst.wire_full / rate
+        dur_last = burst.wire_last / rate
         step = dur_full if dur_full > burst.spacing else burst.spacing
         f_head = base + dur_full
         f_pen = f_head + (n - 2) * step
@@ -463,10 +458,10 @@ class Link:
         # The previous window stays slottable only when this train follows
         # it with nothing queued between them (a continuation); otherwise
         # the traffic queued behind it owns its gaps.
-        continues = self._train_tail == pipe._free_at
-        pipe._free_at = f_last
-        pipe._busy_time += (n - 1) * dur_full + dur_last
-        pipe._bytes_moved += burst.wire_total
+        continues = self._train_tail == self._free_at
+        self._free_at = f_last
+        self._busy_time += (n - 1) * dur_full + dur_last
+        self._bytes_moved += burst.wire_total
         self._relay = (burst, base) if burst.seq_base == 0 else None
         self._last_owner = burst.meta
         self._train_prev = self._train if continues else None
@@ -502,9 +497,8 @@ class Link:
         if self._burst_sink is None:
             self._flow_decision("burst:decline:unwired", burst)
             return None
-        pipe = self._pipe
         env = self.env
-        dur = pipe.overhead + burst.wire_full / pipe.rate
+        dur = burst.wire_full / self.rate
         convoy = self._convoy
         if convoy is not None and env._now >= convoy["tail"]:
             convoy = self._convoy = None
@@ -544,9 +538,8 @@ class Link:
         self._flow_decision("convoy:lay", burst)
         f_pen = self._convoy_lay(burst, convoy, phase)
         n = burst.n_segments
-        pipe._busy_time += ((n - 1) * dur
-                            + pipe.overhead + burst.wire_last / pipe.rate)
-        pipe._bytes_moved += burst.wire_total
+        self._busy_time += (n - 1) * dur + burst.wire_last / self.rate
+        self._bytes_moved += burst.wire_total
         self._last_owner = owner
         self.segments_carried += n
         Environment.total_events_fast_forwarded += n - 1
@@ -570,9 +563,8 @@ class Link:
           way, and each later sender's first segment queues right behind
           whatever is serializing when it shows up — slot ``phase``.
         """
-        pipe = self._pipe
         env = self.env
-        if pipe._free_at <= burst.head_at:
+        if self._free_at <= burst.head_at:
             convoy = self._convoy = {
                 "token": object(), "share": burst.share,
                 "origin": burst.head_at, "dur": dur,
@@ -584,7 +576,7 @@ class Link:
         if relay is None:
             return None
         founder, base = relay
-        f_dur = pipe.overhead + founder.wire_full / pipe.rate
+        f_dur = founder.wire_full / self.rate
         if (founder.seq_base != 0 or f_dur != dur
                 or env._now >= base + dur + self.latency):
             return None
@@ -629,10 +621,9 @@ class Link:
         not change with spacing; only ``free_at`` grows.
         Returns the handoff (the penultimate slot's egress).
         """
-        pipe = self._pipe
         dur = convoy["dur"]
         n = burst.n_segments
-        dur_last = pipe.overhead + burst.wire_last / pipe.rate
+        dur_last = burst.wire_last / self.rate
         step = convoy["share"] * dur
         start_head = convoy["origin"] + phase * dur + burst.seq_base * step
         f_head = start_head + dur
@@ -641,8 +632,8 @@ class Link:
         f_last = start_last + dur_last
         if f_last > convoy["tail"]:
             convoy["tail"] = f_last
-        if f_last > pipe._free_at:
-            pipe._free_at = f_last
+        if f_last > self._free_at:
+            self._free_at = f_last
         latency = self.latency
         burst.convoy = convoy["token"]
         burst.spacing = step
@@ -675,26 +666,25 @@ class Link:
         """
         if self._burst_sink is None:
             return None
-        pipe = self._pipe
         head_at = burst.head_at
         token = burst.convoy
-        if (pipe._free_at > head_at and self._convoy_token is not token
+        if (self._free_at > head_at and self._convoy_token is not token
                 and self._last_owner is not burst.meta):
             return None
-        dur = pipe.overhead + burst.wire_full / pipe.rate
+        dur = burst.wire_full / self.rate
         if dur * burst.share > burst.spacing * (1.0 + 1e-9):
             return None
         n = burst.n_segments
-        dur_last = pipe.overhead + burst.wire_last / pipe.rate
+        dur_last = burst.wire_last / self.rate
         step = burst.spacing if burst.spacing > dur else dur
         f_head = head_at + dur
         f_pen = f_head + (n - 2) * step
         start_last = burst.last_at if burst.last_at > f_pen else f_pen
         f_last = start_last + dur_last
-        if f_last > pipe._free_at:
-            pipe._free_at = f_last
-        pipe._busy_time += (n - 1) * dur + dur_last
-        pipe._bytes_moved += burst.wire_total
+        if f_last > self._free_at:
+            self._free_at = f_last
+        self._busy_time += (n - 1) * dur + dur_last
+        self._bytes_moved += burst.wire_total
         self._last_owner = burst.meta
         self._convoy_token = token
         # Sibling trains fill each other's slot gaps: no control-segment
@@ -734,8 +724,8 @@ class Link:
                 "link_flow_decisions",
                 fn=lambda r=reason: float(self.flow_decisions.get(r, 0.0)),
                 link=self.name, reason=reason, **labels)
-        self._pipe.register_metrics(registry, name="link",
-                                    link=self.name, **labels)
+        super().register_metrics(registry, name="link", link=self.name,
+                                 **labels)
 
     def __repr__(self) -> str:
         return f"<Link {self.name!r} {units.to_gbps(self.rate):.0f} Gb/s>"

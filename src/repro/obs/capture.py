@@ -156,11 +156,11 @@ def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
     """Divide the bandwidth of every fabric link whose name contains
     *pattern* by *factor* (fault injection for straggler studies).
 
-    Must run after the cluster is built but before traffic starts — both
-    the link's admission-rate field and its bandwidth pipe are rescaled,
-    so packet serialisation and flow bursts slow down alike.  Returns the
-    throttled link names; raises ValueError unless *factor* is finite and
-    positive, or if the pattern matches nothing.
+    Must run after the cluster is built but before traffic starts.  A link
+    is its own serializer, so rescaling its one ``rate`` slows packet
+    serialisation and flow bursts alike.  Returns the throttled link names;
+    raises ValueError unless *factor* is finite and positive, or if the
+    pattern matches nothing.
     """
     if not (math.isfinite(factor) and factor > 0):
         raise ValueError(
@@ -169,7 +169,6 @@ def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
     for link in cluster.topology.iter_links():
         if pattern in link.name:
             link.rate /= factor
-            link._pipe.rate /= factor
             hits.append(link.name)
     if not hits:
         names = sorted(l.name for l in cluster.topology.iter_links())

@@ -17,6 +17,7 @@ here, each of which shows up in the evaluation:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional, Set
 
 import numpy as np
@@ -29,7 +30,9 @@ from repro import units
 
 
 class Tlb:
-    """Software-populated translation cache for the FPGA memory manager."""
+    """Software-populated translation cache for the FPGA memory manager;
+    when full it evicts the page mapped longest ago (FIFO: hits do not
+    refresh pages)."""
 
     PAGE_BYTES = 2 * units.MIB  # Coyote uses hugepages
 
@@ -45,7 +48,7 @@ class Tlb:
         self.lookup_latency = lookup_latency
         self.fault_penalty = fault_penalty
         self._mapped: Set[int] = set()
-        self._lru: list = []
+        self._fifo: deque = deque()  # mapped pages, oldest first
         self.hits = 0
         self.faults = 0
 
@@ -54,10 +57,9 @@ class Tlb:
         if page in self._mapped:
             return
         if len(self._mapped) >= self.entries:
-            victim = self._lru.pop(0)
-            self._mapped.discard(victim)
+            self._mapped.discard(self._fifo.popleft())
         self._mapped.add(page)
-        self._lru.append(page)
+        self._fifo.append(page)
 
     def map_range(self, start_page: int, n_pages: int) -> None:
         for page in range(start_page, start_page + n_pages):

@@ -17,7 +17,7 @@ from repro.errors import ProtocolError
 from repro.network.endpoint import Endpoint
 from repro.network.fidelity import POE_FLOW_DECISIONS
 from repro.network.packet import Burst, Segment
-from repro.sim import Environment, Event
+from repro.sim import Environment
 from repro import units
 
 
@@ -93,9 +93,9 @@ class BasePoe:
 
     - :meth:`transmit` -- the one transmit form; connection-oriented
       engines override it to supply the QP or session.
-    - :meth:`_tx_flow_control` -- an event to wait on before each segment
-      (window/credits), or ``None`` when the segment may go at once.
-    - :meth:`_return_bucket` -- the bucket a flow-control return refills.
+    - :meth:`_return_bucket` -- the bucket (window/credits) a flow-control
+      return from a peer refills, and each segment toward that peer takes
+      its bytes from.
     - :meth:`_rx_complete` -- how a reassembled message reaches its
       consumer.
     """
@@ -107,7 +107,7 @@ class BasePoe:
     segment_bytes = 32 * units.KIB
     #: fixed pipeline latency through the POE per message, seconds
     poe_latency = units.ns(300)
-    #: wait-cause label for time blocked in :meth:`_tx_flow_control`
+    #: wait-cause label for time blocked on the :meth:`_return_bucket`
     #: (subclasses name their mechanism: TCP retx window, RDMA credits)
     flow_control_cause = "flow_control"
     #: flow fidelity accounting — heap events the per-segment transmit /
@@ -314,6 +314,7 @@ class BasePoe:
         env = self.env
         remaining = header.nbytes
         seqno = 0
+        bucket = self._return_bucket(header.dst_addr)
         if (self._fidelity_flow and pace is None
                 and self._tx_bulk_packet == 0
                 and header.nbytes
@@ -328,7 +329,7 @@ class BasePoe:
             # the per-segment loop (and mid-path congestion expands a
             # burst at the busy hop).
             remaining, seqno = yield from self._flow_tx_run(
-                header, data, tracer)
+                header, data, tracer, bucket)
             if remaining == 0:
                 if tracer is not None:
                     tracer.span_complete(
@@ -353,6 +354,7 @@ class BasePoe:
         protocol_name = self.protocol_name
         mtu = self.mtu
         segment_bytes = self.segment_bytes
+        post_segment = self._tx_post_segment
         sent_any = seqno > 0
         bulk = header.nbytes > segment_bytes
         if bulk:
@@ -362,7 +364,8 @@ class BasePoe:
                 chunk = min(remaining, segment_bytes) if remaining else 0
                 if pace is not None and chunk > 0:
                     yield pace.take(chunk)
-                gate = self._tx_flow_control(header, chunk)
+                gate = (bucket.try_take(chunk)
+                        if bucket is not None and chunk > 0 else None)
                 if gate is not None:
                     t_fc = env.now
                     yield gate
@@ -384,9 +387,10 @@ class BasePoe:
                     seqno=seqno,
                 )
                 egress_done = endpoint_send(segment)
-                post = self._tx_post_segment(header, segment)
-                if post is not None:
-                    yield post
+                if post_segment is not None:
+                    post = post_segment(header, segment)
+                    if post is not None:
+                        yield post
                 remaining -= chunk
                 seqno += 1
                 sent_any = True
@@ -407,17 +411,9 @@ class BasePoe:
                 nbytes=header.nbytes, dst=header.dst_addr)
         return header
 
-    def _tx_flow_control(self, header: MessageHeader,
-                         chunk: int) -> Optional[Event]:
-        """Subclass hook: an event that fires once *chunk* bytes may enter
-        the wire, or ``None`` to send at once."""
-        return None
-
-    def _tx_post_segment(self, header: MessageHeader,
-                         segment: Segment) -> Optional[float]:
-        """Subclass hook: per-segment bookkeeping (e.g. retx buffering);
-        a delay return holds the next segment back that long."""
-        return None
+    #: Subclass hook ``(header, segment)``: per-segment bookkeeping (e.g.
+    #: retx buffering); a delay return holds the next segment back.
+    _tx_post_segment: Optional[Callable[..., Optional[float]]] = None
 
     # -- flow-fidelity fast-forward ----------------------------------------
 
@@ -433,7 +429,8 @@ class BasePoe:
     #: they are cheap anyway.
     _FLOW_MIN_SEGMENTS = 8 * _FLOW_SUBBURST_SEGMENTS
 
-    def _flow_tx_run(self, header: MessageHeader, data: Any, tracer):
+    def _flow_tx_run(self, header: MessageHeader, data: Any, tracer,
+                     bucket):
         """Analytic burst transmit as a train of sub-bursts.
 
         Pauses at each sub-burst's handoff instant (when the packet loop
@@ -448,7 +445,7 @@ class BasePoe:
         after a fallback.
         """
         nbytes = header.nbytes
-        if not self._flow_tx_ready(header):
+        if not self._flow_tx_ready(bucket):
             self._flow_decision(header, "reject:flow_control")
             return nbytes, 0
         self._flow_decision(header, "admit")
@@ -505,16 +502,20 @@ class BasePoe:
                 if self._tx_bulk_packet > 0:
                     self._flow_decision(header, "fallback:packet_sibling")
                     return nbytes - sent * seg, sent
-                if not self._flow_tx_ready(header):
+                if not self._flow_tx_ready(bucket):
                     self._flow_decision(header, "fallback:flow_control")
                     return nbytes - sent * seg, sent
         return 0, n_total
 
-    def _flow_tx_ready(self, header: MessageHeader) -> bool:
-        """Subclass hook: is per-segment flow control guaranteed not to
-        stall this message on an idle path?  Must be conservative: any
-        outstanding credit/window state forces the packet-level loop."""
-        return True
+    def _flow_tx_ready(self, bucket) -> bool:
+        """Is per-segment flow control guaranteed not to stall a message
+        that takes its bytes from *bucket* on an idle path?  Only with no
+        bucket, or one that is untouched (full, nobody queues) and whose
+        capacity clears the bandwidth-delay floor: any outstanding credit
+        or window state forces the packet-level loop."""
+        return bucket is None or (
+            bucket.has(bucket.capacity)
+            and bucket.capacity >= self._flow_window_floor())
 
     def _flow_tx_post(self, header: MessageHeader,
                       burst: Burst) -> Optional[float]:
@@ -685,7 +686,8 @@ class BasePoe:
 
     def _return_bucket(self, peer: int):
         """Subclass hook: the bucket (a ``TokenBucket``) that a return
-        from *peer* refills, or ``None`` when there is none."""
+        from *peer* refills and a transmit to *peer* takes from, or
+        ``None`` when there is none."""
         return None
 
     def _deliver(self, header: MessageHeader, data: Any) -> None:

@@ -22,7 +22,6 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ProtocolError
 from repro.protocols.base import BasePoe, DeferredPayload, MessageHeader
-from repro.sim import Event
 from repro.sim.resources import TokenBucket
 from repro import units
 
@@ -150,25 +149,6 @@ class RdmaPoe(BasePoe):
                                 qp.qp_num, pace, lead)
 
     # -- flow control -------------------------------------------------------------
-
-    def _tx_flow_control(self, header: MessageHeader,
-                         chunk: int) -> Optional[Event]:
-        qp = self._by_remote[header.dst_addr]
-        if chunk > 0:
-            return qp.credits.try_take(chunk)
-        return None
-
-    def _flow_tx_ready(self, header: MessageHeader) -> bool:
-        # Credits are transparent only when untouched: the bucket is full,
-        # nobody queues on it, and its capacity clears the bandwidth-delay
-        # product so per-segment accounting could never have stalled.
-        qp = self._by_remote.get(header.dst_addr)
-        if qp is None:
-            return False
-        credits = qp.credits
-        return (not credits._waiters
-                and credits._available == credits.capacity
-                and credits.capacity >= self._flow_window_floor())
 
     def _return_bucket(self, peer: int) -> Optional[TokenBucket]:
         qp = self._by_remote.get(peer)

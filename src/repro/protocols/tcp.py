@@ -148,13 +148,6 @@ class TcpPoe(BasePoe):
         return super().transmit(dst_addr, nbytes, meta, data, kind,
                                 sess.session_id, pace, lead)
 
-    def _tx_flow_control(self, header: MessageHeader,
-                         chunk: int) -> Optional[Event]:
-        session = self._by_remote[header.dst_addr]
-        if chunk > 0:
-            return session.window.try_take(chunk)
-        return None
-
     def _tx_post_segment(self, header: MessageHeader,
                          segment: Segment) -> Optional[float]:
         # Retransmission buffering: the segment is mirrored into POE-private
@@ -162,15 +155,6 @@ class TcpPoe(BasePoe):
         if self.retx_memory is not None and segment.payload_bytes > 0:
             return self.retx_memory.access_delay(segment.payload_bytes)
         return None
-
-    def _flow_tx_ready(self, header: MessageHeader) -> bool:
-        # The window is transparent only when untouched and large enough
-        # that per-segment accounting could never have stalled the train.
-        session = self._by_remote[header.dst_addr]
-        window = session.window
-        return (not window._waiters
-                and window._available == window.capacity
-                and window.capacity >= self._flow_window_floor())
 
     def _flow_tx_post(self, header: MessageHeader, burst):
         # Retx mirroring in bulk: the head of the train is charged to the

@@ -307,7 +307,8 @@ class Process(Event):
 
 class AllOf(Event):
     """Succeeds once every child event has succeeded; fails with the first
-    child failure."""
+    child failure.  Over children that have all succeeded already it is
+    born processed, as :meth:`Environment.done` is: no kernel turn."""
 
     __slots__ = ("_events", "_count")
 
@@ -315,14 +316,16 @@ class AllOf(Event):
         super().__init__(env)
         self._events = list(events)
         self._count = 0
-        if not self._events:
-            self.succeed({})
-            return
         for ev in self._events:
-            if ev.callbacks is None:
-                self._check(ev)
-            else:
+            if ev.callbacks is not None:
                 ev.add_callback(self._check)
+            elif ev._ok:
+                self._count += 1
+            else:
+                self._check(ev)
+        if self._count == len(self._events):
+            self.callbacks, self._ok, self._scheduled = None, True, True
+            self._value = {i: ev._value for i, ev in enumerate(self._events)}
 
     def _check(self, event: Event) -> None:
         if self.triggered:
@@ -361,6 +364,8 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
+        # (time, seq, item) entries.  ``Link._pump`` (repro.network.link)
+        # writes this format and the bucket's too: change them together.
         self._heap: List[tuple] = []
         # FIFO of (seq, item) entries scheduled at the *current* time; always
         # drained before the clock advances.  Items are the same polymorphic
@@ -447,6 +452,15 @@ class Environment:
             heappush(self._heap, (time, self._seq, event))
         else:
             self._bucket.append((self._seq, event))
+        return event
+
+    def done(self, value: Any = None) -> Event:
+        """An event that has already happened with *value*: a process that
+        yields it resumes at once and no kernel turn is taken, for a wait
+        whose answer is known when it is asked."""
+        event = Event(self)
+        event.callbacks, event._ok, event._value = None, True, value
+        event._scheduled = True
         return event
 
     def event(self) -> Event:

@@ -184,6 +184,10 @@ class TokenBucket:
     def available(self) -> int:
         return self._available
 
+    def has(self, amount: int) -> bool:
+        """True when :meth:`try_take` of *amount* would be granted at once."""
+        return self._available >= amount and not self._waiters
+
     def try_take(self, amount: int = 1) -> Optional[Event]:
         """Take *amount* tokens at once and return ``None`` (no event is
         scheduled) when they are available and nobody queues ahead; else
@@ -203,10 +207,7 @@ class TokenBucket:
     def take(self, amount: int = 1) -> Event:
         """Event that succeeds once *amount* tokens are granted."""
         ev = self.try_take(amount)
-        if ev is None:
-            ev = Event(self.env)
-            ev.succeed(amount)
-        return ev
+        return self.env.done(amount) if ev is None else ev
 
     def give(self, amount: int = 1) -> None:
         self._available = min(self.capacity, self._available + amount)

@@ -56,6 +56,20 @@ class TestModelAndConfig:
         out = model.forward_batch(queries)
         assert np.all((out > 0) & (out < 1))
 
+    def test_weights_equal_the_one_shot_float64_build(self):
+        # 600 rows span two full row blocks and a partial one
+        config = DlrmConfig(num_tables=4, embed_dim=8, fc_dims=(600, 40, 8),
+                            rows_per_table=16)
+        model = DlrmModel(config, seed=7)
+        rng = np.random.default_rng(7)
+        dims = [config.concat_len, *config.fc_dims]
+        for (fan_in, fan_out), w in zip(zip(dims, dims[1:]), model.weights):
+            scale = 1.0 / np.sqrt(fan_in)
+            expected = (rng.standard_normal((fan_out, fan_in))
+                        * scale).astype(config.dtype)
+            assert w.dtype == config.dtype
+            np.testing.assert_array_equal(w, expected)
+
     def test_flops_per_inference(self):
         model = DlrmModel()
         expected = 2 * (3200 * 2048 + 2048 * 512 + 512 * 256)

@@ -344,18 +344,18 @@ class TestLinkBurstPath:
         env, link, segments, bursts = self._flow_link()
         train = _burst(env, n=64)
         link.send_burst(train)
-        train_end = link._pipe._free_at
+        train_end = link._free_at
         egress = link.send(Segment(0, 1, payload_bytes=64, meta=object()))
         assert egress < train_end / 2
         env.run()
         assert len(segments) == 1 and len(bursts) == 1
         # The train keeps its analytic reservation for its own tail.
-        assert link._pipe._free_at == train_end
+        assert link._free_at == train_end
 
     def test_multi_frame_segment_does_not_interleave(self):
         env, link, segments, bursts = self._flow_link()
         link.send_burst(_burst(env, n=64))
-        train_end = link._pipe._free_at
+        train_end = link._free_at
         egress = link.send(
             Segment(0, 1, payload_bytes=32 * units.KIB, meta=object()))
         assert egress > train_end  # FIFO: queued behind the reservation
@@ -384,7 +384,7 @@ class TestLinkBurstPath:
         assert link.try_send_burst(bb) is not None
         env.run()
         assert len(bursts) == 2 and not segments
-        dur = link._pipe.overhead + ba.wire_full / link._pipe.rate
+        dur = ba.wire_full / link.rate
         assert ba.spacing == pytest.approx(2 * dur)
         assert bb.spacing == pytest.approx(2 * dur)
         assert bb.head_at - ba.head_at == pytest.approx(dur)
@@ -396,7 +396,7 @@ class TestLinkBurstPath:
         # interleaving packet mode would have produced.
         env, link, segments, bursts = self._flow_link()
         probe = _burst(env)
-        dur = link._pipe.overhead + probe.wire_full / link._pipe.rate
+        dur = probe.wire_full / link.rate
         res = {}
 
         def founder():
@@ -426,7 +426,7 @@ class TestLinkBurstPath:
         # the founder's committed solid train.
         env, link, segments, bursts = self._flow_link()
         probe = _burst(env)
-        dur = link._pipe.overhead + probe.wire_full / link._pipe.rate
+        dur = probe.wire_full / link.rate
         res = {}
 
         def founder():
@@ -518,7 +518,7 @@ class TestFlowHandoffWake:
 
         def sender():
             yield start
-            sent = yield from poe._flow_tx_run(header, None, None)
+            sent = yield from poe._flow_tx_run(header, None, None, None)
             woke.append((env.now, sent))
 
         env.process(sender())

@@ -73,7 +73,7 @@ class TestFabric:
         env.run()
         assert Environment.total_events_processed - before == 4
         link = a.uplink
-        serialization = link._pipe.overhead + seg.wire_bytes / link._pipe.rate
+        serialization = seg.wire_bytes / link.rate
         forwarding = topo._spines[0].forwarding_latency
         # Per hop: the link delivers at now + (egress + latency - now) and
         # a switch forwards one forwarding latency later, with the same

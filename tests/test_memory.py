@@ -179,3 +179,24 @@ class TestPcie:
         env = Environment()
         pcie = PcieLink(env, bandwidth=1e9, dma_latency=0.5)
         assert pcie.dma_h2d_delay(int(1e9)) == pytest.approx(1.5)
+
+
+def test_allocated_and_free_bytes_track_allocate_free_and_wrap():
+    env = Environment()
+    mem = Memory(env, capacity=100, bandwidth=1e9)
+    a = mem.allocate(30)
+    b = mem.allocate(50)
+    assert (mem.allocated_bytes, mem.free_bytes) == (80, 20)
+    mem.free(a)
+    assert (mem.allocated_bytes, mem.free_bytes) == (50, 50)
+    # 80 + 40 > 100: the bump pointer wraps and compacts to the live bytes
+    c = mem.allocate(40)
+    assert c.offset == 50
+    assert (mem.allocated_bytes, mem.free_bytes) == (90, 10)
+    with pytest.raises(PlatformError, match="free 10 of 100"):
+        mem.allocate(11)
+    assert mem.allocated_bytes == 90
+    mem.free(b)
+    mem.free(c)
+    assert (mem.allocated_bytes, mem.free_bytes) == (0, 100)
+    assert mem.allocate(100).offset == 0

@@ -1,12 +1,16 @@
 """Unit tests for the network fabric: segments, links, switch, topology."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import units
 from repro.errors import NetworkError
 from repro.network import Link, Segment, StarTopology, Switch
-from repro.network.packet import ETHERNET_HEADER_BYTES
-from repro.sim import Environment
+from repro.network.packet import ETHERNET_HEADER_BYTES, Burst
+from repro.obs.capture import throttle_links
+from repro.obs.metrics import MetricsRegistry
+from repro.sim import BandwidthResource, Environment, SimulationError
 
 
 class TestSegment:
@@ -76,6 +80,96 @@ class TestLink:
         env.run()
         assert link.segments_carried == 1
         assert link.bytes_carried == 100 + ETHERNET_HEADER_BYTES
+
+    def test_link_is_its_own_serializer(self):
+        env = Environment()
+        link = Link(env, rate=1000.0, latency=0.0)
+        assert isinstance(link, BandwidthResource)
+        assert not hasattr(link, "_pipe")
+        link.connect(lambda s: None)
+        payload = 1000 - ETHERNET_HEADER_BYTES
+        assert link.send(Segment(0, 1, payload_bytes=payload, mtu=4000)) == 1.0
+        assert link.busy_until() == 1.0
+        assert link.bytes_moved == link.bytes_carried == 1000
+
+    def test_byte_and_utilization_gauges_keep_names_and_values(self):
+        env = Environment()
+        link = Link(env, rate=1000.0, latency=0.0, name="up")
+        link.connect(lambda s: None)
+        registry = MetricsRegistry()
+        link.register_metrics(registry, node="n0")
+        payload = 500 - ETHERNET_HEADER_BYTES
+        link.send(Segment(0, 1, payload_bytes=payload, mtu=4000))
+        env.run(until=1.0)
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["link_bytes_moved{link=up,node=n0}"] == 500.0
+        assert gauges["link_utilization{link=up,node=n0}"] == 0.5
+        assert gauges["link_segments_carried{link=up,node=n0}"] == 1.0
+
+    def test_nan_delivery_time_raises(self):
+        env = Environment()
+        link = Link(env, rate=1000.0, latency=float("nan"))
+        link.connect(lambda s: None)
+        with pytest.raises(SimulationError):
+            link.send(Segment(0, 1, payload_bytes=10))
+
+    def test_pump_rejects_a_delivery_time_in_the_past(self):
+        # The pump re-arms itself without the kernel's scheduling calls;
+        # a queued delivery time before now must still fail loudly.
+        env = Environment()
+        link = Link(env, rate=1000.0, latency=0.5)
+        link.connect(lambda s: None)
+        link.send(Segment(0, 1, payload_bytes=10))
+        second = Segment(0, 1, payload_bytes=10)
+        link.send(second)
+        link._in_flight[1] = (-1.0, second)
+        with pytest.raises(SimulationError, match="cannot deliver"):
+            env.run()
+
+
+class TestThrottleLinks:
+    """``throttle_links`` rescales a link's one rate, and both the packet
+    path and the flow burst path serialize by it."""
+
+    FACTOR = 4.0
+
+    def links(self):
+        env = Environment()
+        fast = Link(env, rate=units.gbps(100), latency=units.us(1),
+                    name="fpga0.up")
+        slow = Link(env, rate=units.gbps(100), latency=units.us(1),
+                    name="fpga1.down")
+        for link in (fast, slow):
+            link.connect(lambda s: None)
+            link.connect_burst(lambda b: None, at_tail=True)
+        cluster = SimpleNamespace(
+            topology=SimpleNamespace(iter_links=lambda: [fast, slow]))
+        assert throttle_links(cluster, "down", self.FACTOR) == ["fpga1.down"]
+        return fast, slow
+
+    def test_rescales_the_one_rate(self):
+        fast, slow = self.links()
+        assert slow.rate == fast.rate / self.FACTOR
+
+    def test_packet_segment_serializes_factor_times_slower(self):
+        fast, slow = self.links()
+        seg = Segment(0, 1, payload_bytes=32 * units.KIB, mtu=4096)
+        assert slow.send(seg) == pytest.approx(
+            self.FACTOR * fast.send(seg), rel=1e-12)
+
+    def test_flow_burst_serializes_factor_times_slower(self):
+        fast, slow = self.links()
+
+        def burst():
+            seg = 32 * units.KIB
+            return Burst(src=0, dst=1, payload_bytes=8 * seg, n_segments=8,
+                         segment_bytes=seg, last_bytes=seg, head_at=0.0,
+                         spacing=0.0, last_at=0.0)
+
+        fast.send_burst(burst())
+        slow.send_burst(burst())
+        assert slow.busy_until() == pytest.approx(
+            self.FACTOR * fast.busy_until(), rel=1e-12)
 
 
 class TestSwitchAndTopology:

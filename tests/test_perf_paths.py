@@ -13,24 +13,39 @@ import pytest
 from repro import units
 from repro.errors import NetworkError
 from repro.network import Link, Segment
-from repro.sim import Environment
+from repro.sim import BandwidthResource, Environment
 from repro.sim.kernel import SimulationError
 
 
 class _PerSegmentLink(Link):
-    """The pump's reference: one heap entry per delivered segment, at the
-    relative delay a plain schedule computes."""
+    """The pump's reference: the plain serializer reservation and one heap
+    entry per delivered segment, at the relative delay a plain schedule
+    computes.  It never touches the pump: its in-flight queue is ``None``
+    and its pump raises, so a send that bypasses this override fails."""
 
-    __slots__ = ()
+    __slots__ = ("reference_sends",)
 
-    def _deliver(self, now, egress_done, segment):
-        deliver_at = egress_done + self.latency
-        self.env.schedule_callback(deliver_at - now, self._sink, segment)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._in_flight = None
+        self.reference_sends = 0
+
+    def send(self, segment):
+        now = self.env.now
+        done = BandwidthResource.reserve(self, segment.wire_bytes)
+        self.env.schedule_callback(done + self.latency - now, self._sink,
+                                   segment)
+        self.reference_sends += 1
+        return done
+
+    def _pump(self):
+        raise AssertionError("the reference link must not use the pump")
 
 
 def _run_segment_train(link_cls, train):
     """Drive one link with a (payload, gap) train; returns the arrival
-    log ``[(time, payload), ...]`` and the final simulation time."""
+    log ``[(time, payload), ...]``, the final simulation time and the
+    link."""
     env = Environment()
     link = link_cls(env, rate=units.gbps(10), latency=units.us(1))
     arrivals = []
@@ -44,7 +59,18 @@ def _run_segment_train(link_cls, train):
 
     env.process(sender())
     env.run()
-    return arrivals, env.now
+    return arrivals, env.now, link
+
+
+def _assert_pump_matches_reference(train):
+    pumped, end_p, link = _run_segment_train(Link, train)
+    reference, end_r, ref_link = _run_segment_train(_PerSegmentLink, train)
+    assert ref_link.reference_sends == len(train)
+    assert ref_link._in_flight is None and not ref_link._pump_scheduled
+    assert len(pumped) == len(train)
+    assert pumped == reference
+    assert end_p == end_r
+    assert link._free_at == ref_link._free_at
 
 
 class TestLinkCoalescing:
@@ -65,10 +91,7 @@ class TestLinkCoalescing:
             gap = rng.choice([0.0, 0.0, 0.0, units.us(rng.uniform(0.1, 50))])
             train.append((payload, gap))
 
-        pumped, end_p = _run_segment_train(Link, train)
-        reference, end_r = _run_segment_train(_PerSegmentLink, train)
-        assert pumped == reference
-        assert end_p == end_r
+        _assert_pump_matches_reference(train)
 
     def test_back_to_back_burst_single_heap_entry_timing(self):
         # Worked example: 3 segments at 1000 B/s, zero gap.  Wire size is
@@ -88,10 +111,7 @@ class TestLinkCoalescing:
 
     def test_pump_reschedules_after_idle_gap(self):
         train = [(1000, units.us(500)), (1000, 0.0)]
-        pumped, end_p = _run_segment_train(Link, train)
-        reference, end_r = _run_segment_train(_PerSegmentLink, train)
-        assert pumped == reference
-        assert end_p == end_r
+        _assert_pump_matches_reference(train)
 
 
 class TestMaxSegmentBoundary:

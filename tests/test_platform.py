@@ -62,6 +62,16 @@ class TestTlb:
         assert tlb.translate(1) == tlb.lookup_latency
         assert tlb.translate(0) > tlb.lookup_latency  # faulted back in
 
+    def test_eviction_is_fifo_a_hit_does_not_refresh(self):
+        env = Environment()
+        tlb = Tlb(env, entries=2)
+        tlb.map_page(0)
+        tlb.map_page(1)
+        assert tlb.translate(0) == tlb.lookup_latency
+        assert tlb.translate(2) > tlb.lookup_latency  # evicts 0, not 1
+        assert tlb._mapped == {1, 2}
+        assert (tlb.hits, tlb.faults) == (1, 1)
+
     def test_map_range(self):
         env = Environment()
         tlb = Tlb(env)

@@ -390,6 +390,58 @@ def test_yielding_already_processed_event_resumes_immediately():
     assert trace == [2]
 
 
+def _events_of(make_proc):
+    """Kernel events one run of the process built by *make_proc(env)* takes."""
+    env = Environment()
+    before = Environment.total_events_processed
+    env.process(make_proc(env))
+    env.run()
+    return Environment.total_events_processed - before
+
+
+def _no_wait(env):
+    return
+    yield
+
+
+def test_yield_of_a_done_event_takes_no_kernel_turn():
+    got = []
+
+    def proc(env):
+        got.append((yield env.done(7)))
+        got.append(env.now)
+
+    # bootstrap and termination only, as for a process that never waits
+    assert _events_of(proc) == _events_of(_no_wait) == 2
+    assert got == [7, 0.0]
+
+
+def test_all_of_over_done_events_is_born_processed():
+    got = []
+
+    def proc(env):
+        joined = all_of(env, [env.done("a"), env.done("b")])
+        assert joined.processed
+        got.append((yield joined))
+        got.append((yield all_of(env, [env.done(1)])))
+
+    assert _events_of(proc) == _events_of(_no_wait)
+    assert got == [{0: "a", 1: "b"}, {0: 1}]
+
+
+def test_all_of_over_a_done_and_a_pending_event_waits():
+    got = []
+
+    def proc(env):
+        joined = all_of(env, [env.done("a"), env.timeout(2.0, "b")])
+        assert not joined.processed
+        got.append((yield joined))
+        got.append(env.now)
+
+    _events_of(proc)
+    assert got == [{0: "a", 1: "b"}, 2.0]
+
+
 def test_many_processes_scale():
     env = Environment()
     counter = []

@@ -366,3 +366,14 @@ def test_try_take_queues_behind_a_waiter_even_when_affordable():
     bucket.give(3)  # 6 available: the head is served first, then the small
     assert head.triggered and small.triggered
     assert bucket.available == 0
+
+
+def test_take_with_enough_tokens_is_done_at_once():
+    env = Environment()
+    bucket = TokenBucket(env, tokens=4)
+    ev = bucket.take(3)
+    assert ev.processed and ev.value == 3 and bucket.available == 1
+    waiting = bucket.take(2)  # not enough: queues
+    assert not waiting.triggered
+    bucket.give(1)
+    assert waiting.triggered and bucket.available == 0
