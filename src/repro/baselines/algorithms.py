@@ -7,6 +7,8 @@ per-step tags below a +512 window.
 The high-level entry points (``mpi_bcast`` etc.) consult
 :class:`~repro.baselines.tuning.MpiTuning` unless an algorithm is forced —
 mirroring how OpenMPI/MPICH pick algorithms per (size, nprocs).
+``mpi_allgather`` (ring) and ``mpi_alltoall`` (pairwise) have one
+algorithm each.
 """
 
 from __future__ import annotations
@@ -508,13 +510,11 @@ def mpi_scatter(me, sendbuf, recvbuf, nbytes, root, tag=0,
     yield from fn(me, sendbuf, recvbuf, nbytes, root, tag)
 
 
-def mpi_allgather(me, sendbuf, recvbuf, nbytes, tag=0,
-                  tuning=_DEFAULT_TUNING, algorithm=None):
+def mpi_allgather(me, sendbuf, recvbuf, nbytes, tag=0):
     yield from allgather_ring(me, sendbuf, recvbuf, nbytes, tag)
 
 
-def mpi_alltoall(me, sendbuf, recvbuf, nbytes, tag=0,
-                 tuning=_DEFAULT_TUNING, algorithm=None):
+def mpi_alltoall(me, sendbuf, recvbuf, nbytes, tag=0):
     yield from alltoall_pairwise(me, sendbuf, recvbuf, nbytes, tag)
 
 

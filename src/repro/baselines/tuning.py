@@ -50,9 +50,3 @@ class MpiTuning:
 
     def scatter(self, nbytes: int, nprocs: int) -> str:
         return "linear" if nbytes <= 2 * self.SMALL else "binomial"
-
-    def allgather(self, nbytes: int, nprocs: int) -> str:
-        return "ring"
-
-    def alltoall(self, nbytes: int, nprocs: int) -> str:
-        return "pairwise"

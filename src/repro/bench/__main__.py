@@ -27,7 +27,7 @@ from repro.errors import ConfigurationError
 DEFAULT_CACHE_DIR = ".bench_cache"
 DEFAULT_JSON_OUT = "BENCH_results.json"
 
-#: record fields a shard trajectory point carries into the result cache
+#: record fields a trajectory point carries into the result cache
 _MERGE_FIELDS = ("wall_s", "sim_s", "events", "events_ff")
 
 
@@ -61,14 +61,11 @@ def _perf_history(json_out: str) -> list:
 
 
 def _write_trajectory(json_out: str, runner: SweepRunner, names, wall: float,
-                      cache, jobs: int, sharded: bool) -> None:
+                      cache, jobs: int) -> None:
     from repro.bench.profile import perf_section
-    from repro.obs.ledger import ledger_path_for
 
     history = _perf_history(json_out)
-    trajectory = runner.trajectory(include_values=sharded)
-    ledger = runner.ledger()
-    trajectory["ledger"] = ledger.summary()
+    trajectory = runner.trajectory()
     trajectory["cli"] = {
         "artifacts": names,
         "wall_s": wall,
@@ -90,12 +87,6 @@ def _write_trajectory(json_out: str, runner: SweepRunner, names, wall: float,
     _write_json(json_out, trajectory)
     print(f"wrote trajectory for {len(runner.records)} points "
           f"to {json_out}", file=sys.stderr)
-    if ledger.ops:
-        ledger_out = ledger_path_for(json_out)
-        ledger.save(ledger_out)
-        print(f"wrote op ledger ({ledger.ops} ops, "
-              f"{len(ledger.entries)} entries) to {ledger_out}",
-              file=sys.stderr)
 
 
 def _print_summary(runner: SweepRunner, wall: float) -> None:
@@ -114,7 +105,7 @@ def _print_summary(runner: SweepRunner, wall: float) -> None:
 def _sweep(names, cache, jobs: int, quick: bool, json_out, shard=None,
            profile_out=None, summary: bool = False) -> int:
     """Print each artifact's table from one runner; write the trajectory
-    (and its op ledger beside it) to *json_out* when given."""
+    to *json_out* when given."""
     runner = SweepRunner(jobs=jobs, cache=cache, shard=shard)
     profiler = cProfile.Profile() if profile_out else None
     start = time.perf_counter()
@@ -142,8 +133,7 @@ def _sweep(names, cache, jobs: int, quick: bool, json_out, shard=None,
         print(f"pstats written to {profile_out} "
               f"(inspect: python -m pstats {profile_out})", file=sys.stderr)
     if json_out:
-        _write_trajectory(json_out, runner, names, wall, cache, jobs,
-                          sharded=shard is not None)
+        _write_trajectory(json_out, runner, names, wall, cache, jobs)
     if summary:
         _print_summary(runner, wall)
     return 0
@@ -179,7 +169,8 @@ def _list(args) -> int:
 
 
 def _merge(args) -> int:
-    """Combine sharded trajectory JSONs into the complete artifacts."""
+    """Import the executed points of trajectory JSONs (sharded or not)
+    into the cache and render the complete artifacts."""
     cache = ResultCache(args.cache)
     artifacts: list = []
     imported = skipped = 0
@@ -188,12 +179,8 @@ def _merge(args) -> int:
             with open(path) as fh:
                 doc = json.load(fh)
         except (OSError, ValueError) as exc:
-            print(f"cannot read shard trajectory {path}: {exc}",
-                  file=sys.stderr)
+            print(f"cannot read trajectory {path}: {exc}", file=sys.stderr)
             return 2
-        if doc.get("shard") is None:
-            print(f"warning: {path} was not written by a --shard run; "
-                  "importing its points anyway", file=sys.stderr)
         for name, art in doc.get("artifacts", {}).items():
             if name not in artifacts:
                 artifacts.append(name)
@@ -203,8 +190,7 @@ def _merge(args) -> int:
                     continue
                 if "value" not in point:
                     print(f"warning: {path}: point without a recorded "
-                          "value (trajectory predates shard support?); "
-                          "it will re-execute", file=sys.stderr)
+                          "value; it will re-execute", file=sys.stderr)
                     continue
                 record = {"value": point["value"]}
                 record.update({field: point.get(field, 0)
@@ -212,8 +198,8 @@ def _merge(args) -> int:
                 cache.put(point["key"], record)
                 imported += 1
     print(f"merge: imported {imported} executed point(s) from "
-          f"{len(args.shards)} shard file(s) ({skipped} skipped entries); "
-          f"re-rendering {', '.join(artifacts)}", file=sys.stderr)
+          f"{len(args.shards)} trajectory file(s) ({skipped} skipped "
+          f"entries); re-rendering {', '.join(artifacts)}", file=sys.stderr)
     if _unknown(artifacts, ARTIFACTS, "artifacts"):
         return 2
     return _sweep(artifacts, cache, args.jobs, args.quick, args.json_out)
@@ -409,13 +395,16 @@ def _dashboard(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"--diff: {exc}", file=sys.stderr)
             return 2
-        # Shape the current run like the baseline so entry keys line up:
-        # trace docs key ops by name#occurrence, ledgers by population.
-        if base["kind"] == "ledger":
-            cur_doc = cap.ledger(fidelity=fidelity).snapshot()
-        else:
-            cur_doc = {"artifact": cap.artifact, "ops": cap.breakdowns()}
-        cur = normalize_run(cur_doc, label=f"{name} (this run)")
+        # A sweep's points never share a key with a traced capture's ops
+        # (fig10/mpi_f2f_collective/... vs allreduce/collective:allreduce#0).
+        if base["kind"] != "trace":
+            print(f"--diff: {args.diff_path} is a {base['kind']}; the "
+                  "dashboard diffs a bench trace/critpath JSON",
+                  file=sys.stderr)
+            return 2
+        cur = normalize_run({"artifact": cap.artifact,
+                             "ops": cap.breakdowns()},
+                            label=f"{name} (this run)")
         rows = diff_runs(base, cur)
         diff_doc = {"schema": 1, "a": args.diff_path,
                     "b": f"{name} (this run)", "kind": base["kind"],
@@ -563,9 +552,7 @@ def _parser():
         p.add_argument("--json", dest="json_out", nargs="?",
                        const=DEFAULT_JSON_OUT, metavar="OUT",
                        help="write the per-point trajectory to OUT "
-                            f"(default when given: {DEFAULT_JSON_OUT}) and "
-                            "the per-op latency ledger beside it "
-                            "(*_ledger.json)")
+                            f"(default when given: {DEFAULT_JSON_OUT})")
 
     def json_flag(p, what):
         p.add_argument("--json", dest="json_out", metavar="OUT",
@@ -602,10 +589,10 @@ def _parser():
     command("list", _list, "list the artifact registry and traced scenarios")
 
     p = command("merge", _merge,
-                "import the executed points of sharded trajectories into "
-                "the cache and render the complete artifacts, row-identical "
-                "to an unsharded run")
-    p.add_argument("shards", nargs="+", metavar="SHARD.json")
+                "import the executed points of trajectories (sharded or "
+                "not) into the cache and render the complete artifacts, "
+                "row-identical to an unsharded run")
+    p.add_argument("shards", nargs="+", metavar="TRAJECTORY.json")
     sweep_flags(p)
 
     p = command("profile", _profile,
@@ -674,7 +661,7 @@ def _parser():
                    help="render under this mode (default: $REPRO_FIDELITY)")
     p.add_argument("--diff", dest="diff_path", metavar="RUN.json",
                    help="embed the ranked delta table of a saved "
-                        "ledger/trace JSON against this run")
+                        "bench trace/critpath JSON against this run")
 
     p = command("check", _check,
                 "replay traced scenarios and diff their metrics against the "
@@ -695,8 +682,9 @@ def _parser():
     json_flag(p, "the per-metric verdicts")
 
     p = command("diff", _diff,
-                "rank the per-op deltas between two saved runs (op ledgers "
-                "or trace/critpath JSONs) by regression magnitude")
+                "rank the per-point or per-op deltas between two saved runs "
+                "(trajectories, or trace/critpath JSONs) by regression "
+                "magnitude")
     p.add_argument("a", metavar="A.json")
     p.add_argument("b", metavar="B.json")
     json_flag(p, "the full diff document")

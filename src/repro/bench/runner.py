@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.bench.cache import ResultCache, point_key
+from repro.bench.cache import ResultCache, jsonable, point_key
 
 #: kernel-name -> callable; populated by :func:`point_kernel` decorators
 #: when :mod:`repro.bench.harness` is imported.
@@ -246,21 +246,14 @@ class SweepRunner:
         """Convenience for single-point artifacts (tables, DLRM)."""
         return self.run([point])[0]
 
-    def ledger(self, fidelity: Optional[str] = None):
-        """The run's per-op latency ledger (:class:`repro.obs.ledger.
-        OpLedger`): one histogram observation per collective sweep point.
-        Cached/sharded/merged records carry the same values as fresh ones,
-        so any execution plan yields an identical ledger."""
-        from repro.obs.ledger import ledger_from_records
-
-        return ledger_from_records(self.records, fidelity=fidelity)
-
-    def trajectory(self, include_values: bool = False) -> Dict[str, Any]:
+    def trajectory(self) -> Dict[str, Any]:
         """The machine-readable run summary (``BENCH_results.json``).
 
-        ``include_values=True`` (sharded runs) additionally records each
-        point's raw kernel value and skip flag, so ``bench merge`` can
-        re-import the executed points into a result cache.
+        Every point records its kernel's value, so ``bench merge`` can
+        re-import the executed points of any trajectory into a result
+        cache and ``bench diff`` can compare two runs point by point.  A
+        point a sharded run left to another shard is marked ``skipped``
+        and has no value.
         """
         artifacts: Dict[str, Any] = {}
         for rec in self.records:
@@ -272,16 +265,16 @@ class SweepRunner:
             entry = {
                 "kernel": rec.point.kernel,
                 "params": rec.point.kwargs(),
-                "key": rec.key,
+                "key": rec.key or rec.point.key(),
                 "wall_s": rec.wall_s,
                 "sim_s": rec.sim_s,
                 "events": rec.events,
                 "events_ff": rec.events_ff,
                 "cached": rec.cached,
+                "value": jsonable(rec.value),
             }
-            if include_values:
-                entry["value"] = rec.value
-                entry["skipped"] = rec.skipped
+            if rec.skipped:
+                entry["skipped"] = True
             art["points"].append(entry)
             art["skipped_points"] += int(rec.skipped)
             art["wall_s"] += rec.wall_s

@@ -1,17 +1,18 @@
-"""PCIe Gen3 x16 model: DMA pipes plus MMIO register access.
+"""PCIe Gen3 x16 model: one DMA pipe per direction.
 
-Three costs matter for the paper's results:
+Two costs matter for the paper's results:
 
 - bulk DMA bandwidth (~13 GB/s effective) — staging cost on Vitis, unified
   memory cost on Coyote, and the F2F baseline's FPGA->CPU->FPGA detour;
-- DMA setup latency (~0.9 us);
-- MMIO register read/write (~0.9 us each) — a Coyote CCLO invocation is one
-  posted write plus one read (Fig 8).
+- DMA setup latency (~0.9 us).
+
+Invocation cost (MMIO doorbells, Fig 8) is each platform's
+``host_invocation_latency``, not a cost of this link.
 """
 
 from __future__ import annotations
 
-from repro.sim import BandwidthResource, Environment, Event
+from repro.sim import BandwidthResource, Environment
 from repro import units
 
 
@@ -22,20 +23,16 @@ class PcieLink:
     DEFAULT_BANDWIDTH = 13e9
     #: DMA descriptor setup + completion latency
     DEFAULT_DMA_LATENCY = units.ns(900)
-    #: one MMIO register access (posted write or non-posted read)
-    DEFAULT_MMIO_LATENCY = units.us(0.9)
 
     def __init__(
         self,
         env: Environment,
         bandwidth: float = DEFAULT_BANDWIDTH,
         dma_latency: float = DEFAULT_DMA_LATENCY,
-        mmio_latency: float = DEFAULT_MMIO_LATENCY,
         name: str = "pcie",
     ):
         self.env = env
         self.dma_latency = dma_latency
-        self.mmio_latency = mmio_latency
         self.name = name
         self._h2d = BandwidthResource(env, bandwidth, name=f"{name}.h2d")
         self._d2h = BandwidthResource(env, bandwidth, name=f"{name}.d2h")
@@ -60,14 +57,6 @@ class PcieLink:
     def dma_d2h_delay(self, nbytes: int) -> float:
         """Charge a device -> host DMA; returns the delay to completion."""
         return self._dma_delay(self._d2h, nbytes)
-
-    def mmio_write(self) -> Event:
-        """Posted register write from the host."""
-        return self.env.timeout(self.mmio_latency)
-
-    def mmio_read(self) -> Event:
-        """Non-posted register read (round trip)."""
-        return self.env.timeout(self.mmio_latency)
 
     def __repr__(self) -> str:
         return f"<PcieLink {self.name!r} {self._h2d.rate / 1e9:.0f} GB/s>"

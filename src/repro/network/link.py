@@ -5,8 +5,8 @@ transmitter serializes segments at the link rate (FIFO — this is where egress
 contention and in-cast congestion appear) and the receiver sees the segment
 after an additional fixed propagation/PHY latency.
 
-A link is its own serializer: a :class:`BandwidthResource` (no per-transfer
-overhead) whose three numbers and one ``rate`` its paths update in place.
+A link is its own serializer: a :class:`BandwidthResource` whose three
+numbers and one ``rate`` its paths update in place.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Link(BandwidthResource):
     ):
         if latency < 0:
             raise ValueError(f"negative latency: {latency}")
-        BandwidthResource.__init__(self, env, rate, 0.0, name)
+        BandwidthResource.__init__(self, env, rate, name)
         self.latency = latency
         self._sink: Optional[Callable[[Segment], None]] = None
         # Port-to-port latency of a switch sink, added to every delivery

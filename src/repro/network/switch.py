@@ -94,8 +94,11 @@ class Switch:
         self._default_routes.append(egress)
 
     def _route(self, src: int, dst: int) -> Link:
-        egress = self._egress.get(dst)
-        if egress is None and self._resolver is not None:
+        """The egress toward *dst* from the block and default stages; the
+        forwarding paths look the exact table up inline and call this only
+        on a miss."""
+        egress = None
+        if self._resolver is not None:
             egress = self._blocks.get(self._resolver(dst))
         if egress is None and self._default_routes:
             flow = hash((src, dst))

@@ -4,8 +4,7 @@ The simulation platform exists to shorten "hardware debugging cycles"
 (§4.3); this package is what makes that claim operational.  Three layers:
 
 - :mod:`repro.obs.metrics` — a registry of callback gauges
-  (:class:`Gauge`) that components register into, and the
-  :class:`Histogram` the op ledger keeps per entry;
+  (:class:`Gauge`) that components register into;
 - :mod:`repro.obs.spans` — :class:`SpanTracer`, structured begin/end spans
   with ids, parent links and per-collective ``op_id`` propagation in one
   bounded ring buffer;
@@ -17,11 +16,9 @@ The simulation platform exists to shorten "hardware debugging cycles"
   sim-time-cadenced registry snapshots in a bounded ring;
 - :mod:`repro.obs.dashboard` — a self-contained HTML report over one
   traced artifact (``bench dashboard``);
-- :mod:`repro.obs.ledger` — :class:`OpLedger`, per-op latency histograms
-  + wait-cause vectors keyed by (artifact, collective, size, algorithm,
-  nprocs, fidelity), mergeable across ``--shard`` runs;
-- :mod:`repro.obs.diff` — differential comparison of two runs with
-  ranked regression attribution (``bench diff``).
+- :mod:`repro.obs.diff` — differential comparison of two runs, point by
+  point for sweep trajectories and op by op with ranked wait-cause
+  attribution for traced scenarios (``bench diff``).
 
 Everything is opt-in: with no registry and no tracer attached (the
 default), instrumented components pay at most a ``None`` check.
@@ -29,7 +26,7 @@ default), instrumented components pay at most a ``None`` check.
 it is the only way to observe a run.
 """
 
-from repro.obs.metrics import Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Gauge, MetricsRegistry
 from repro.obs.spans import Span, SpanTracer
 from repro.obs.export import (
     attribute_op,
@@ -47,13 +44,6 @@ from repro.obs.critpath import (
     to_collapsed_stacks,
     write_flamegraph,
 )
-from repro.obs.ledger import (
-    LedgerEntry,
-    OpLedger,
-    entry_key,
-    ledger_from_records,
-    ledger_path_for,
-)
 from repro.obs.diff import (
     diff_files,
     diff_runs,
@@ -68,15 +58,13 @@ from repro.obs.timeseries import TelemetrySession
 from repro.obs.dashboard import render_dashboard
 
 __all__ = [
-    "Gauge", "Histogram", "MetricsRegistry",
+    "Gauge", "MetricsRegistry",
     "Span", "SpanTracer", "to_chrome_trace",
     "validate_chrome_trace", "write_chrome_trace", "metrics_to_csv",
     "attribute_op", "phase_breakdown", "render_phase_table",
     "render_critpath",
     "per_node_report", "render_per_node",
     "to_collapsed_stacks", "write_flamegraph",
-    "LedgerEntry", "OpLedger", "entry_key", "ledger_from_records",
-    "ledger_path_for",
     "diff_files", "diff_runs", "load_run", "metric_delta_attribution",
     "render_check_attribution", "render_diff", "render_diff_html",
     "Observability", "attach",

@@ -36,7 +36,6 @@ class TraceCapture:
     description: str
     obs: Observability
     op_ids: List[int] = field(default_factory=list)
-    n_nodes: int = 0
 
     @property
     def tracer(self):
@@ -44,17 +43,6 @@ class TraceCapture:
 
     def breakdowns(self) -> List[Dict[str, Any]]:
         return [phase_breakdown(self.obs.tracer, op) for op in self.op_ids]
-
-    def ledger(self, fidelity: Optional[str] = None):
-        """The capture's ops folded into a fresh :class:`OpLedger` —
-        latency histograms plus wait-cause vectors per entry."""
-        from repro.obs.ledger import OpLedger
-
-        ledger = OpLedger(fidelity=fidelity)
-        for op_id in self.op_ids:
-            ledger.record_op(self.tracer, op_id, artifact=self.artifact,
-                             nprocs=self.n_nodes)
-        return ledger
 
 
 def _traced_cluster(n_nodes: int, protocol: str = "rdma",
@@ -93,7 +81,7 @@ def trace_fig08(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
         _drain(cluster, [driver.nop()], obs)
     return TraceCapture(
         "fig08", "host nop invocations on 2 nodes (uC dispatch only)",
-        obs, obs.tracer.op_ids(), n_nodes=2)
+        obs, obs.tracer.op_ids())
 
 
 def trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
@@ -114,7 +102,7 @@ def trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
         "fig07",
         "eager (16 KiB) + rendezvous (1 MiB) + bulk (16 MiB) send/recv "
         "on 2 nodes",
-        obs, obs.tracer.op_ids(), n_nodes=2)
+        obs, obs.tracer.op_ids())
 
 
 def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
@@ -129,7 +117,7 @@ def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
     ], obs)
     return TraceCapture(
         "allreduce", f"{n_nodes}-node allreduce of {nbytes} B",
-        obs, obs.tracer.op_ids(), n_nodes=n_nodes)
+        obs, obs.tracer.op_ids())
 
 
 def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
@@ -149,7 +137,7 @@ def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
     ], obs)
     return TraceCapture(
         "fig12", f"{n_nodes}-node reduce of {nbytes} B to root 0",
-        obs, obs.tracer.op_ids(), n_nodes=n_nodes)
+        obs, obs.tracer.op_ids())
 
 
 def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
@@ -229,8 +217,7 @@ def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
         desc += (f" [slowed x{slow_factor:g}: "
                  f"{', '.join(throttled[:4])}"
                  f"{' ...' if len(throttled) > 4 else ''}]")
-    return TraceCapture("figX_scale", desc, obs, obs.tracer.op_ids(),
-                        n_nodes=n_nodes)
+    return TraceCapture("figX_scale", desc, obs, obs.tracer.op_ids())
 
 
 def trace_artifact(name: str, **kwargs: Any) -> TraceCapture:

@@ -1,19 +1,28 @@
 """Differential comparison of two runs (``bench diff <a> <b>``).
 
-Takes two saved run files — op ledgers (:mod:`repro.obs.ledger`) or the
-JSON written by ``bench trace --json`` / ``bench critpath --json`` — and
-produces a delta table ranked by regression magnitude, each row carrying
-a wait-cause attribution of its delta::
+Takes two saved run files of one kind and produces a delta table ranked
+by regression magnitude:
 
-    figX_scale/allreduce/16777216B/ring/64n/flow  +12.0% sim time:
-        +9.3% wait:credit_stall, +2.1% wait:dmp_slot
+- trajectories (``BENCH_results.json``, or any ``bench ... --json``) diff
+  point by point, keyed by artifact, kernel and parameters, so each
+  engine's point is a row of its own::
 
-Two identical runs diff to zero rows.  The same attribution logic powers
-``bench check``'s failure output (:func:`render_check_attribution`): when
-the regression gate trips on a scenario's ``wall_us``, the causal diff of
-its ``wait_us.*`` / ``phase_us.*`` metrics prints next to the bare
-number.  :func:`render_diff_html` renders the ranked table as a section
-for the HTML dashboard (or a standalone page via ``bench diff --html``).
+      fig10/mpi_collective/n_ranks=8,opcode=allreduce,size=1024
+          33.0 -> 36.3 us (+10.0%, +3.3 us)
+
+- the JSON written by ``bench trace --json`` / ``bench critpath --json``
+  diffs op by op, each row carrying a wait-cause attribution of its
+  delta::
+
+      figX_scale/collective:bcast#0  210.4 -> 455.1 us (+116.3%, +244.7 us)
+          +110.2% wire, +5.9% wait:link_busy
+
+Two identical runs diff to zero rows.  The same ranking (:func:`_cause_deltas`)
+powers ``bench check``'s failure output (:func:`render_check_attribution`):
+when the regression gate trips on a scenario, the ranked deltas of its
+``wait_us.*`` / ``phase_us.*`` metrics print next to the bare number.
+:func:`render_diff_html` renders the ranked table as a section for the
+HTML dashboard (or a standalone page via ``bench diff --html``).
 """
 
 from __future__ import annotations
@@ -27,30 +36,43 @@ IDENTICAL_REL = 1e-9
 
 DIFF_SCHEMA = 1
 
+#: the ``bench check`` metrics that attribute a scenario's wall time
+_CHECK_CAUSES = ("wait_us.", "phase_us.")
+
 
 # ---------------------------------------------------------------------------
 # Normalized run loading
 # ---------------------------------------------------------------------------
 
-def _entries_from_ledger(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
+def _point_us(point: Dict[str, Any]) -> float:
+    """A point's time in microseconds: its value when the kernel returns
+    one latency (seconds), else the simulated seconds the point advanced
+    (breakdowns, app results and tables are dicts or lists)."""
+    value = point["value"]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value * 1e6
+    return point["sim_s"] * 1e6
+
+
+def _entries_from_trajectory(doc: Dict[str, Any],
+                             label: str) -> Dict[str, Dict[str, Any]]:
+    """Normalize a trajectory: one entry per executed point, keyed
+    ``artifact/kernel/name=value,...`` (parameters sorted by name)."""
     entries: Dict[str, Dict[str, Any]] = {}
-    for key, data in doc.get("entries", {}).items():
-        latencies = data.get("latencies", [])
-        count = len(latencies)
-        if not count:
-            continue
-        # Per-op means keep entries comparable when the two runs recorded
-        # different op counts (e.g. a re-run with more iterations).
-        wall_us = sum(latencies) / count * 1e6
-        crit_us = {bucket: seconds / count * 1e6
-                   for bucket, seconds in data.get("crit_s", {}).items()}
-        entries[key] = {
-            "label": key,
-            "wall_us": wall_us,
-            "count": count,
-            "crit_us": crit_us,
-            "incomplete": bool(data.get("incomplete")),
-        }
+    for artifact, art in doc["artifacts"].items():
+        for point in art.get("points", []):
+            if point.get("skipped"):
+                continue
+            key = f"{artifact}/{point['kernel']}"
+            if point["params"]:
+                key += "/" + ",".join(f"{name}={value}" for name, value
+                                      in sorted(point["params"].items()))
+            if "value" not in point:
+                raise ValueError(
+                    f"{label or 'trajectory'}: {key} has no recorded value "
+                    "(written before trajectories carried values); re-run "
+                    "it to diff")
+            entries[key] = {"wall_us": _point_us(point), "crit_us": {}}
     return entries
 
 
@@ -70,9 +92,7 @@ def _entries_from_ops(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
         key = f"{artifact}/{name}#{index}"
         buckets = op.get("totals") or op.get("phases") or {}
         entries[key] = {
-            "label": key,
             "wall_us": op.get("wall_s", 0.0) * 1e6,
-            "count": 1,
             "crit_us": {bucket: seconds * 1e6
                         for bucket, seconds in buckets.items()},
             "incomplete": bool(op.get("incomplete")),
@@ -82,19 +102,19 @@ def _entries_from_ops(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
 
 def normalize_run(doc: Dict[str, Any], label: str = "") -> Dict[str, Any]:
     """Shape any supported run document as ``{"kind", "label", "entries"}``."""
-    if "entries" in doc:
-        return {"kind": "ledger", "label": label,
-                "entries": _entries_from_ledger(doc)}
+    if "artifacts" in doc:
+        return {"kind": "trajectory", "label": label,
+                "entries": _entries_from_trajectory(doc, label)}
     if "ops" in doc:
         return {"kind": "trace", "label": label,
                 "entries": _entries_from_ops(doc)}
     raise ValueError(
-        f"{label or 'run document'}: neither a ledger (no 'entries') nor a "
-        "trace/critpath JSON (no 'ops')")
+        f"{label or 'run document'}: neither a trajectory (no 'artifacts') "
+        "nor a trace/critpath JSON (no 'ops')")
 
 
 def load_run(path: str) -> Dict[str, Any]:
-    """Load and normalize one run file (ledger or trace/critpath JSON)."""
+    """Load and normalize one run file (trajectory or trace/critpath JSON)."""
     with open(path) as fh:
         doc = json.load(fh)
     return normalize_run(doc, label=path)
@@ -169,12 +189,15 @@ def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
 def diff_files(path_a: str, path_b: str) -> Dict[str, Any]:
     """Full diff document between two run files."""
     a, b = load_run(path_a), load_run(path_b)
+    if a["kind"] != b["kind"]:
+        raise ValueError(f"{path_a} is a {a['kind']} and {path_b} a "
+                         f"{b['kind']}: their keys never match")
     rows = diff_runs(a, b)
     return {
         "schema": DIFF_SCHEMA,
         "a": path_a,
         "b": path_b,
-        "kind": a["kind"] if a["kind"] == b["kind"] else "mixed",
+        "kind": a["kind"],
         "entries_a": len(a["entries"]),
         "entries_b": len(b["entries"]),
         "rows": rows,
@@ -190,10 +213,9 @@ def _fmt_rel(rel: Optional[float]) -> str:
     return "-" if rel is None else f"{rel * 100:+.1f}%"
 
 
-def _causes_text(row: Dict[str, Any], limit: int = 4) -> str:
-    parts = [f"{c['share'] * 100:+.1f}% {c['bucket']}"
-             for c in row["causes"][:limit]]
-    return ", ".join(parts)
+def _causes_text(causes: List[Dict[str, Any]], limit: int = 4) -> str:
+    return ", ".join(f"{c['share'] * 100:+.1f}% {c['bucket']}"
+                     for c in causes[:limit])
 
 
 def render_diff(doc: Dict[str, Any], limit: int = 20) -> str:
@@ -215,7 +237,7 @@ def render_diff(doc: Dict[str, Any], limit: int = 20) -> str:
             f"{rank:>3}. {row['key']}  {base} -> {cur} us "
             f"({_fmt_rel(row['rel'])}, {row['delta_us']:+,.1f} us)"
             f"{note}{flag}")
-        causes = _causes_text(row)
+        causes = _causes_text(row["causes"])
         if causes:
             lines.append(f"       {causes}")
     if len(rows) > limit:
@@ -240,7 +262,7 @@ def render_diff_html(doc: Dict[str, Any], limit: int = 50,
             base = "-" if row["base_us"] is None else f"{row['base_us']:,.1f}"
             cur = "-" if row["cur_us"] is None else f"{row['cur_us']:,.1f}"
             color = "#b42318" if row["delta_us"] > 0 else "#027a48"
-            causes = escape(_causes_text(row)) or "-"
+            causes = escape(_causes_text(row["causes"])) or "-"
             note = escape(row["note"] or "")
             cells.append(
                 f"<tr><td class='num'>{rank}</td>"
@@ -282,23 +304,17 @@ def render_diff_html(doc: Dict[str, Any], limit: int = 50,
 
 def metric_delta_attribution(base_metrics: Dict[str, float],
                              cur_metrics: Dict[str, float],
-                             prefixes: tuple = ("wait_us.", "phase_us."),
                              ) -> List[Dict[str, Any]]:
     """Causal attribution of a scenario-level wall-time delta from the
-    flat metric dicts ``bench check`` collects: every ``wait_us.*`` /
-    ``phase_us.*`` delta expressed as a share of the baseline wall."""
-    wall = base_metrics.get("wall_us", 0.0) or 1.0
-    out = []
-    for metric in sorted(set(base_metrics) | set(cur_metrics)):
-        if not metric.startswith(prefixes):
-            continue
-        delta = cur_metrics.get(metric, 0.0) - base_metrics.get(metric, 0.0)
-        if abs(delta) <= IDENTICAL_REL * abs(wall):
-            continue
-        out.append({"metric": metric, "delta_us": delta,
-                    "share": delta / wall})
-    out.sort(key=lambda c: (-abs(c["delta_us"]), c["metric"]))
-    return out
+    flat metric dicts ``bench check`` collects: the :func:`_cause_deltas`
+    ranking of every ``wait_us.*`` / ``phase_us.*`` metric, each delta a
+    share of the baseline wall."""
+    def causes(metrics: Dict[str, float]) -> Dict[str, float]:
+        return {metric: value for metric, value in metrics.items()
+                if metric.startswith(_CHECK_CAUSES)}
+
+    return _cause_deltas(causes(base_metrics), causes(cur_metrics),
+                         base_metrics.get("wall_us", 0.0) or 1.0)
 
 
 def render_check_attribution(scenario: str,
@@ -309,12 +325,10 @@ def render_check_attribution(scenario: str,
     base_wall = base_metrics.get("wall_us", 0.0)
     cur_wall = cur_metrics.get("wall_us", 0.0)
     rel = ((cur_wall - base_wall) / base_wall * 100) if base_wall else 0.0
-    causes = metric_delta_attribution(base_metrics, cur_metrics)[:limit]
+    causes = metric_delta_attribution(base_metrics, cur_metrics)
+    head = (f"  {scenario}: wall {base_wall:,.1f} -> {cur_wall:,.1f} us "
+            f"({rel:+.1f}%): ")
     if not causes:
-        return (f"  {scenario}: wall {base_wall:,.1f} -> {cur_wall:,.1f} us "
-                f"({rel:+.1f}%): no wait/phase metric moved — check the "
-                "event, span and gauge counts")
-    parts = ", ".join(f"{c['share'] * 100:+.1f}% {c['metric']}"
-                      for c in causes)
-    return (f"  {scenario}: wall {base_wall:,.1f} -> {cur_wall:,.1f} us "
-            f"({rel:+.1f}%): {parts}")
+        return (head + "no wait/phase metric moved — check the event, "
+                "span and gauge counts")
+    return head + _causes_text(causes, limit)

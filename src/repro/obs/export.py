@@ -225,7 +225,7 @@ def attribute_op(tracer: SpanTracer, op_id: int) -> Dict[str, Any]:
     When the tracer's span ring buffer overflowed (``spans_dropped > 0``),
     evicted spans have silently vanished from every bucket; the report
     carries ``"incomplete": True`` so consumers (``bench trace`` /
-    ``bench critpath``, the ledger, ``bench diff``) can surface the skew
+    ``bench critpath``, ``bench diff``) can surface the skew
     instead of presenting partial totals as exact.
     """
     root = tracer.root_span(op_id)

@@ -7,16 +7,11 @@ components already keep (``link.segments_carried``, a pipe's
 registry keys gauges by ``(name, labels)``; :meth:`~MetricsRegistry.snapshot`
 resolves them to a plain dict (``bench check`` sums its ``"gauges"`` map)
 and :meth:`~MetricsRegistry.rows` to flat rows for the CSV export.
-
-:class:`Histogram` holds a distribution of observations with exact,
-linear-interpolated percentiles (:func:`percentile_of`); the op ledger
-keeps one per entry.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -33,28 +28,6 @@ def _key_str(key: LabelKey) -> str:
     return f"{name}{{{inner}}}"
 
 
-def percentile_of(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolated percentile of *values*, ``pct`` in [0, 100]."""
-    if not values:
-        raise ValueError("percentile of an empty sample")
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError(f"percentile must be in [0, 100], got {pct}")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = pct / 100.0 * (len(ordered) - 1)
-    lo = int(math.floor(rank))
-    hi = int(math.ceil(rank))
-    if lo == hi or ordered[lo] == ordered[hi]:
-        return ordered[lo]
-    frac = rank - lo
-    # Clamp to the bracketing samples: the products can round outside
-    # [lo, hi] for subnormal values (e.g. 5e-324 * 0.5 underflows to 0),
-    # which would break percentile monotonicity.
-    val = ordered[lo] * (1 - frac) + ordered[hi] * frac
-    return min(max(val, ordered[lo]), ordered[hi])
-
-
 class Gauge:
     """A callback-backed value: reading it samples the live component."""
 
@@ -69,48 +42,6 @@ class Gauge:
     @property
     def value(self) -> float:
         return float(self.fn())
-
-
-class Histogram:
-    """Distribution of observations with exact interpolated percentiles."""
-
-    __slots__ = ("name", "_values")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self._values.append(float(value))
-
-    @property
-    def count(self) -> int:
-        return len(self._values)
-
-    @property
-    def total(self) -> float:
-        return sum(self._values)
-
-    def mean(self) -> float:
-        return self.total / self.count if self._values else 0.0
-
-    def percentile(self, pct: float) -> float:
-        if not self._values:
-            return 0.0
-        return percentile_of(self._values, pct)
-
-    def summary(self) -> Dict[str, float]:
-        if not self._values:
-            return {"count": 0, "sum": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean(),
-            "min": min(self._values),
-            "max": max(self._values),
-            "p50": self.percentile(50),
-            "p99": self.percentile(99),
-        }
 
 
 class MetricsRegistry:

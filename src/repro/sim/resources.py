@@ -2,8 +2,7 @@
 
 :class:`BandwidthResource` is the workhorse of the timing model.  Links,
 memory ports and PCIe lanes are all byte-pipes: a transfer of *n* bytes
-occupies the pipe for ``n / rate`` seconds, transfers are serialized FIFO,
-and an optional per-transfer overhead models fixed command/packet costs.
+occupies the pipe for ``n / rate`` seconds and transfers are serialized FIFO.
 Occupancy is tracked analytically (a "free-at" watermark) so that a transfer
 costs O(1) events regardless of its size.
 """
@@ -62,36 +61,30 @@ class Resource:
 
 
 class BandwidthResource:
-    """A FIFO byte-pipe with fixed rate and optional per-transfer overhead.
+    """A FIFO byte-pipe with a fixed rate.
 
     ``reserve(nbytes)`` occupies the pipe and returns the time at which the
     last byte leaves it; no event is scheduled.  Back-to-back transfers
     queue behind each other, so sustained throughput can never exceed
-    ``rate`` and small transfers pay ``per_transfer_overhead`` each —
-    exactly the behaviour that produces the classic throughput-vs-message-
-    size ramp of Figure 7.
+    ``rate``.
 
     A pipe keeps three numbers whatever its traffic: the free-at
     watermark, the total busy time and the bytes moved.
     """
 
-    __slots__ = ("env", "rate", "overhead", "name", "_free_at", "_busy_time",
+    __slots__ = ("env", "rate", "name", "_free_at", "_busy_time",
                  "_bytes_moved")
 
     def __init__(
         self,
         env: Environment,
         rate_bytes_per_s: float,
-        per_transfer_overhead_s: float = 0.0,
         name: str = "pipe",
     ):
         if rate_bytes_per_s <= 0:
             raise ValueError(f"rate must be positive, got {rate_bytes_per_s}")
-        if per_transfer_overhead_s < 0:
-            raise ValueError("overhead must be non-negative")
         self.env = env
         self.rate = float(rate_bytes_per_s)
-        self.overhead = float(per_transfer_overhead_s)
         self.name = name
         self._free_at = 0.0
         self._busy_time = 0.0
@@ -135,7 +128,7 @@ class BandwidthResource:
         now = self.env._now
         free_at = self._free_at
         start = free_at if free_at > now else now
-        duration = self.overhead + nbytes / self.rate
+        duration = nbytes / self.rate
         finish = start + duration
         self._free_at = finish
         self._busy_time += duration

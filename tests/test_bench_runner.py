@@ -123,6 +123,16 @@ class TestSweepRunner:
         assert art["events"] > 0
         json.dumps(trajectory)  # trajectory must serialize as-is
 
+    def test_every_executed_point_carries_its_value(self):
+        points = self.points(2) + [SweepPoint.make("tab01", "tab01")]
+        runner = SweepRunner(jobs=1)
+        values = runner.run(points)
+        recorded = [point for art in runner.trajectory()["artifacts"].values()
+                    for point in art["points"]]
+        assert [point["value"] for point in recorded] == jsonable(values)
+        assert [point["key"] for point in recorded] == \
+            [point.key() for point in points]
+
     def test_run_one(self):
         runner = SweepRunner()
         rows = runner.run_one(SweepPoint.make("tab01", "tab01"))

@@ -613,6 +613,6 @@ class TestKernelEventCounts:
         # local two-operand fold, or an eager Rx operand folded directly.
         ("reduce", "rndz", 57, 2.3020959999999996e-05),
         ("reduce", "eager", 51, 2.050390956521739e-05),
-    ])
+    ], ids=["sendrecv-rndz", "sendrecv-eager", "reduce-rndz", "reduce-eager"])
     def test_exact_event_count(self, opcode, protocol, events, elapsed):
         assert self.run(opcode, protocol) == (events, elapsed)

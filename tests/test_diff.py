@@ -1,53 +1,63 @@
 """Differential comparison: ranked deltas, cause attribution, check wiring."""
 
+import copy
 import json
 
 import pytest
 
 from repro.bench import check as check_mod
+from repro.bench.runner import SweepPoint, SweepRunner
 from repro.obs import capture
 from repro.obs.diff import (diff_files, diff_runs, load_run,
                             metric_delta_attribution, normalize_run,
                             render_check_attribution, render_diff,
                             render_diff_html)
+from repro.obs.export import attribute_op
 
 
-def _ledger_doc(entries):
-    """Minimal ledger document: {key: (latencies_s, crit_s)}."""
-    return {
-        "schema": 1,
-        "fidelity": "packet",
-        "entries": {
-            key: {
-                "artifact": key.split("/")[0],
-                "collective": key.split("/")[1],
-                "size": 1024, "algorithm": "auto", "nprocs": 4,
-                "fidelity": "packet",
-                "latencies": list(latencies),
-                "crit_s": dict(crit_s),
-                "phase_s": {},
-                "incomplete": False,
-            }
-            for key, (latencies, crit_s) in entries.items()
-        },
-    }
+def _critpath_doc(ops):
+    """Minimal critpath document: [(name, wall_s, totals_s)]."""
+    return {"artifact": "fig07",
+            "ops": [{"name": name, "wall_s": wall_s, "totals": dict(totals)}
+                    for name, wall_s, totals in ops]}
 
 
-BASE = _ledger_doc({
-    "fig07/allreduce": ([100e-6], {"wire": 60e-6, "wait:credit_stall": 10e-6}),
-    "fig07/bcast": ([50e-6], {"wire": 50e-6}),
-})
+BASE_OPS = [
+    ("collective:allreduce", 100e-6,
+     {"wire": 60e-6, "wait:credit_stall": 10e-6, "uc": 30e-6}),
+    ("collective:bcast", 50e-6, {"wire": 50e-6}),
+]
+BASE = _critpath_doc(BASE_OPS)
 
 
 class TestNormalize:
-    def test_ledger_doc_normalizes_to_per_op_means(self):
-        run = normalize_run(_ledger_doc({
-            "a/bcast": ([10e-6, 30e-6], {"wire": 40e-6}),
-        }))
-        assert run["kind"] == "ledger"
-        ent = run["entries"]["a/bcast"]
-        assert ent["wall_us"] == pytest.approx(20.0)  # mean of 10 and 30
-        assert ent["crit_us"]["wire"] == pytest.approx(20.0)  # 40/2 ops
+    def test_trajectory_doc_keys_points_by_kernel_and_params(self):
+        run = normalize_run({"artifacts": {
+            "fig12": {"points": [
+                {"kernel": "accl_collective", "value": 2e-6, "sim_s": 5e-6,
+                 "params": {"size": 8192, "opcode": "reduce"}},
+                # structured values time the point by its simulated seconds
+                {"kernel": "vecmat", "value": {"speedup": 1.5}, "sim_s": 3e-6,
+                 "params": {"ranks": 2}},
+                {"kernel": "accl_collective", "value": None, "sim_s": 0.0,
+                 "params": {"size": 4096, "opcode": "reduce"},
+                 "skipped": True},
+            ]},
+            "tab01": {"points": [{"kernel": "tab01", "value": [],
+                                  "sim_s": 0.0, "params": {}}]},
+        }})
+        assert run["kind"] == "trajectory"
+        assert {key: ent["wall_us"] for key, ent in run["entries"].items()} \
+            == pytest.approx({
+                "fig12/accl_collective/opcode=reduce,size=8192": 2.0,
+                "fig12/vecmat/ranks=2": 3.0,
+                "tab01/tab01": 0.0})
+
+    def test_trajectory_point_without_value_rejected(self):
+        with pytest.raises(ValueError, match="no recorded value"):
+            normalize_run({"artifacts": {"fig08": {"points": [
+                {"kernel": "fig08_kernel_nop", "params": {"repeats": 5},
+                 "sim_s": 1e-6}]}}}, label="old.json")
 
     def test_trace_doc_keys_by_name_occurrence(self):
         run = normalize_run({
@@ -77,16 +87,16 @@ class TestDiffRuns:
         assert rows == []
 
     def test_perturbed_entry_ranks_first_with_correct_cause(self):
-        cur = _ledger_doc({
+        cur = _critpath_doc([
             # +40us, +38 of it credit_stall: the regression
-            "fig07/allreduce": ([140e-6],
-                                {"wire": 62e-6, "wait:credit_stall": 48e-6}),
+            ("collective:allreduce", 140e-6,
+             {"wire": 62e-6, "wait:credit_stall": 48e-6, "uc": 30e-6}),
             # small improvement elsewhere
-            "fig07/bcast": ([48e-6], {"wire": 48e-6}),
-        })
+            ("collective:bcast", 48e-6, {"wire": 48e-6}),
+        ])
         rows = diff_runs(normalize_run(BASE), normalize_run(cur))
         assert [r["key"] for r in rows] == \
-            ["fig07/allreduce", "fig07/bcast"]
+            ["fig07/collective:allreduce#0", "fig07/collective:bcast#0"]
         top = rows[0]
         assert top["delta_us"] == pytest.approx(40.0)
         assert top["rel"] == pytest.approx(0.40)
@@ -97,23 +107,21 @@ class TestDiffRuns:
         assert rows[1]["delta_us"] == pytest.approx(-2.0)
 
     def test_regressions_rank_before_equal_improvements(self):
-        cur = _ledger_doc({
-            "fig07/allreduce": ([110e-6], {"wire": 70e-6}),
-            "fig07/bcast": ([40e-6], {"wire": 40e-6}),
-        })
+        cur = _critpath_doc([
+            ("collective:allreduce", 110e-6, {"wire": 70e-6}),
+            ("collective:bcast", 40e-6, {"wire": 40e-6}),
+        ])
         rows = diff_runs(normalize_run(BASE), normalize_run(cur))
-        assert rows[0]["key"] == "fig07/allreduce"  # +10 beats -10
+        # +10 beats -10
+        assert rows[0]["key"] == "fig07/collective:allreduce#0"
 
     def test_added_and_removed_entries_are_noted(self):
-        cur = _ledger_doc({
-            "fig07/allreduce": ([100e-6],
-                                {"wire": 60e-6, "wait:credit_stall": 10e-6}),
-            "fig07/reduce": ([70e-6], {"wire": 70e-6}),
-        })
+        cur = _critpath_doc([BASE_OPS[0],
+                             ("collective:reduce", 70e-6, {"wire": 70e-6})])
         rows = diff_runs(normalize_run(BASE), normalize_run(cur))
         notes = {r["key"]: r["note"] for r in rows}
-        assert notes["fig07/reduce"] == "only in b"
-        assert notes["fig07/bcast"] == "only in a"
+        assert notes == {"fig07/collective:reduce#0": "only in b",
+                         "fig07/collective:bcast#0": "only in a"}
 
 
 class TestDiffFilesAndRendering:
@@ -124,13 +132,13 @@ class TestDiffFilesAndRendering:
 
     def test_diff_files_and_render(self, tmp_path):
         a = self._write(tmp_path, "a.json", BASE)
-        b = self._write(tmp_path, "b.json", _ledger_doc({
-            "fig07/allreduce": ([130e-6],
-                                {"wire": 60e-6, "wait:credit_stall": 40e-6}),
-            "fig07/bcast": ([50e-6], {"wire": 50e-6}),
-        }))
+        b = self._write(tmp_path, "b.json", _critpath_doc([
+            ("collective:allreduce", 130e-6,
+             {"wire": 60e-6, "wait:credit_stall": 40e-6, "uc": 30e-6}),
+            ("collective:bcast", 50e-6, {"wire": 50e-6}),
+        ]))
         doc = diff_files(a, b)
-        assert doc["kind"] == "ledger"
+        assert doc["kind"] == "trace"
         assert not doc["identical"]
         text = render_diff(doc)
         assert "ranked by regression magnitude" in text
@@ -154,6 +162,56 @@ class TestDiffFilesAndRendering:
         })
         assert load_run(path)["kind"] == "trace"
 
+    def test_trajectory_and_trace_do_not_diff(self, tmp_path):
+        a = self._write(tmp_path, "a.json", BASE)
+        b = self._write(tmp_path, "b.json", {"artifacts": {}})
+        with pytest.raises(ValueError, match="keys never match"):
+            diff_files(a, b)
+
+
+class TestTrajectoryDiff:
+    def test_engines_at_one_size_are_separate_rows(self, tmp_path):
+        """fig10 at 1 KiB: ACCL+ 1 us faster and MPI 1 us slower.  Pooled
+        by (artifact, collective, size, ranks) the mean would not move;
+        point by point both rows show."""
+        runner = SweepRunner()
+        runner.run([
+            SweepPoint.make("fig10", "accl_best_protocol", opcode="allreduce",
+                            size=1024, n_nodes=8, location="device",
+                            via_driver=False),
+            SweepPoint.make("fig10", "mpi_f2f_collective", opcode="allreduce",
+                            size=1024, n_ranks=8),
+        ])
+        base = runner.trajectory()
+        cur = copy.deepcopy(base)
+        accl, mpi = cur["artifacts"]["fig10"]["points"]
+        accl["value"] -= 1e-6
+        mpi["value"] += 1e-6
+        paths = []
+        for name, doc in (("a.json", base), ("b.json", cur)):
+            paths.append(str(tmp_path / name))
+            with open(paths[-1], "w") as fh:
+                json.dump(doc, fh)
+
+        doc = diff_files(*paths)
+        assert doc["kind"] == "trajectory"
+        assert {row["key"]: row["delta_us"] for row in doc["rows"]} == \
+            pytest.approx({
+                "fig10/mpi_f2f_collective/n_ranks=8,opcode=allreduce,"
+                "size=1024": 1.0,
+                "fig10/accl_best_protocol/location=device,n_nodes=8,"
+                "opcode=allreduce,size=1024,via_driver=False": -1.0})
+        assert "identical: no deltas" in render_diff(
+            diff_files(paths[0], paths[0]))
+
+
+def _critpath_run(**kwargs):
+    """A traced figX_scale replay shaped as ``bench critpath --json``."""
+    cap = capture.trace_artifact("figX_scale", **kwargs)
+    return normalize_run({"artifact": cap.artifact,
+                          "ops": [attribute_op(cap.tracer, op)
+                                  for op in cap.op_ids]})
+
 
 class TestEndToEndSlowLink:
     """Acceptance: a perturbed figX_scale run diffs against baseline with
@@ -161,12 +219,9 @@ class TestEndToEndSlowLink:
 
     def test_slow_link_is_ranked_and_attributed(self):
         kwargs = dict(n_nodes=8, size=256 * 1024)
-        base = capture.trace_artifact("figX_scale", **kwargs).ledger()
-        slow = capture.trace_artifact(
-            "figX_scale", slow_link="fpga3.down", slow_factor=8.0,
-            **kwargs).ledger()
-        rows = diff_runs(normalize_run(base.snapshot()),
-                         normalize_run(slow.snapshot()))
+        base = _critpath_run(**kwargs)
+        rows = diff_runs(base, _critpath_run(
+            slow_link="fpga3.down", slow_factor=8.0, **kwargs))
         assert rows, "slow link must produce deltas"
         top = rows[0]
         assert top["delta_us"] > 0
@@ -177,9 +232,7 @@ class TestEndToEndSlowLink:
                       if c["delta_us"] > 0)
         assert majority > 0.5 * regress
         # identical reruns stay silent
-        again = capture.trace_artifact("figX_scale", **kwargs).ledger()
-        assert diff_runs(normalize_run(base.snapshot()),
-                         normalize_run(again.snapshot())) == []
+        assert diff_runs(base, _critpath_run(**kwargs)) == []
 
 
 class TestCheckAttribution:
@@ -189,9 +242,9 @@ class TestCheckAttribution:
         cur = {"wall_us": 130.0, "wait_us.credit_stall": 38.0,
                "phase_us.wire": 62.0, "spans": 4.0}
         causes = metric_delta_attribution(base, cur)
-        assert causes[0]["metric"] == "wait_us.credit_stall"
+        assert causes[0]["bucket"] == "wait_us.credit_stall"
         assert causes[0]["share"] == pytest.approx(0.28)
-        assert {c["metric"] for c in causes} == \
+        assert {c["bucket"] for c in causes} == \
             {"wait_us.credit_stall", "phase_us.wire"}
 
     def test_render_names_scenario_and_top_cause(self):

@@ -161,20 +161,6 @@ class TestPcie:
         with pytest.raises(ValueError):
             pcie.dma_h2d_delay(-1)
 
-    def test_mmio_roundtrip_cost(self):
-        env = Environment()
-        pcie = PcieLink(env, mmio_latency=units.us(0.9))
-        t = {}
-
-        def proc():
-            yield pcie.mmio_write()
-            yield pcie.mmio_read()
-            t["done"] = env.now
-
-        env.process(proc())
-        env.run()
-        assert t["done"] == pytest.approx(units.us(1.8))
-
     def test_dma_time_analytic(self):
         env = Environment()
         pcie = PcieLink(env, bandwidth=1e9, dma_latency=0.5)

@@ -7,7 +7,6 @@ import pytest
 from repro import units
 from repro.obs import (
     Gauge,
-    Histogram,
     MetricsRegistry,
     Observability,
     SpanTracer,
@@ -20,7 +19,6 @@ from repro.obs import (
 )
 from repro.bench.artifacts import SCENARIOS
 from repro.obs.capture import trace_artifact
-from repro.obs.metrics import percentile_of
 from tests.helpers import make_cluster
 
 
@@ -31,28 +29,6 @@ class TestMetrics:
         assert gf.value == 3.0
         live["n"] = 9
         assert gf.value == 9.0
-
-    def test_histogram_percentiles_interpolate(self):
-        h = Histogram("lat")
-        values = [float(v) for v in range(1, 101)]
-        for v in values:
-            h.observe(v)
-        for pct, expected in ((50, 50.5), (90, 90.1), (99, 99.01)):
-            assert h.percentile(pct) == pytest.approx(expected)
-        s = h.summary()
-        assert s["count"] == 100 and s["min"] == 1.0 and s["max"] == 100.0
-        assert s["mean"] == pytest.approx(50.5)
-
-    def test_percentile_of_interpolates_and_rejects_bad_input(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile_of(values, 50) == pytest.approx(2.5)
-        assert percentile_of(values, 0) == 1.0
-        assert percentile_of(values, 100) == 4.0
-        assert percentile_of([7.0], 99) == 7.0
-        with pytest.raises(ValueError):
-            percentile_of([], 50)
-        with pytest.raises(ValueError):
-            percentile_of(values, 101)
 
     def test_registry_get_or_create_and_kind_clash(self):
         reg = MetricsRegistry()

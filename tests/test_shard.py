@@ -1,5 +1,6 @@
 """Sharded sweeps, merge row-identity, and multi-job pool behavior."""
 
+import json
 import time
 
 import pytest
@@ -19,10 +20,10 @@ TINY = dict(node_counts=(4, 8), size=256 * KIB)
 def _import_shard(runner: SweepRunner, cache: ResultCache) -> int:
     """What ``bench merge`` does: executed trajectory points -> cache."""
     imported = 0
-    trajectory = runner.trajectory(include_values=True)
+    trajectory = runner.trajectory()
     for art in trajectory["artifacts"].values():
         for point in art["points"]:
-            if point["skipped"]:
+            if point.get("skipped"):
                 continue
             record = {"value": point["value"]}
             for field in ("wall_s", "sim_s", "events", "events_ff"):
@@ -94,16 +95,33 @@ class TestShardPartition:
             harness.run_figX_scale(runner=runner, **TINY)
         except ShardIncomplete:
             pass
-        trajectory = runner.trajectory(include_values=True)
+        trajectory = runner.trajectory()
         assert trajectory["shard"] == [0, 2]
         points = trajectory["artifacts"]["figX_scale"]["points"]
-        ran = [p for p in points if not p["skipped"]]
-        left = [p for p in points if p["skipped"]]
+        ran = [p for p in points if not p.get("skipped")]
+        left = [p for p in points if p.get("skipped")]
         assert ran and left  # 6 points: hash split leaves work both sides
         assert all(p["value"] is not None for p in ran)
         assert all(p["value"] is None and p["events"] == 0 for p in left)
         totals = trajectory["totals"]
         assert totals["skipped_points"] == len(left)
+
+
+class TestMergeAnyTrajectory:
+    def test_merge_of_a_plain_trajectory_executes_no_point(self, tmp_path,
+                                                           capsys):
+        from repro.bench.__main__ import main
+
+        plain = str(tmp_path / "plain.json")
+        assert main(["fig08", "--no-cache", "--json", plain]) == 0
+        rows = capsys.readouterr().out
+        merged = str(tmp_path / "merged.json")
+        assert main(["merge", plain, "--cache", str(tmp_path / "c"),
+                     "--json", merged]) == 0
+        assert capsys.readouterr().out == rows
+        with open(merged) as fh:
+            totals = json.load(fh)["totals"]
+        assert totals["points"] == totals["cached_points"] > 0
 
 
 class TestRowIdentityAcrossJobs:
@@ -152,15 +170,14 @@ class TestWarmPool:
             f"jobs=4 warm sweep {warm_s:.2f}s vs jobs=1 {sequential_s:.2f}s"
 
 
-class TestShardedLedgerIdentity:
-    """Shard -> merge -> rerun must reproduce the unsharded op ledger and
-    telemetry totals exactly, the same way it reproduces rows."""
+class TestShardedTrajectoryIdentity:
+    """Shard -> merge -> rerun must reproduce the unsharded trajectory's
+    point values and totals exactly, the same way it reproduces rows."""
 
-    def test_merged_cache_rerun_reproduces_ledger_and_totals(self, tmp_path):
+    def test_merged_cache_rerun_reproduces_values_and_totals(self, tmp_path):
         reference = SweepRunner()
         harness.run_figX_scale(runner=reference, **TINY)
-        ref_ledger = reference.ledger()
-        ref_totals = reference.trajectory()["totals"]
+        ref = reference.trajectory()
 
         merged = ResultCache(tmp_path / "merged")
         for index in (0, 1, 2):
@@ -175,34 +192,15 @@ class TestShardedLedgerIdentity:
         harness.run_figX_scale(runner=final, **TINY)
         assert all(rec.cached for rec in final.records)
 
-        ledger = final.ledger()
-        assert ledger.snapshot() == ref_ledger.snapshot()
-        for key, ent in ledger.entries.items():
-            ref = ref_ledger.entries[key]
-            assert sorted(ent.latency._values) == sorted(ref.latency._values)
-            assert ent.crit_s == pytest.approx(ref.crit_s)
-
+        trajectory = final.trajectory()
+        values = [(p["key"], p["value"]) for p in
+                  trajectory["artifacts"]["figX_scale"]["points"]]
+        assert values == [(p["key"], p["value"]) for p in
+                          ref["artifacts"]["figX_scale"]["points"]]
         # Counts carried through the cache match the reference run;
         # wall_s is host time of the *producing* run and is excluded.
-        totals = final.trajectory()["totals"]
+        totals = trajectory["totals"]
         for field in ("points", "events", "events_ff"):
-            assert totals[field] == ref_totals[field], field
-        assert totals["sim_s"] == pytest.approx(ref_totals["sim_s"],
+            assert totals[field] == ref["totals"][field], field
+        assert totals["sim_s"] == pytest.approx(ref["totals"]["sim_s"],
                                                 rel=1e-12)
-
-    def test_per_shard_ledgers_merge_to_reference(self):
-        """Registry idiom on the ledger itself: merging each shard's
-        partial snapshot equals the unsharded ledger."""
-        from repro.obs.ledger import OpLedger
-
-        reference = SweepRunner()
-        harness.run_figX_scale(runner=reference, **TINY)
-        merged = OpLedger()
-        for index in (0, 1):
-            runner = SweepRunner(shard=(index, 2))
-            try:
-                harness.run_figX_scale(runner=runner, **TINY)
-            except ShardIncomplete:
-                pass
-            merged.merge(runner.ledger().snapshot())
-        assert merged.snapshot() == reference.ledger().snapshot()

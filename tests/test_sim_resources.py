@@ -79,21 +79,6 @@ def test_bandwidth_serializes_fifo():
     assert finish["b"] == pytest.approx(2.0)  # queued behind "a"
 
 
-def test_bandwidth_overhead_charged_per_transfer():
-    env = Environment()
-    pipe = BandwidthResource(env, rate_bytes_per_s=100.0, per_transfer_overhead_s=0.5)
-    finish = {}
-
-    def proc():
-        yield env.timeout_at(pipe.reserve(100))
-        yield env.timeout_at(pipe.reserve(100))
-        finish["t"] = env.now
-
-    env.process(proc())
-    env.run()
-    assert finish["t"] == pytest.approx(3.0)  # 2 * (0.5 + 1.0)
-
-
 def test_bandwidth_idle_gap_not_charged():
     env = Environment()
     pipe = BandwidthResource(env, rate_bytes_per_s=100.0)
