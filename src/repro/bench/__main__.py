@@ -320,7 +320,8 @@ def _trace(args) -> int:
           f"(unclosed={summary['unclosed_spans']}, "
           f"dropped={summary['spans_dropped']})")
     print()
-    print(render_phase_table(cap.breakdowns()))
+    reports = cap.breakdowns()
+    print(render_phase_table(reports))
     if args.trace_out:
         n = write_chrome_trace(cap.tracer, args.trace_out)
         print(f"wrote {n} Chrome trace events to {args.trace_out} "
@@ -331,9 +332,9 @@ def _trace(args) -> int:
               file=sys.stderr)
     if args.json_out:
         doc = {"artifact": cap.artifact, "description": cap.description,
-               "summary": summary, "ops": cap.breakdowns()}
+               "summary": summary, "ops": reports}
         _write_json(args.json_out, doc)
-        print(f"wrote {len(doc['ops'])} per-op breakdowns to "
+        print(f"wrote {len(reports)} per-op reports to "
               f"{args.json_out}", file=sys.stderr)
     if args.flamegraph_out:
         _write_flamegraph(cap, args.flamegraph_out)
@@ -343,7 +344,6 @@ def _trace(args) -> int:
 def _critpath(args) -> int:
     from repro.obs.critpath import (per_node_report, render_critpath,
                                     render_per_node)
-    from repro.obs.export import attribute_op
 
     cap = _capture(args)
     if cap is None:
@@ -352,7 +352,7 @@ def _critpath(args) -> int:
 
     print(f"critpath {cap.artifact}: {cap.description}")
     print()
-    reports = [attribute_op(cap.tracer, op) for op in cap.op_ids]
+    reports = cap.breakdowns()
     per_node = None
     if args.per_node:
         per_node = per_node_report(cap.tracer, cap.op_ids)
@@ -638,7 +638,7 @@ def _parser():
                         "https://ui.perfetto.dev)")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="write the metrics registry as CSV")
-    json_flag(p, "the per-op phase breakdowns")
+    json_flag(p, "the per-op reports (phases and critical-path totals)")
     flamegraph(p)
 
     p = command("critpath", _critpath,

@@ -1,6 +1,6 @@
 """Fabric fidelity switches.
 
-The simulator supports two network fidelity levels, selected per topology:
+The simulator supports two network fidelity levels:
 
 - ``"packet"`` (default) — every 32 KiB segment is an individual wire event
   on every hop.  Bit-identical to the calibrated baseline; always used for
@@ -12,17 +12,17 @@ The simulator supports two network fidelity levels, selected per topology:
   a link.  Validated against packet mode per artifact by ``python -m
   repro.bench validate-fidelity``.
 
-The process-wide default comes from the ``REPRO_FIDELITY`` environment
-variable so that benchmark pool workers and subprocesses inherit the mode
-without plumbing it through every constructor; topologies accept an explicit
-``fidelity=`` override.
+Every topology reads the process-wide level, which comes from the
+``REPRO_FIDELITY`` environment variable so that benchmark pool workers and
+subprocesses inherit the mode without plumbing it through every
+constructor; :func:`fidelity_override` sets it for a block of code.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.errors import ConfigurationError
 
@@ -50,7 +50,6 @@ LINK_FLOW_DECISIONS = (
     "convoy:lay",            # member sub-burst laid on its first-hop slots
     "convoy:carry",          # downstream hop carried a convoy train
     "convoy:decline",        # convoy asked for but grid/timing mismatched
-    "interleave",            # control segment slotted into a train gap
 )
 
 #: Reason codes for the POE-side flow admission pipeline: whether a bulk
@@ -85,23 +84,15 @@ def default_fidelity() -> str:
     return value
 
 
-def resolve_fidelity(fidelity: Optional[str]) -> str:
-    """Validate an explicit *fidelity*, or fall back to the default."""
-    if fidelity is None:
-        return default_fidelity()
+@contextmanager
+def fidelity_override(fidelity: str) -> Iterator[str]:
+    """Temporarily force the process-wide default (used by the validation
+    harness to replay one artifact in both modes)."""
     if fidelity not in FIDELITIES:
         raise ConfigurationError(
             f"fidelity {fidelity!r} is not a fidelity level; "
             f"choose one of {', '.join(FIDELITIES)}"
         )
-    return fidelity
-
-
-@contextmanager
-def fidelity_override(fidelity: str) -> Iterator[str]:
-    """Temporarily force the process-wide default (used by the validation
-    harness to replay one artifact in both modes)."""
-    fidelity = resolve_fidelity(fidelity)
     previous = os.environ.get(ENV_VAR)
     os.environ[ENV_VAR] = fidelity
     try:

@@ -11,7 +11,6 @@ numbers and one ``rate`` its paths update in place.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Deque, Optional, Tuple
@@ -42,10 +41,9 @@ class Link(BandwidthResource):
     # drops the per-instance __dict__.
     __slots__ = (
         "latency", "_sink", "_forwarding", "_burst_sink", "_burst_at_tail",
-        "_last_owner", "_train", "_train_prev", "_train_tail", "_intr_free",
-        "_convoy", "_convoy_token", "_relay", "segments_carried",
-        "_in_flight", "_pump_scheduled", "_pump_entry", "_span_tracer",
-        "flow_decisions",
+        "_last_owner", "_convoy", "_convoy_token", "_relay",
+        "segments_carried", "_in_flight", "_pump_scheduled", "_pump_entry",
+        "_span_tracer", "flow_decisions",
     )
 
     def __init__(
@@ -71,17 +69,6 @@ class Link(BandwidthResource):
         # is this same message's own tail (a sub-burst train), FIFO
         # continuation is exact and the analytic path stays valid.
         self._last_owner: Any = None
-        # Timing grid of the analytic train(s) currently occupying the
-        # serializer — (f_head, step, f_pen, start_last, f_last) — kept so
-        # single-frame control segments can be slotted into inter-segment
-        # gaps exactly where packet-level FIFO would have put them.  The
-        # previous window survives one generation because a continuation
-        # sub-burst is admitted while its predecessor is still draining.
-        self._train: Optional[Tuple[float, float, float, float, float]] = None
-        self._train_prev: Optional[Tuple[float, float, float, float,
-                                         float]] = None
-        self._train_tail = -1.0
-        self._intr_free = 0.0
         # First-hop convoy state (symmetric concurrent bulk messages):
         # {token, share, origin, dur, members: {id(header): phase},
         #  bursts: {id(header): Burst}, tail}.
@@ -199,25 +186,23 @@ class Link(BandwidthResource):
         env = self.env
         now = env._now
         free_at = self._free_at
-        egress_done = -1.0
-        if self._train is not None:
-            if (segment.n_frames == 1 and free_at > now
-                    and free_at == self._train_tail):
-                egress_done = self._interleave(segment, now)
-            if egress_done < 0.0 and self._intr_free > free_at:
-                # A control frame slotted at the train's tail is still
-                # ahead of this segment: queue behind it, as FIFO would.
-                free_at = self._intr_free
-        if egress_done < 0.0:
-            if self._span_tracer is not None and free_at > now:
-                self._trace_queued(segment, now, free_at)
-            wire = segment.wire_bytes
-            duration = wire / self.rate
-            egress_done = (free_at if free_at > now else now) + duration
-            self._free_at = egress_done
-            self._busy_time += duration
-            self._bytes_moved += wire
-            self._last_owner = segment.meta
+        wire = segment.wire_bytes
+        if free_at > now:
+            tracer = self._span_tracer
+            if tracer is not None and segment.op_id >= 0:
+                # Head-of-line wait behind earlier traffic, booked to the
+                # segment's collective (ack/credit segments carry no op id).
+                tracer.span_complete(
+                    self.name, "wait:link_busy", now, free_at, phase="wait",
+                    op_id=segment.op_id, cause="link_busy", nbytes=wire)
+        else:
+            free_at = now
+        duration = wire / self.rate
+        egress_done = free_at + duration
+        self._free_at = egress_done
+        self._busy_time += duration
+        self._bytes_moved += wire
+        self._last_owner = segment.meta
         self.segments_carried += 1
         fire_at = now + (egress_done + self.latency - now) + self._forwarding
         self._in_flight.append((fire_at, segment))
@@ -246,71 +231,6 @@ class Link(BandwidthResource):
                     f"link {self.name!r} cannot deliver at {fire_at!r}")
         else:
             self._pump_scheduled = False
-
-    def _train_boundary(self, t: float) -> float:
-        """Next instant the serializer yields between segments of the
-        analytic train covering *t* — the slot packet-level FIFO would
-        hand a queued single-frame segment.  Negative when no train
-        window covers *t* (the caller falls back to a normal reserve)."""
-        for train in (self._train_prev, self._train):
-            if train is None:
-                continue
-            f_head, step, f_pen, start_last, f_last = train
-            if t >= f_last:
-                continue
-            if t < f_head:
-                return f_head
-            if t < f_pen:
-                k = math.ceil((t - f_head) / step)
-                boundary = f_head + k * step
-                return boundary if boundary < f_pen else f_pen
-            if t < start_last:
-                # Gap before the (late-arriving) last chunk: idle now.
-                return t
-            return f_last
-        return -1.0
-
-    def _interleave(self, segment: Segment, now: float) -> float:
-        """Serialize a single-frame segment *inside* an analytic train.
-
-        Packet-level FIFO lets a tiny control segment (ack, credit
-        return, rendezvous CTS) slot in after the data segment currently
-        on the wire, delaying it by at most one segment time — not by
-        the train's whole reservation.  This reproduces that slot from
-        the train's timing grid.  The train's own tail slip (one control
-        frame of wire time, ~100 ns) is deliberately not modelled; the
-        reservation and the already-scheduled burst delivery stand.
-
-        Returns the egress-complete time (``send`` queues the delivery),
-        or a negative value when *now* falls outside every train window.
-        """
-        start = self._train_boundary(now)
-        if start < 0.0:
-            return -1.0
-        if self._intr_free > start:
-            # A previously interleaved segment still occupies the slot:
-            # queue right behind it, as FIFO would.
-            start = self._intr_free
-        duration = segment.wire_bytes / self.rate
-        egress_done = start + duration
-        self._busy_time += duration
-        self._bytes_moved += segment.wire_bytes
-        self._intr_free = egress_done
-        self._flow_decision("interleave")
-        if self._span_tracer is not None and start > now:
-            self._trace_queued(segment, now, start)
-        return egress_done
-
-    def _trace_queued(self, segment: Segment, now: float,
-                      start: float) -> None:
-        """The serializer is still busy with earlier traffic: record the
-        segment's head-of-line wait until *start* for its collective
-        (ack/credit segments carry no op id)."""
-        op = segment.op_id
-        if op >= 0:
-            self._span_tracer.span_complete(
-                self.name, "wait:link_busy", now, start, phase="wait",
-                op_id=op, cause="link_busy", nbytes=segment.wire_bytes)
 
     def send_burst(self, burst: Burst) -> float:
         """Carry a whole segment train in one analytic step (flow fidelity).
@@ -440,12 +360,10 @@ class Link(BandwidthResource):
     def _single_burst(self, burst: Burst) -> float:
         self._flow_decision("burst:carry", burst)
         head_at = burst.head_at
-        # Serialization of the head starts when it has arrived, the
-        # reserved tail has drained and any control frame slotted at that
-        # tail has left: where packet FIFO starts its first segment.
+        # Serialization of the head starts when it has arrived and the
+        # reserved tail has drained: where packet FIFO starts its first
+        # segment.
         base = head_at if head_at >= self._free_at else self._free_at
-        if self._intr_free > base:
-            base = self._intr_free
         n = burst.n_segments
         rate = self.rate
         dur_full = burst.wire_full / rate
@@ -455,18 +373,11 @@ class Link(BandwidthResource):
         f_pen = f_head + (n - 2) * step
         start_last = f_pen if f_pen > burst.last_at else burst.last_at
         f_last = start_last + dur_last
-        # The previous window stays slottable only when this train follows
-        # it with nothing queued between them (a continuation); otherwise
-        # the traffic queued behind it owns its gaps.
-        continues = self._train_tail == self._free_at
         self._free_at = f_last
         self._busy_time += (n - 1) * dur_full + dur_last
         self._bytes_moved += burst.wire_total
         self._relay = (burst, base) if burst.seq_base == 0 else None
         self._last_owner = burst.meta
-        self._train_prev = self._train if continues else None
-        self._train = (f_head, step, f_pen, start_last, f_last)
-        self._train_tail = f_last
         self.segments_carried += n
         Environment.total_events_fast_forwarded += n - 1
         latency = self.latency
@@ -645,13 +556,6 @@ class Link(BandwidthResource):
         """Put a member's sub-burst on its slots; returns the handoff."""
         f_pen = self._respace(burst, convoy, phase)
         convoy["bursts"][id(burst.meta)] = burst
-        # A convoy train has no idle inter-segment gaps — the slots between
-        # one member's segments belong to its siblings — so single-frame
-        # control segments must NOT interleave into the grid.  They queue
-        # behind the committed tail instead, exactly as packet FIFO orders
-        # a completion notification after the data it follows.
-        self._train = self._train_prev = None
-        self._train_tail = -1.0
         return f_pen
 
     def _convoy_carry(self, burst: Burst) -> Optional[float]:
@@ -687,10 +591,6 @@ class Link(BandwidthResource):
         self._bytes_moved += burst.wire_total
         self._last_owner = burst.meta
         self._convoy_token = token
-        # Sibling trains fill each other's slot gaps: no control-segment
-        # interleaving inside a convoy (see _convoy_lay).
-        self._train = self._train_prev = None
-        self._train_tail = -1.0
         self.segments_carried += n
         Environment.total_events_fast_forwarded += n - 1
         latency = self.latency

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional
 from repro.errors import NetworkError
 from repro.sim import Environment
 from repro.network.endpoint import Endpoint
-from repro.network.fidelity import resolve_fidelity
+from repro.network.fidelity import default_fidelity
 from repro.network.link import Link
 from repro.network.switch import Switch
 from repro import units
@@ -48,13 +48,12 @@ class FabricTopology:
         link_rate: float = units.gbps(100),
         link_latency: float = units.ns(500),
         name: str = "fabric",
-        fidelity: Optional[str] = None,
     ):
         self.env = env
         self.link_rate = link_rate
         self.link_latency = link_latency
         self.name = name
-        self.fidelity = resolve_fidelity(fidelity)
+        self.fidelity = default_fidelity()
         self._endpoints: Dict[int, Endpoint] = {}
 
     @property
@@ -133,8 +132,6 @@ class StarTopology(FabricTopology):
         env: simulation environment.
         link_rate: bytes/second per direction (default 100 Gb/s).
         link_latency: one-way cable+PHY latency.
-        fidelity: ``"packet"`` or ``"flow"``; ``None`` reads the
-            process-wide default (``$REPRO_FIDELITY``, usually packet).
     """
 
     def __init__(
@@ -143,9 +140,8 @@ class StarTopology(FabricTopology):
         link_rate: float = units.gbps(100),
         link_latency: float = units.ns(500),
         name: str = "fabric",
-        fidelity: Optional[str] = None,
     ):
-        super().__init__(env, link_rate, link_latency, name, fidelity)
+        super().__init__(env, link_rate, link_latency, name)
         self.switch = Switch(env, name=f"{name}.sw")
 
     def _edge_switch_for(self, address: int) -> Switch:
@@ -185,14 +181,13 @@ class LeafSpineTopology(FabricTopology):
         link_rate: float = units.gbps(100),
         link_latency: float = units.ns(500),
         name: str = "clos",
-        fidelity: Optional[str] = None,
         oversubscription: float = 1.0,
     ):
         if ports_per_leaf < 1 or n_spines < 1:
             raise NetworkError("need at least one leaf port and one spine")
         if oversubscription <= 0:
             raise NetworkError("oversubscription factor must be positive")
-        super().__init__(env, link_rate, link_latency, name, fidelity)
+        super().__init__(env, link_rate, link_latency, name)
         self.ports_per_leaf = ports_per_leaf
         self.n_spines = n_spines
         self.oversubscription = oversubscription
@@ -272,14 +267,13 @@ class FatTreeTopology(FabricTopology):
         link_rate: float = units.gbps(100),
         link_latency: float = units.ns(500),
         name: str = "fattree",
-        fidelity: Optional[str] = None,
         oversubscription: float = 1.0,
     ):
         if k < 2 or k % 2:
             raise NetworkError(f"fat-tree arity must be even and >= 2, got {k}")
         if oversubscription <= 0:
             raise NetworkError("oversubscription factor must be positive")
-        super().__init__(env, link_rate, link_latency, name, fidelity)
+        super().__init__(env, link_rate, link_latency, name)
         self.k = k
         self.oversubscription = oversubscription
         self._uplink_rate = link_rate / oversubscription
@@ -397,7 +391,6 @@ class DragonflyTopology(FabricTopology):
         link_rate: float = units.gbps(100),
         link_latency: float = units.ns(500),
         name: str = "dfly",
-        fidelity: Optional[str] = None,
         oversubscription: float = 1.0,
     ):
         if min(routers_per_group, hosts_per_router,
@@ -408,7 +401,7 @@ class DragonflyTopology(FabricTopology):
             )
         if oversubscription <= 0:
             raise NetworkError("oversubscription factor must be positive")
-        super().__init__(env, link_rate, link_latency, name, fidelity)
+        super().__init__(env, link_rate, link_latency, name)
         self.a = routers_per_group
         self.p = hosts_per_router
         self.h = global_links_per_router

@@ -9,7 +9,7 @@ The simulation platform exists to shorten "hardware debugging cycles"
   with ids, parent links and per-collective ``op_id`` propagation in one
   bounded ring buffer;
 - :mod:`repro.obs.export` — Chrome trace-event JSON (opens in Perfetto),
-  CSV metrics dumps and the :func:`phase_breakdown` report API;
+  CSV metrics dumps and the :func:`attribute_op` per-op report;
 - :mod:`repro.obs.critpath` — per-collective critical paths with
   wait-cause attribution and collapsed-stack flamegraphs;
 - :mod:`repro.obs.timeseries` — :class:`TelemetrySession`, continuous
@@ -31,7 +31,6 @@ from repro.obs.spans import Span, SpanTracer
 from repro.obs.export import (
     attribute_op,
     metrics_to_csv,
-    phase_breakdown,
     render_phase_table,
     to_chrome_trace,
     validate_chrome_trace,
@@ -61,7 +60,7 @@ __all__ = [
     "Gauge", "MetricsRegistry",
     "Span", "SpanTracer", "to_chrome_trace",
     "validate_chrome_trace", "write_chrome_trace", "metrics_to_csv",
-    "attribute_op", "phase_breakdown", "render_phase_table",
+    "attribute_op", "render_phase_table",
     "render_critpath",
     "per_node_report", "render_per_node",
     "to_collapsed_stacks", "write_flamegraph",

@@ -5,7 +5,7 @@ look at in a trace viewer.  Each ``trace_*`` function here instead replays
 one *representative* scenario of an artifact with a span tracer attached and
 returns the capture: open the exported Chrome JSON in Perfetto to see the
 collective's uC / DMP / POE / wire phases laid out per node, or read the
-:func:`~repro.obs.export.phase_breakdown` table the CLI prints.
+:func:`~repro.obs.export.attribute_op` reports the CLI prints.
 
 Every scenario accepts ``telemetry=<cadence-seconds>`` to also record a
 continuous :class:`~repro.obs.timeseries.TelemetrySession` alongside the
@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro import units
-from repro.obs.export import phase_breakdown
+from repro.obs.export import attribute_op
 from repro.obs.runtime import Observability, attach
 from repro.sim import all_of
 
@@ -42,7 +42,9 @@ class TraceCapture:
         return self.obs.tracer
 
     def breakdowns(self) -> List[Dict[str, Any]]:
-        return [phase_breakdown(self.obs.tracer, op) for op in self.op_ids]
+        """One :func:`~repro.obs.export.attribute_op` report per op: what
+        ``bench trace --json`` and ``bench critpath --json`` write."""
+        return [attribute_op(self.obs.tracer, op) for op in self.op_ids]
 
 
 def _traced_cluster(n_nodes: int, protocol: str = "rdma",

@@ -10,10 +10,9 @@ PCIe staging.  This module turns them into answers:
 
 - :func:`render_critpath` — one exclusive timeline over the op's wall
   window where every instant is either productive or explained by a wait
-  cause, as :func:`~repro.obs.export.attribute_op` reports it.  That
-  report shares its interval sweep with
-  :func:`~repro.obs.export.phase_breakdown`, so the cause totals reconcile
-  exactly against the phase buckets and the wall sim-time.
+  cause, as :func:`~repro.obs.export.attribute_op` reports it.  The
+  report's cause totals and phase buckets share one interval sweep, so
+  they reconcile exactly against each other and the wall sim-time.
 - :func:`to_collapsed_stacks` / :func:`write_flamegraph` — collapsed-stack
   output (``frame;frame;frame count``) for flamegraph.pl / speedscope /
   inferno; frame values are exclusive self-time in integer nanoseconds.

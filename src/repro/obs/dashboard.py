@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.capture import TraceCapture
 from repro.obs.critpath import to_collapsed_stacks
-from repro.obs.export import PHASE_PRIORITY, attribute_op
+from repro.obs.export import PHASE_PRIORITY
 
 #: phase -> bar color (colorblind-safe-ish, dark-on-light)
 _PHASE_COLORS = {
@@ -314,8 +314,7 @@ def render_dashboard(capture: TraceCapture,
     if fidelity is None:
         from repro.network.fidelity import default_fidelity
         fidelity = default_fidelity()
-    reports = [attribute_op(capture.obs.tracer, op)
-               for op in capture.op_ids]
+    reports = capture.breakdowns()
     summary = capture.obs.summary()
     wall = max((r["t1"] for r in reports), default=0.0) - \
         min((r["t0"] for r in reports), default=0.0)

@@ -76,8 +76,11 @@ def _entries_from_trajectory(doc: Dict[str, Any],
     return entries
 
 
-def _entries_from_ops(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Normalize a trace/critpath JSON (``{"artifact", "ops": [...]}``).
+def _entries_from_ops(doc: Dict[str, Any],
+                      label: str) -> Dict[str, Dict[str, Any]]:
+    """Normalize a trace/critpath JSON (``{"artifact", "ops": [...]}``),
+    each op an :func:`~repro.obs.export.attribute_op` report whose
+    critical-path ``totals`` are the buckets a delta is attributed to.
 
     Ops are keyed by ``artifact/name#occurrence`` — stable across two runs
     of the same deterministic scenario regardless of op-id allocation.
@@ -90,7 +93,12 @@ def _entries_from_ops(doc: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
         index = seen.get(name, 0)
         seen[name] = index + 1
         key = f"{artifact}/{name}#{index}"
-        buckets = op.get("totals") or op.get("phases") or {}
+        buckets = op.get("totals")
+        if buckets is None:
+            raise ValueError(
+                f"{label or 'trace'}: {key} has no critical-path totals "
+                "(written before trace JSONs carried them); re-run it to "
+                "diff")
         entries[key] = {
             "wall_us": op.get("wall_s", 0.0) * 1e6,
             "crit_us": {bucket: seconds * 1e6
@@ -107,7 +115,7 @@ def normalize_run(doc: Dict[str, Any], label: str = "") -> Dict[str, Any]:
                 "entries": _entries_from_trajectory(doc, label)}
     if "ops" in doc:
         return {"kind": "trace", "label": label,
-                "entries": _entries_from_ops(doc)}
+                "entries": _entries_from_ops(doc, label)}
     raise ValueError(
         f"{label or 'run document'}: neither a trajectory (no 'artifacts') "
         "nor a trace/critpath JSON (no 'ops')")
@@ -141,6 +149,12 @@ def _cause_deltas(base: Dict[str, float], cur: Dict[str, float],
         })
     out.sort(key=lambda c: (-abs(c["delta_us"]), c["bucket"]))
     return out
+
+
+def _magnitude(delta_us: float) -> float:
+    """|delta| to 12 significant digits: magnitudes that differ only by
+    float noise (1.0 vs 0.9999999999999929 us) rank as equal."""
+    return float(f"{abs(delta_us):.12g}")
 
 
 def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -181,8 +195,8 @@ def diff_runs(a: Dict[str, Any], b: Dict[str, Any]) -> List[Dict[str, Any]]:
             "incomplete": (base.get("incomplete", False)
                            or cur.get("incomplete", False)),
         })
-    rows.sort(key=lambda r: (-abs(r["delta_us"]), -(r["delta_us"] > 0),
-                             r["key"]))
+    rows.sort(key=lambda r: (-_magnitude(r["delta_us"]),
+                             -(r["delta_us"] > 0), r["key"]))
     return rows
 
 

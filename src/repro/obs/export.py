@@ -5,9 +5,9 @@
   track per node and one thread track per component, with collective root
   spans nesting their uC / DMP / POE / wire phases.
 - :func:`metrics_to_csv` — flat CSV dump of a metrics registry.
-- :func:`phase_breakdown` — exclusive per-phase time attribution for one
-  collective operation; buckets sum to the collective's wall sim-time by
-  construction.
+- :func:`attribute_op` — the one per-op report: exclusive per-phase and
+  critical-path time attribution for one collective operation; each set
+  of buckets sums to the collective's wall sim-time by construction.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ PHASE_PRIORITY = ("wire", "poe", "dmp", "uc")
 
 #: Phase label of wait spans recorded at blocking sites.  Wait spans carry
 #: a ``cause`` detail entry (see :data:`WAIT_PRIORITY`) and never influence
-#: :func:`phase_breakdown`'s productive buckets — they only explain the
-#: time that breakdown calls "other".
+#: :func:`attribute_op`'s productive ``phases`` — they only explain the
+#: time those buckets call "other".
 WAIT_PHASE = "wait"
 
 #: Wait causes in attribution order (when two stall reasons overlap, the
@@ -208,9 +208,10 @@ def attribute_op(tracer: SpanTracer, op_id: int) -> Dict[str, Any]:
 
     Both attributions walk the *same* elementary intervals (one boundary
     set over every productive and wait span), so their totals reconcile
-    exactly: ``phases`` is what :func:`phase_breakdown` reports, while
-    ``totals``/``segments`` re-attribute the identical intervals with wait
-    causes ranked between the productive phases —
+    exactly: ``phases`` gives every instant to the highest-priority
+    productive phase active then (:data:`PHASE_PRIORITY`, else "other"),
+    while ``totals``/``segments`` re-attribute the identical intervals with
+    wait causes ranked between the productive phases —
 
         wire > poe > wait:<cause> (:data:`WAIT_PRIORITY`) > dmp > uc > other
 
@@ -362,27 +363,9 @@ def attribute_op(tracer: SpanTracer, op_id: int) -> Dict[str, Any]:
     }
 
 
-def phase_breakdown(tracer: SpanTracer, op_id: int) -> Dict[str, Any]:
-    """Exclusive per-phase time attribution for collective *op_id*.
-
-    Every instant of the root span's ``[t0, t1]`` window is attributed to
-    exactly one bucket — the highest-priority phase active at that instant
-    (:data:`PHASE_PRIORITY`), or ``"other"`` when none is.  The buckets
-    therefore sum to the collective's wall sim-time exactly; overlapping
-    spans (e.g. two links busy at once) never double-count.
-
-    Delegates to :func:`attribute_op` — the critical-path report in
-    :mod:`repro.obs.critpath` shares the sweep, so its cause totals
-    reconcile bitwise against these buckets.
-    """
-    report = attribute_op(tracer, op_id)
-    return {k: report[k] for k in ("op_id", "name", "t0", "t1", "wall_s",
-                                   "spans", "phases", "fractions",
-                                   "incomplete")}
-
-
 def render_phase_table(breakdowns: Sequence[Dict[str, Any]]) -> str:
-    """Fixed-width table over one or more :func:`phase_breakdown` results."""
+    """Fixed-width phase table over one or more :func:`attribute_op`
+    reports."""
     phases = list(PHASE_PRIORITY) + ["other"]
     header = (f"{'op':>4}  {'collective':<24} {'wall_us':>10}  "
               + "  ".join(f"{p + '%':>6}" for p in phases))

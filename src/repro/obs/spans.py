@@ -17,7 +17,7 @@ rides in :class:`~repro.cclo.microcontroller.CollectiveArgs`,
 :class:`~repro.cclo.dmp.Microcode` and the wire
 :class:`~repro.cclo.messages.Signature`, and every downstream span carries
 it — including wire spans recorded on *other* nodes, which is what lets
-``phase_breakdown`` account a collective's remote message deliveries.
+``attribute_op`` account a collective's remote message deliveries.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Span:
     sid: int
     component: str          # "cclo0.uc" — node-qualified component
     name: str               # "instr", "collective:allreduce", ...
-    phase: str              # attribution bucket for phase_breakdown
+    phase: str              # attribution bucket for attribute_op
     t0: float
     t1: float = math.nan    # NaN while open
     op_id: int = -1

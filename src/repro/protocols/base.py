@@ -152,9 +152,8 @@ class BasePoe:
         #: uplink; when they are *symmetric* (all fast-forwarding, started
         #: together) the link carries them as a round-robin convoy with
         #: ``share`` equal to this count.  Single-segment sends (acks,
-        #: credits, rendezvous control) are not counted — the link slots
-        #: those into the train's inter-segment gaps exactly as
-        #: packet-level FIFO does.
+        #: credits, rendezvous control) are not counted: they queue on
+        #: the uplink like any segment, behind a train in flight.
         self._tx_bulk_inflight = 0
         #: bulk transmits currently running the per-segment loop (below
         #: the flow admission floor, paced, or fallen back).  Non-zero
@@ -163,7 +162,8 @@ class BasePoe:
         #: transmits must not admit (and fall back between sub-bursts)
         #: while any such sibling is active.
         self._tx_bulk_packet = 0
-        #: flow-fidelity transmit enabled for this engine (set per topology)
+        #: flow-fidelity transmit enabled for this engine (the topology
+        #: stamps the process-wide fidelity on each endpoint it wires)
         self._fidelity_flow = (
             getattr(endpoint, "fidelity", "packet") == "flow")
         #: per-reason flow admission/fallback counts (see

@@ -12,7 +12,6 @@ from repro import units
 from repro.obs import (
     SpanTracer,
     attribute_op,
-    phase_breakdown,
     render_critpath,
     to_chrome_trace,
     to_collapsed_stacks,
@@ -45,14 +44,11 @@ class TestAttribution:
             assert abs(sum(report["phases"].values()) - wall) <= _reltol(wall)
 
     def test_phases_bitwise_match_phase_breakdown(self, fig07_capture):
-        """phase_breakdown is a view of the same sweep: identical floats."""
+        """The capture's phase breakdowns (what ``bench trace --json``
+        writes) are the critical-path reports: identical floats."""
         cap = fig07_capture
-        for op in cap.op_ids:
-            report = attribute_op(cap.tracer, op)
-            legacy = phase_breakdown(cap.tracer, op)
-            assert report["phases"] == legacy["phases"]
-            assert report["fractions"] == legacy["fractions"]
-            assert report["wall_s"] == legacy["wall_s"]
+        assert cap.breakdowns() == [attribute_op(cap.tracer, op)
+                                    for op in cap.op_ids]
 
     def test_segments_tile_the_wall_window(self, fig07_capture):
         cap = fig07_capture
@@ -72,16 +68,6 @@ class TestAttribution:
             causes |= set(attribute_op(cap.tracer, op)["wait_observed"])
         assert "rendezvous" in causes  # the 1 MiB rendezvous transfer
         assert "pcie" in causes        # coyote host invocation
-
-    def test_attribute_op_errors_match_phase_breakdown(self):
-        tr = SpanTracer()
-        with pytest.raises(KeyError):
-            attribute_op(tr, 3)
-        op = tr.next_op_id()
-        tr.span_begin(0.0, "cclo0.uc", "collective:send",
-                      phase="collective", op_id=op)
-        with pytest.raises(ValueError):
-            attribute_op(tr, op)
 
     def test_render_reports_reconciliation_ok(self, fig07_capture):
         cap = fig07_capture

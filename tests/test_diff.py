@@ -64,17 +64,35 @@ class TestNormalize:
             "artifact": "fig08",
             "ops": [
                 {"name": "collective:nop", "wall_s": 1e-6,
-                 "phases": {"uc": 1e-6}},
+                 "totals": {"uc": 1e-6}},
                 {"name": "collective:nop", "wall_s": 2e-6,
+                 "phases": {"uc": 1e-6, "other": 1e-6},
                  "totals": {"uc": 2e-6}},
             ],
         })
         assert run["kind"] == "trace"
         assert set(run["entries"]) == \
             {"fig08/collective:nop#0", "fig08/collective:nop#1"}
-        # totals preferred over phases when both exist
-        assert run["entries"]["fig08/collective:nop#1"]["crit_us"]["uc"] == \
-            pytest.approx(2.0)
+        # the critical-path totals are the buckets, never the phases
+        assert run["entries"]["fig08/collective:nop#1"]["crit_us"] == \
+            pytest.approx({"uc": 2.0})
+
+    def test_trace_op_without_totals_rejected(self, tmp_path, capsys):
+        """A trace JSON written when ops carried only ``phases`` would diff
+        phase buckets against critical-path ones: exit 2, naming the file."""
+        from repro.bench.__main__ import main
+
+        old = tmp_path / "old_trace.json"
+        old.write_text(json.dumps({"artifact": "fig08", "ops": [
+            {"name": "collective:nop", "wall_s": 1e-6,
+             "phases": {"uc": 1e-6}}]}))
+        with pytest.raises(ValueError, match="no critical-path totals"):
+            load_run(str(old))
+        new = tmp_path / "new_trace.json"
+        new.write_text(json.dumps(_critpath_doc(BASE_OPS)))
+        assert main(["diff", str(new), str(old)]) == 2
+        err = capsys.readouterr().err
+        assert str(old) in err and "collective:nop#0" in err
 
     def test_unrecognized_doc_rejected(self):
         with pytest.raises(ValueError):
@@ -114,6 +132,22 @@ class TestDiffRuns:
         rows = diff_runs(normalize_run(BASE), normalize_run(cur))
         # +10 beats -10
         assert rows[0]["key"] == "fig07/collective:allreduce#0"
+
+        # Equal up to float noise: fig10's 1 KiB allreduce with ACCL+ 1 us
+        # faster (-1.0 us) and MPI 1 us slower (+0.9999999999999929 us).
+        def fig10(accl_s, mpi_s):
+            return normalize_run({"artifacts": {"fig10": {"points": [
+                {"kernel": "accl", "params": {}, "value": accl_s,
+                 "sim_s": 0.0},
+                {"kernel": "mpi", "params": {}, "value": mpi_s,
+                 "sim_s": 0.0}]}}})
+
+        accl_s, mpi_s = 1.991616e-05, 3.297453401709402e-05
+        rows = diff_runs(fig10(accl_s, mpi_s),
+                         fig10(accl_s - 1e-6, mpi_s + 1e-6))
+        assert [row["delta_us"] for row in rows] == \
+            [0.9999999999999929, -1.0]
+        assert rows[0]["key"] == "fig10/mpi"
 
     def test_added_and_removed_entries_are_noted(self):
         cur = _critpath_doc([BASE_OPS[0],
@@ -158,7 +192,7 @@ class TestDiffFilesAndRendering:
         path = self._write(tmp_path, "t.json", {
             "artifact": "fig08",
             "ops": [{"name": "collective:nop", "wall_s": 1e-6,
-                     "phases": {"uc": 1e-6}}],
+                     "totals": {"uc": 1e-6}}],
         })
         assert load_run(path)["kind"] == "trace"
 
@@ -233,6 +267,35 @@ class TestEndToEndSlowLink:
         assert majority > 0.5 * regress
         # identical reruns stay silent
         assert diff_runs(base, _critpath_run(**kwargs)) == []
+
+    def test_dashboard_diff_attributes_like_bench_diff(self, tmp_path,
+                                                        capsys):
+        """``bench dashboard --diff base.json`` shapes this run as
+        ``bench trace``/``critpath --json`` save one, so its delta table
+        reads as ``bench diff`` of two saved runs, bucket for bucket."""
+        from repro.bench.__main__ import main
+
+        args = ["figX_scale", "--arg", "n_nodes=8", "--arg", "size=262144"]
+        slow = ["--arg", "slow_link=fpga3.down", "--arg", "slow_factor=8.0"]
+        base, cur, traced, html = (
+            str(tmp_path / name) for name in
+            ("base.json", "slow.json", "slow_trace.json", "dash.html"))
+        assert main(["critpath", *args, "--json", base]) == 0
+        assert main(["critpath", *args, *slow, "--json", cur]) == 0
+        assert main(["trace", *args, *slow, "--json", traced]) == 0
+        assert main(["dashboard", *args, *slow, "--diff", base,
+                     "--out", html]) == 0
+        capsys.readouterr()
+        with open(cur) as fa, open(traced) as fb:
+            assert json.load(fa)["ops"] == json.load(fb)["ops"]
+        rows = diff_files(base, cur)["rows"]
+        assert rows[0]["key"] == "figX_scale/collective:bcast#3"
+        with open(html) as fh:
+            page = fh.read()
+        for row in rows:
+            causes = ", ".join(f"{c['share'] * 100:+.1f}% {c['bucket']}"
+                               for c in row["causes"][:4])
+            assert f"<td>{causes}</td>" in page
 
 
 class TestCheckAttribution:

@@ -5,9 +5,9 @@ with analytic :class:`~repro.network.packet.Burst` trains.  The contract is
 that it stays *invisible* in results: packet mode is the calibrated truth,
 and every deviation here must be either exactly zero (idle point-to-point
 paths) or bounded by the documented approximations (sub-burst fallback
-boundaries, control-segment slotting).  The full per-artifact check is
-``python -m repro.bench validate-fidelity``; these tests pin the mechanism
-at unit and kernel level so regressions localize.
+boundaries, control frames that queue behind a whole train).  The full
+per-artifact check is ``python -m repro.bench validate-fidelity``; these
+tests pin the mechanism at unit and kernel level so regressions localize.
 """
 
 import pytest
@@ -44,6 +44,11 @@ class TestDefaults:
         monkeypatch.setenv("REPRO_FIDELITY", "cycle")
         with pytest.raises(ConfigurationError):
             default_fidelity()
+        monkeypatch.setenv("REPRO_FIDELITY", "packet")
+        with pytest.raises(ConfigurationError):
+            with fidelity_override("cycle"):
+                pass
+        assert default_fidelity() == "packet"
 
     def test_packet_mode_never_fast_forwards(self):
         with fidelity_override("packet"):
@@ -229,11 +234,11 @@ class TestLinkBurstPath:
         assert len(bursts) == 2 and not segments
 
     def test_first_hop_admits_behind_its_own_backlog(self):
-        # Message A is handed off, a control frame sent 300 ns later slots
-        # at A's tail, and message B's opening burst is offered behind
-        # both.  The uplink carries B analytically, starting where packet
-        # FIFO starts B's first segment: after A's last segment and the
-        # control frame.
+        # Message A is handed off, a control frame sent 300 ns later
+        # queues at A's tail, and message B's opening burst is offered
+        # behind both.  The uplink carries B analytically, starting where
+        # packet FIFO starts B's first segment: after A's last segment and
+        # the control frame.
         seg = 32 * units.KIB
         gap = units.ns(300)
         env, link, segments, bursts = self._flow_link()
@@ -275,9 +280,9 @@ class TestLinkBurstPath:
         assert flow_done == arrivals[-1][0] == 44.582240000000004e-6
 
     def test_continuation_queues_behind_a_tail_control(self):
-        # A control frame sent at a sub-burst's handoff slots at its tail;
-        # the message's next sub-burst, offered at that instant, starts
-        # behind it, as the packet loop's next segment would.
+        # A control frame sent at a sub-burst's handoff queues at its
+        # tail; the message's next sub-burst, offered at that instant,
+        # starts behind it, as the packet loop's next segment would.
         seg = 32 * units.KIB
         env, link, segments, bursts = self._flow_link()
 
@@ -337,35 +342,36 @@ class TestLinkBurstPath:
         env2.run()
         assert flow_done == pytest.approx(arrivals[-1], rel=1e-12)
 
-    def test_single_frame_segment_interleaves_into_train(self):
-        # A tiny control segment sent mid-train slots into the next
-        # inter-segment gap (as packet FIFO would), not behind the whole
-        # analytic reservation.
+    @pytest.mark.parametrize("payload", [64, 32 * units.KIB],
+                             ids=["control", "segment"])
+    def test_segment_sent_mid_train_queues_behind_it(self, payload):
+        # A control frame and a data segment alike, sent while an analytic
+        # train is on the wire, leave after the train's last segment: the
+        # train's reservation is a FIFO reservation like any other, and the
+        # wire is never booked twice.
         env, link, segments, bursts = self._flow_link()
-        train = _burst(env, n=64)
-        link.send_burst(train)
+        link.send_burst(_burst(env, n=64))
         train_end = link._free_at
-        egress = link.send(Segment(0, 1, payload_bytes=64, meta=object()))
-        assert egress < train_end / 2
+        egress = []
+
+        def sender():
+            yield train_end / 2
+            egress.append(link.send(
+                Segment(0, 1, payload_bytes=payload, meta=object())))
+
+        env.process(sender())
         env.run()
+        assert egress[0] > train_end
+        assert link._busy_time == link._free_at
         assert len(segments) == 1 and len(bursts) == 1
-        # The train keeps its analytic reservation for its own tail.
-        assert link._free_at == train_end
 
-    def test_multi_frame_segment_does_not_interleave(self):
+    def test_controls_queue_fifo_behind_the_train(self):
         env, link, segments, bursts = self._flow_link()
         link.send_burst(_burst(env, n=64))
         train_end = link._free_at
-        egress = link.send(
-            Segment(0, 1, payload_bytes=32 * units.KIB, meta=object()))
-        assert egress > train_end  # FIFO: queued behind the reservation
-
-    def test_interleaved_controls_queue_fifo_between_themselves(self):
-        env, link, segments, bursts = self._flow_link()
-        link.send_burst(_burst(env, n=64))
         first = link.send(Segment(0, 1, payload_bytes=64, meta=object()))
         second = link.send(Segment(0, 1, payload_bytes=64, meta=object()))
-        assert second > first
+        assert train_end < first < second == link._free_at
 
     def test_burst_seq_base_offsets_expanded_seqnos(self):
         env = Environment()

@@ -10,8 +10,8 @@ from repro.obs import (
     MetricsRegistry,
     Observability,
     SpanTracer,
+    attribute_op,
     metrics_to_csv,
-    phase_breakdown,
     render_phase_table,
     to_chrome_trace,
     validate_chrome_trace,
@@ -126,7 +126,7 @@ class TestExporters:
 
     def test_phase_breakdown_sums_to_wall(self):
         tr, op = self._small_trace()
-        bd = phase_breakdown(tr, op)
+        bd = attribute_op(tr, op)
         assert bd["wall_s"] == pytest.approx(10e-6)
         assert sum(bd["phases"].values()) == pytest.approx(bd["wall_s"])
         # dmp [2,6]us overlaps wire [5,8]us: wire wins the [5,6] overlap
@@ -139,16 +139,16 @@ class TestExporters:
     def test_phase_breakdown_errors(self):
         tr = SpanTracer()
         with pytest.raises(KeyError):
-            phase_breakdown(tr, 7)
+            attribute_op(tr, 7)
         op = tr.next_op_id()
         tr.span_begin(0.0, "cclo0.uc", "collective:send",
                       phase="collective", op_id=op)
         with pytest.raises(ValueError):
-            phase_breakdown(tr, op)
+            attribute_op(tr, op)
 
     def test_render_phase_table(self):
         tr, op = self._small_trace()
-        table = render_phase_table([phase_breakdown(tr, op)])
+        table = render_phase_table([attribute_op(tr, op)])
         assert "collective:send" in table and "wire%" in table
 
     def test_metrics_csv(self, tmp_path):
@@ -189,7 +189,7 @@ class TestClusterWiring:
         ops = obs.tracer.op_ids()
         assert len(ops) == 2
         for op in ops:
-            bd = phase_breakdown(obs.tracer, op)
+            bd = attribute_op(obs.tracer, op)
             assert sum(bd["phases"].values()) == pytest.approx(
                 bd["wall_s"], rel=1e-9)
         assert validate_chrome_trace(to_chrome_trace(obs.tracer)) == []

@@ -7,7 +7,7 @@ from repro import units
 from repro.obs import capture
 from repro.obs.critpath import (per_node_report, render_critpath,
                                 render_per_node)
-from repro.obs.export import attribute_op, phase_breakdown
+from repro.obs.export import attribute_op
 from repro.obs.runtime import Observability, attach
 
 
@@ -102,9 +102,11 @@ class TestIncompleteFlag:
 
     def test_attribute_op_and_breakdown_carry_the_flag(self):
         obs = self._overflowed_capture()
-        for op in obs.tracer.op_ids():
+        op_ids = obs.tracer.op_ids()
+        for op in op_ids:
             assert attribute_op(obs.tracer, op)["incomplete"] is True
-            assert phase_breakdown(obs.tracer, op)["incomplete"] is True
+        cap = capture.TraceCapture("fig07", "overflowed", obs, op_ids)
+        assert all(bd["incomplete"] for bd in cap.breakdowns())
 
     def test_critpath_and_per_node_warn(self):
         obs = self._overflowed_capture()

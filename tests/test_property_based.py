@@ -448,7 +448,7 @@ _link_ops = st.lists(
 #: M's first sub-burst is carried; a foreign segment queues behind it and
 #: forces M's second sub-burst to expand; M's third continues M's train
 #: behind them; a control segment then arrives while the first train is
-#: still on the wire, whose gaps belong to the traffic queued behind it.
+#: still on the wire and queues behind all of them.
 _STALE_TRAIN = [(0.0, "burst", 0), (units.us(1), "foreign", 0),
                 (units.us(1), "burst", 0), (units.us(28), "burst", 0),
                 (units.us(10), "control", 0)]
@@ -506,7 +506,7 @@ def _flow_link_run(ops, n_msgs):
 
 class TestLinkFifoProperties:
     """Flow-mode shortcuts on one link (carried sub-bursts, expansion,
-    control segments slotted into a train's gaps) keep the link FIFO for
+    control segments queued behind a train) keep the link FIFO for
     everything passed to ``send``."""
 
     @settings(max_examples=200, deadline=None,
@@ -531,8 +531,8 @@ _b2b_messages = st.lists(
               st.lists(st.floats(0.0, 1.0), max_size=2)),
     min_size=2, max_size=5)
 
-#: The first control slots at A's tail; the second is sent just after A's
-#: last segment leaves, while the first is still on the wire.
+#: The first control queues at A's tail; the second is sent just after
+#: A's last segment leaves, while the first is still on the wire.
 _CONTROL_BEHIND_CONTROL = [(8, 0.0, []), (8, 1.001, [0.0, 1.0])]
 #: A control sent at the 29-segment message's handoff, where a relative
 #: sleep to that handoff wakes an ulp early.
