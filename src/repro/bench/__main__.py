@@ -355,7 +355,7 @@ def _critpath(args) -> int:
     reports = cap.breakdowns()
     per_node = None
     if args.per_node:
-        per_node = per_node_report(cap.tracer, cap.op_ids)
+        per_node = per_node_report(cap)
         print(render_per_node(per_node))
         print()
     else:

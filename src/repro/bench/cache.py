@@ -5,9 +5,9 @@ content-addressed key: a SHA-256 over the artifact name, the point's kernel
 and parameters, and a *calibration fingerprint* covering the simulator's
 timing constants.  The fingerprint hashes both the default
 :class:`~repro.cclo.config_mem.CcloConfig` (the calibrated hardware
-constants) and the source of every non-bench ``repro`` module, so touching
-the timing model invalidates stale results automatically while formatting
-changes in ``repro.bench`` itself do not.
+constants) and the source of every ``repro`` module, ``repro.bench``
+included (its point kernels compute the cached values), so touching the
+timing model or a kernel invalidates stale results automatically.
 
 Cache entries are single JSON files named by key, written atomically, so
 concurrent sweep processes sharing one cache directory never corrupt it.
@@ -47,15 +47,13 @@ def jsonable(value: Any) -> Any:
 
 
 def _source_digest() -> str:
-    """Hash of every ``repro`` source file outside ``repro.bench``."""
+    """Hash of every ``repro`` source file."""
     import repro
 
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root)
-        if rel.parts and rel.parts[0] == "bench":
-            continue
         digest.update(str(rel).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

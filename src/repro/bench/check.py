@@ -71,13 +71,12 @@ def collect(scenarios: Sequence[str],
     """
     from repro.network.fidelity import fidelity_override
     from repro.obs import capture
-    from repro.obs.export import attribute_op
 
     with fidelity_override(fidelity):
-        return _collect(scenarios, fidelity, capture, attribute_op)
+        return _collect(scenarios, fidelity, capture)
 
 
-def _collect(names, fidelity, capture, attribute_op) -> Dict[str, Any]:
+def _collect(names, fidelity, capture) -> Dict[str, Any]:
     doc: Dict[str, Any] = {
         "schema": 2,
         "default_tolerance": DEFAULT_TOLERANCE,
@@ -98,8 +97,7 @@ def _collect(names, fidelity, capture, attribute_op) -> Dict[str, Any]:
         wall = 0.0
         phase_us: Dict[str, float] = {}
         wait_us: Dict[str, float] = {}
-        for op in cap.op_ids:
-            report = attribute_op(cap.tracer, op)
+        for report in cap.breakdowns():
             wall += report["wall_s"]
             for phase, seconds in report["phases"].items():
                 phase_us[phase] = phase_us.get(phase, 0.0) + seconds * 1e6

@@ -689,39 +689,24 @@ def run_fig17_dlrm(n_inferences: int = 48,
 # ---------------------------------------------------------------------------
 
 def scale_topology_factory(fabric: str, n_nodes: int) -> Callable:
-    """Factory for the smallest *fabric* instance holding ``n_nodes`` hosts.
+    """Factory for the smallest fat tree holding ``n_nodes`` hosts: the
+    smallest even ``k`` with ``k^3/4 >= n_nodes``.  ``"fattree"`` is the
+    only *fabric*."""
+    from repro.network.topology import FatTreeTopology
 
-    ``fattree`` picks the smallest even ``k`` with ``k^3/4 >= n_nodes``;
-    ``leafspine`` uses 16-port leaves under 4 spines; ``dragonfly`` doubles
-    the group radix until the palmtree-wired maximum fits.
-    """
-    from repro.network.topology import (DragonflyTopology, FatTreeTopology,
-                                        LeafSpineTopology)
-
-    if fabric == "fattree":
-        k = 2
-        while k ** 3 // 4 < n_nodes:
-            k += 2
-        return lambda env: FatTreeTopology(env, k=k)
-    if fabric == "leafspine":
-        return lambda env: LeafSpineTopology(env, ports_per_leaf=16,
-                                             n_spines=4)
-    if fabric == "dragonfly":
-        a, p, h = 4, 4, 2
-        while a * p * (a * h + 1) < n_nodes:
-            a, h = a * 2, h * 2
-        return lambda env: DragonflyTopology(
-            env, routers_per_group=a, hosts_per_router=p,
-            global_links_per_router=h)
-    raise ValueError(f"unknown fabric {fabric!r}")
+    if fabric != "fattree":
+        raise ValueError(f"unknown fabric {fabric!r}")
+    k = 2
+    while k ** 3 // 4 < n_nodes:
+        k += 2
+    return lambda env: FatTreeTopology(env, k=k)
 
 
 @point_kernel("scale_collective")
 def _kernel_scale_collective(opcode: str, size: int, n_nodes: int,
                              algorithm: Optional[str] = None,
-                             fabric: str = "fattree",
                              sync_protocol: str = "rndz") -> float:
-    factory = scale_topology_factory(fabric, n_nodes)
+    factory = scale_topology_factory("fattree", n_nodes)
     return accl_collective_time(
         opcode, size, n_nodes=n_nodes, sync_protocol=sync_protocol,
         algorithm=algorithm,
@@ -738,7 +723,6 @@ SCALE_GRID = (
 
 
 def run_figX_scale(node_counts=(16, 64, 256), size: int = 16 * MIB,
-                   fabric: str = "fattree",
                    runner: Optional[SweepRunner] = None) -> List[dict]:
     """Collective completion time vs cluster size on a large fabric.
 
@@ -756,8 +740,7 @@ def run_figX_scale(node_counts=(16, 64, 256), size: int = 16 * MIB,
             for opcode, algorithm in SCALE_GRID]
     points = [
         SweepPoint.make("figX_scale", "scale_collective", opcode=opcode,
-                        size=size, n_nodes=n, algorithm=algorithm,
-                        fabric=fabric)
+                        size=size, n_nodes=n, algorithm=algorithm)
         for n, opcode, algorithm in grid
     ]
     times = runner.run(points)

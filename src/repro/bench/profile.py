@@ -70,12 +70,11 @@ SCALE_NODES = 1024
 SCALE_ALLREDUCE_BYTES = 16 * units.MIB
 
 
-def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
-                  quick: bool = False, per_node: bool = False
-                  ) -> Dict[str, Any]:
+def profile_scale(nodes: int = SCALE_NODES, quick: bool = False,
+                  per_node: bool = False) -> Dict[str, Any]:
     """Construction footprint + one flow-fidelity allreduce at scale.
 
-    Builds a ``nodes``-host large fabric under ``tracemalloc`` (the
+    Builds a ``nodes``-host fat tree under ``tracemalloc`` (the
     construction cost the memory-lean refactor targets), then runs one
     16 MiB ``reduce_bcast`` allreduce across all hosts at flow fidelity.
     ``per_node`` adds the figures that ``bench profile scale
@@ -93,7 +92,7 @@ def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
 
     if quick:
         nodes = min(nodes, 128)
-    factory = scale_topology_factory(fabric, nodes)
+    factory = scale_topology_factory("fattree", nodes)
 
     def builder(n, **kw):
         return build_fpga_cluster(n, topology_factory=factory,
@@ -129,7 +128,6 @@ def profile_scale(nodes: int = SCALE_NODES, fabric: str = "fattree",
         "artifact": "scale",
         "quick": quick,
         "nodes": nodes,
-        "fabric": fabric,
         "build_s": build_s,
         "build_bytes": build_bytes,
         "allreduce": allreduce,
@@ -158,7 +156,7 @@ def record_scale_block(report: Dict[str, Any],
     perf = doc.setdefault("perf", {})
     perf["scale"] = {
         key: report[key]
-        for key in ("nodes", "fabric", "build_s", "build_bytes",
+        for key in ("nodes", "build_s", "build_bytes",
                     "bytes_per_node", "run_bytes_per_node", "allreduce")
         if key in report
     }
@@ -242,7 +240,7 @@ def render_report(report: Dict[str, Any]) -> str:
     if report.get("artifact") == "scale":
         nodes = report["nodes"]
         lines.append(
-            f"scale ({report['fabric']}, {nodes} nodes"
+            f"scale (fattree, {nodes} nodes"
             + (", --quick" if report.get("quick") else "") + ")")
         lines.append(
             f"  cluster build: {report['build_s']:.2f}s, "

@@ -123,12 +123,10 @@ def explain_divergence(name: str, top: int = 5) -> Dict[str, Any]:
     analytic model and the per-segment simulation disagree most.
     """
     from repro.obs import capture
-    from repro.obs.export import attribute_op
 
     def _reports(mode: str):
         with fidelity_override(mode):
-            cap = capture.trace_artifact(name)
-            return [attribute_op(cap.tracer, op) for op in cap.op_ids]
+            return capture.trace_artifact(name).breakdowns()
 
     reps_packet = _reports("packet")
     reps_flow = _reports("flow")

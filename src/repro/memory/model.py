@@ -125,17 +125,6 @@ def hbm_stack(env: Environment, name: str = "hbm") -> Memory:
     )
 
 
-def fpga_ddr(env: Environment, name: str = "ddr") -> Memory:
-    """FPGA card DDR4 channel: 16 GiB, ~19 GB/s, ~90 ns access."""
-    return Memory(
-        env,
-        capacity=16 * units.GIB,
-        bandwidth=19e9,
-        access_latency=units.ns(90),
-        name=name,
-    )
-
-
 def host_dram(env: Environment, capacity: int = 256 * units.GIB,
               name: str = "dram") -> Memory:
     """Server DRAM: 256 GiB default, ~100 GB/s, ~85 ns access."""
@@ -144,16 +133,5 @@ def host_dram(env: Environment, capacity: int = 256 * units.GIB,
         capacity=capacity,
         bandwidth=100e9,
         access_latency=units.ns(85),
-        name=name,
-    )
-
-
-def bram(env: Environment, capacity: int = 8 * units.MIB, name: str = "bram") -> Memory:
-    """On-chip BRAM: small, single-cycle at 250 MHz, very wide."""
-    return Memory(
-        env,
-        capacity=capacity,
-        bandwidth=1e12,
-        access_latency=units.ns(4),
         name=name,
     )

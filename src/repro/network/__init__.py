@@ -13,15 +13,12 @@ from repro.network.link import Link
 from repro.network.switch import Switch
 from repro.network.endpoint import Endpoint
 from repro.network.topology import (
-    DragonflyTopology,
     FabricTopology,
     FatTreeTopology,
-    LeafSpineTopology,
     StarTopology,
 )
 
 __all__ = [
     "Segment", "Link", "Switch", "Endpoint", "FabricTopology",
-    "StarTopology", "LeafSpineTopology", "FatTreeTopology",
-    "DragonflyTopology",
+    "StarTopology", "FatTreeTopology",
 ]

@@ -93,10 +93,10 @@ class Endpoint:
         """Fast-forward a segment train through the uplink.
 
         Returns the handoff time of the last segment (what the sender paces
-        to), or ``None`` when the uplink cannot take the analytic path —
-        missing burst wiring or a convoy mismatch — in which case the caller
-        must fall back to the per-segment transmit loop.  A busy uplink
-        carries the burst behind its own backlog.
+        to), or ``None`` when a convoy mismatch keeps the uplink off the
+        analytic path, in which case the caller must fall back to the
+        per-segment transmit loop.  A busy uplink carries the burst behind
+        its own backlog.
         """
         if self.uplink is None:
             raise NetworkError(f"endpoint {self.name!r} has no uplink")

@@ -39,10 +39,8 @@ ENV_VAR = "REPRO_FIDELITY"
 #: log and the Chrome trace surface.  All counts stay zero in packet mode.
 LINK_FLOW_DECISIONS = (
     "burst:carry",           # solo analytic train carried (closed form)
-    "burst:decline:unwired", # first hop declined: no burst sink
     "burst:expand:busy",     # downstream hop expanded: foreign occupancy
     "burst:expand:convoy",   # convoy path declined -> per-segment expansion
-    "burst:expand:unwired",  # downstream hop expanded: no burst sink
     "convoy:form",           # convoy grid pinned on an idle serializer
     "convoy:form:respace",   # grid formed by re-spacing a committed train
     "convoy:join",           # new member admitted to an existing grid
@@ -65,7 +63,7 @@ POE_FLOW_DECISIONS = (
     "reject:packet_sibling",    # a sibling bulk tx runs the packet loop
     "reject:flow_control",      # credit/window state could stall mid-train
     "window:readmit",           # sub-burst window re-admitted mid-message
-    "fallback:link_declined",   # first hop declined: convoy mismatch/unwired
+    "fallback:link_declined",   # first hop declined: convoy mismatch
     "fallback:packet_sibling",  # packet-loop sibling appeared mid-message
     "fallback:flow_control",    # flow-control state soured mid-message
 )

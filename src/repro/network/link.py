@@ -260,6 +260,8 @@ class Link(BandwidthResource):
         expansion the return value is meaningless; first-hop senders go
         through :meth:`try_send_burst`, which never expands.)
         """
+        if self._burst_sink is None:
+            raise NetworkError(f"link {self.name!r} has no burst sink")
         if burst.segment_bytes > self.MAX_SEGMENT_BYTES:
             raise NetworkError(
                 f"burst chunks of {burst.segment_bytes}B exceed the "
@@ -273,17 +275,6 @@ class Link(BandwidthResource):
             if handoff is not None:
                 return handoff
             self._flow_decision("burst:expand:convoy", burst)
-            return self._expand_burst(burst)
-        if burst.share > 1:
-            # First hop of a symmetric concurrent transmit: serialize on
-            # the convoy's round-robin slot grid instead of back-to-back.
-            handoff = self._convoy_send(burst)
-            if handoff is not None:
-                return handoff
-            self._flow_decision("burst:expand:convoy", burst)
-            return self._expand_burst(burst)
-        if self._burst_sink is None:
-            self._flow_decision("burst:expand:unwired", burst)
             return self._expand_burst(burst)
         if self._free_at > head_at and self._last_owner is not burst.meta:
             self._flow_decision("burst:expand:busy", burst)
@@ -302,15 +293,13 @@ class Link(BandwidthResource):
         (:meth:`send_burst`) still expand on foreign occupancy, because
         in-cast traffic can arrive there mid-train.
 
-        Declines (``None``) only on a missing burst sink or a convoy
-        mismatch.  A declined burst has no side effects, and unlike
-        :meth:`send_burst` this never expands: the POE falls back to its
-        per-segment loop, which paces and interleaves correctly, where an
-        expansion at the first hop would dump the whole train into the FIFO
-        at once."""
+        Declines (``None``) only on a convoy mismatch.  A declined burst
+        has no side effects, and unlike :meth:`send_burst` this never
+        expands: the POE falls back to its per-segment loop, which paces
+        and interleaves correctly, where an expansion at the first hop
+        would dump the whole train into the FIFO at once."""
         if self._burst_sink is None:
-            self._flow_decision("burst:decline:unwired", burst)
-            return None
+            raise NetworkError(f"link {self.name!r} has no burst sink")
         if burst.share > 1:
             return self._convoy_send(burst)
         return self._single_burst(burst)
@@ -405,9 +394,6 @@ class Link(BandwidthResource):
         declined first-hop burst must NOT be expanded — the POE falls back
         to its per-segment loop, which interleaves correctly.
         """
-        if self._burst_sink is None:
-            self._flow_decision("burst:decline:unwired", burst)
-            return None
         env = self.env
         dur = burst.wire_full / self.rate
         convoy = self._convoy
@@ -568,8 +554,6 @@ class Link(BandwidthResource):
         contention.  Declines (-> expansion) when the slots are too narrow
         for this hop's rate or the occupancy is foreign traffic.
         """
-        if self._burst_sink is None:
-            return None
         head_at = burst.head_at
         token = burst.convoy
         if (self._free_at > head_at and self._convoy_token is not token

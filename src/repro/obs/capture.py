@@ -9,9 +9,11 @@ collective's uC / DMP / POE / wire phases laid out per node, or read the
 
 Every scenario accepts ``telemetry=<cadence-seconds>`` to also record a
 continuous :class:`~repro.obs.timeseries.TelemetrySession` alongside the
-spans (``bench dashboard`` uses this).  Scenarios run at the process-wide
-fidelity (``REPRO_FIDELITY``); fig07's 16 MiB leg and fig12 are large
-enough to engage the flow fast-forward path when it is on.
+spans (``bench dashboard`` uses this), and no keyword it does not name: an
+unknown ``--arg`` key is a ``TypeError`` that the CLI reports with exit 2.
+Scenarios run at the process-wide fidelity (``REPRO_FIDELITY``); fig07's
+16 MiB leg and fig12 are large enough to engage the flow fast-forward path
+when it is on.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ class TraceCapture:
     description: str
     obs: Observability
     op_ids: List[int] = field(default_factory=list)
+    _reports: Optional[List[Dict[str, Any]]] = field(
+        default=None, init=False, repr=False)
 
     @property
     def tracer(self):
@@ -43,8 +47,13 @@ class TraceCapture:
 
     def breakdowns(self) -> List[Dict[str, Any]]:
         """One :func:`~repro.obs.export.attribute_op` report per op: what
-        ``bench trace --json`` and ``bench critpath --json`` write."""
-        return [attribute_op(self.obs.tracer, op) for op in self.op_ids]
+        ``bench trace --json`` and ``bench critpath --json`` write.  The
+        replay is over, so the sweep runs once and every reader shares
+        its reports."""
+        if self._reports is None:
+            self._reports = [attribute_op(self.obs.tracer, op)
+                             for op in self.op_ids]
+        return self._reports
 
 
 def _traced_cluster(n_nodes: int, protocol: str = "rdma",
@@ -76,7 +85,7 @@ def _drain(cluster, requests, obs: Optional[Observability] = None) -> None:
                                  [r.event for r in requests]))
 
 
-def trace_fig08(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
+def trace_fig08(telemetry: Optional[float] = None) -> TraceCapture:
     """Invocation latency: host nop calls — pure uC dispatch, no wire."""
     cluster, obs, drivers = _traced_cluster(2, telemetry=telemetry)
     for driver in drivers:
@@ -86,7 +95,7 @@ def trace_fig08(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
         obs, obs.tracer.op_ids())
 
 
-def trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
+def trace_fig07(telemetry: Optional[float] = None) -> TraceCapture:
     """Send/recv throughput: a small (eager), a large (rendezvous) and a
     bulk (flow-eligible) transfer, back to back — the eager/rendezvous
     protocol switch and, under ``REPRO_FIDELITY=flow``, the burst
@@ -108,8 +117,7 @@ def trace_fig07(telemetry: Optional[float] = None, **_: Any) -> TraceCapture:
 
 
 def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
-                    telemetry: Optional[float] = None,
-                    **_: Any) -> TraceCapture:
+                    telemetry: Optional[float] = None) -> TraceCapture:
     """One cluster-wide allreduce — the richest per-phase picture."""
     _check_sizes("nbytes", nbytes)
     cluster, obs, drivers = _traced_cluster(n_nodes, telemetry=telemetry)
@@ -123,8 +131,7 @@ def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
 
 
 def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
-                telemetry: Optional[float] = None,
-                **_: Any) -> TraceCapture:
+                telemetry: Optional[float] = None) -> TraceCapture:
     """Bulk reduce to a root: ring chunks at the flow admission floor.
 
     A 32 MiB reduce across 4 nodes moves 8 MiB ring chunks — exactly the
@@ -169,17 +176,15 @@ def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
 
 
 def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
-                     fabric: str = "fattree",
                      slow_link: Optional[str] = None,
                      slow_factor: float = 8.0,
-                     telemetry: Optional[float] = None,
-                     **_: Any) -> TraceCapture:
-    """One scale-study leg under a tracer: bcast + two allreduces on a
-    real multi-tier fabric.
+                     telemetry: Optional[float] = None) -> TraceCapture:
+    """One scale-study leg under a tracer: two bcasts on a three-tier
+    fabric.
 
-    Unlike the 2–4 node star scenarios above, this builds the same
-    fat-tree/leaf-spine/dragonfly fabrics as ``figX_scale``, so per-node
-    and per-link attribution has real switches and uplinks to blame.
+    Unlike the 2–4 node star scenarios above, this builds the same fat
+    tree as ``figX_scale``, so per-node and per-link attribution has real
+    switches and uplinks to blame.
     Traffic is binomial-tree bcasts at two sizes: every non-root endpoint
     receives exactly one message per op, so per-endpoint load is uniform
     and an outlier node or link is an anomaly, not an artifact of the
@@ -196,7 +201,7 @@ def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
     n_nodes, size = int(n_nodes), int(size)
     slow_factor = float(slow_factor)
     _check_sizes("size", size, max(size // 4, 256))
-    factory = scale_topology_factory(fabric, n_nodes)
+    factory = scale_topology_factory("fattree", n_nodes)
     cluster = build_fpga_cluster(n_nodes, topology_factory=factory,
                                  peering="lazy")
     obs = attach(cluster, Observability(
@@ -213,7 +218,7 @@ def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
                     nbytes, 0)
             for i, d in enumerate(drivers)
         ], obs)
-    desc = (f"{n_nodes}-node {fabric} scale leg: bcasts of {size} and "
+    desc = (f"{n_nodes}-node fattree scale leg: bcasts of {size} and "
             f"{max(size // 4, 256)} B")
     if throttled:
         desc += (f" [slowed x{slow_factor:g}: "

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.export import attribute_op
 from repro.obs.spans import Span, SpanTracer
 
 
@@ -94,32 +93,25 @@ def _span_entity(component: str, name: str, cause: Optional[str]):
     return "node", component.partition(".")[0]
 
 
-def per_node_report(tracer: SpanTracer, op_ids: Iterable[int],
-                    top_k: int = 10,
+def per_node_report(capture, top_k: int = 10,
                     z_threshold: float = 2.5) -> Dict[str, Any]:
-    """Aggregate the selected ops' spans per node and per link, flagging
-    statistical stragglers.
+    """Aggregate a :class:`~repro.obs.capture.TraceCapture`'s spans per
+    node and per link, flagging statistical stragglers.
 
     For every entity the report sums *raw* span time clipped to the ops'
     windows — productive time by phase, stall time by wait cause — plus
-    the entity's share of the exclusive critical path
-    (:func:`~repro.obs.export.attribute_op` segments).  Raw time is
-    comparable across symmetric peers (every rank of a ring does the same
-    work), so each entity gets a z-score of its total observed time
-    against the other entities of its kind; ``|z| >= z_threshold`` flags
-    it a straggler.
+    the entity's share of the exclusive critical path (the segments of
+    the capture's :meth:`~repro.obs.capture.TraceCapture.breakdowns`
+    reports).  Raw time is comparable across symmetric peers (every rank
+    of a ring does the same work), so each entity gets a z-score of its
+    total observed time against the other entities of its kind;
+    ``|z| >= z_threshold`` flags it a straggler.
     An injected slow node or throttled uplink surfaces at the top of its
     table with the wait causes that explain it.
     """
-    wanted = set(op_ids)
-    window_by_op: Dict[int, tuple] = {}
-    reports = []
-    incomplete = False
-    for op in sorted(wanted):
-        report = attribute_op(tracer, op)
-        reports.append(report)
-        window_by_op[op] = (report["t0"], report["t1"])
-        incomplete = incomplete or report.get("incomplete", False)
+    reports = capture.breakdowns()
+    window_by_op = {r["op_id"]: (r["t0"], r["t1"]) for r in reports}
+    incomplete = any(r.get("incomplete", False) for r in reports)
 
     def _clipped(span: Span) -> float:
         # Clip to the span's own op window only — concurrent ops have
@@ -139,8 +131,8 @@ def per_node_report(tracer: SpanTracer, op_ids: Iterable[int],
             entities[(kind, name)] = ent
         return ent
 
-    for span in tracer.iter_spans():
-        if span.op_id not in wanted or not span.closed:
+    for span in capture.tracer.iter_spans():
+        if span.op_id not in window_by_op or not span.closed:
             continue
         if span.phase in ("collective", "fidelity"):
             continue
@@ -189,7 +181,7 @@ def per_node_report(tracer: SpanTracer, op_ids: Iterable[int],
         members.sort(key=lambda m: (-m["total_s"], m["name"]))
 
     return {
-        "ops": sorted(wanted),
+        "ops": sorted(window_by_op),
         "top_k": top_k,
         "z_threshold": z_threshold,
         "incomplete": incomplete,

@@ -1,6 +1,7 @@
 """Tests for the sweep-execution engine (runner + cache)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,29 @@ class TestCache:
     def test_fingerprint_is_stable_within_process(self):
         assert calibration_fingerprint() == calibration_fingerprint()
         assert len(calibration_fingerprint()) == 64
+
+    def test_fingerprint_covers_point_kernels(self, tmp_path, monkeypatch):
+        """Point kernels compute the cached values, so editing
+        ``bench/harness.py`` must miss the cache, not serve stale rows."""
+        import shutil
+
+        import repro
+        import repro.bench.cache as cache_mod
+
+        src = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(src, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+
+        def fingerprint():
+            monkeypatch.setattr(cache_mod, "_FINGERPRINT", None)
+            return calibration_fingerprint()
+
+        before = fingerprint()
+        harness_py = copy / "bench" / "harness.py"
+        harness_py.write_text(harness_py.read_text() + "\n# edited\n")
+        assert fingerprint() != before
 
     def test_jsonable_handles_numpy_and_tuples(self):
         import numpy as np

@@ -197,9 +197,14 @@ class TestCli:
         _SLOW + ["slow_factor=inf"],
         _SLOW + ["slow_factor=-2"],
         _SLOW + ["slow_factor=nan"],
+        # a key the scenario does not take
+        ["fig08", "--arg", "bogus=1"],
+        ["figX_scale", "--arg", "n_nodes=8", "--arg", "size=65536",
+         "--arg", "fabric=dragonfly"],
     ], ids=["n_nodes=0", "nbytes=0", "nbytes=3", "nbytes=6", "nbytes=1023",
             "fig12-nbytes=1022", "figX_scale-size=1028", "slow_factor=0",
-            "slow_factor=inf", "slow_factor=-2", "slow_factor=nan"])
+            "slow_factor=inf", "slow_factor=-2", "slow_factor=nan",
+            "fig08-bogus=1", "figX_scale-fabric=dragonfly"])
     def test_rejected_scenario_args_exit_2(self, argv, capsys):
         from repro.bench.__main__ import main
 

@@ -18,7 +18,7 @@ from repro.bench.harness import (
     _mpi_p2p_time,
     accl_collective_time,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NetworkError
 from repro.network import Link, Segment
 from repro.network.fidelity import default_fidelity, fidelity_override
 from repro.network.packet import Burst
@@ -215,6 +215,20 @@ class TestLinkBurstPath:
         link.send_burst(_burst(env))
         env.run()
         assert len(bursts) == 1 and not segments
+
+    @pytest.mark.parametrize("entry", ["send_burst", "try_send_burst"])
+    def test_unwired_link_raises_at_the_call(self, entry):
+        # As ``send`` does with no sink: a burst sent into a link without
+        # a burst sink is a wiring error, raised before anything is booked.
+        env = Environment()
+        link = Link(env, rate=units.gbps(100), latency=units.us(1))
+        segments = []
+        link.connect(segments.append)
+        with pytest.raises(NetworkError, match="no burst sink"):
+            getattr(link, entry)(_burst(env))
+        env.run()
+        assert not segments and not link.flow_decisions
+        assert link._free_at == 0.0
 
     def test_busy_link_expands_foreign_burst(self):
         env, link, segments, bursts = self._flow_link()

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.errors import ConfigurationError, PlatformError
-from repro.memory import Memory, PcieLink, bram, fpga_ddr, hbm_stack, host_dram
+from repro.memory import Memory, PcieLink, hbm_stack, host_dram
 from repro.sim import Environment
 
 
@@ -93,9 +93,7 @@ class TestMemoryTiming:
     def test_factory_capacities(self):
         env = Environment()
         assert hbm_stack(env).capacity == 16 * units.GIB
-        assert fpga_ddr(env).capacity == 16 * units.GIB
         assert host_dram(env).capacity == 256 * units.GIB
-        assert bram(env).capacity == 8 * units.MIB
 
     def test_bad_capacity_rejected(self):
         env = Environment()

@@ -14,7 +14,7 @@ from repro.obs.runtime import Observability, attach
 class TestPerNodeReport:
     def test_small_allreduce_attributes_nodes_and_links(self):
         cap = capture.trace_artifact("allreduce")
-        report = per_node_report(cap.tracer, cap.op_ids)
+        report = per_node_report(cap)
         assert report["ops"] == sorted(cap.op_ids)
         assert report["node_count"] == 4
         assert report["link_count"] > 0
@@ -28,7 +28,7 @@ class TestPerNodeReport:
 
     def test_render_mentions_kinds_and_stragglers(self):
         cap = capture.trace_artifact("fig08")
-        report = per_node_report(cap.tracer, cap.op_ids)
+        report = per_node_report(cap)
         text = render_per_node(report)
         assert "per-node attribution" in text
         assert "node" in text and "link" in text
@@ -36,7 +36,7 @@ class TestPerNodeReport:
 
     def test_z_scores_are_population_relative(self):
         cap = capture.trace_artifact("allreduce")
-        report = per_node_report(cap.tracer, cap.op_ids, z_threshold=1e9)
+        report = per_node_report(cap, z_threshold=1e9)
         # absurd threshold: nothing can be flagged
         assert report["stragglers"] == []
         zs = [m["z"] for m in report["nodes"]]
@@ -53,7 +53,7 @@ class TestInjectedStragglerAtScale:
             slow_link="fpga137.down", slow_factor=16.0)
         assert cap.tracer.spans_dropped == 0, \
             "scenario must size its trace ring for the fabric"
-        report = per_node_report(cap.tracer, cap.op_ids, top_k=5)
+        report = per_node_report(cap, top_k=5)
         assert report["node_count"] == 256
         top_link = report["links"][0]
         assert top_link["name"] == "fpga137.down"
@@ -67,7 +67,7 @@ class TestInjectedStragglerAtScale:
     def test_unperturbed_run_does_not_flag_that_link(self):
         cap = capture.trace_artifact(
             "figX_scale", n_nodes=64, size=256 * units.KIB)
-        report = per_node_report(cap.tracer, cap.op_ids, top_k=5)
+        report = per_node_report(cap, top_k=5)
         assert "fpga37.down" not in report["stragglers"]
 
     def test_throttle_unknown_pattern_is_an_error(self):
@@ -114,7 +114,8 @@ class TestIncompleteFlag:
         report = attribute_op(obs.tracer, op_ids[0])
         assert report["incomplete"] is True
         assert "INCOMPLETE" in render_critpath(report)
-        per_node = per_node_report(obs.tracer, op_ids)
+        per_node = per_node_report(
+            capture.TraceCapture("fig07", "overflowed", obs, op_ids))
         assert per_node["incomplete"] is True
         assert "INCOMPLETE" in render_per_node(per_node)
 

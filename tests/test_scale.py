@@ -1,9 +1,9 @@
-"""Large-fabric topologies and 1000-node-class cluster scale.
+"""The fat-tree fabric and 1000-node-class cluster scale.
 
-Covers the tentpole of the scale PR: fat-tree and dragonfly builders
-(structure, routing correctness, oversubscription), memory-lean
-construction at 1024 nodes, and the flow-fidelity allreduce that the
-``bench profile scale`` report commits to ``BENCH_results.json``.
+Covers the fat-tree builder (structure, routing correctness, per-hop
+event cost, ECMP), memory-lean construction at 1024 nodes, and the
+flow-fidelity allreduce that the ``bench profile scale`` report commits
+to ``BENCH_results.json``.
 """
 
 import time
@@ -19,7 +19,8 @@ from repro.cluster.builder import LAZY_PEERING_THRESHOLD
 from repro.errors import NetworkError
 from repro.network import Segment
 from repro.network.fidelity import fidelity_override
-from repro.network.topology import DragonflyTopology, FatTreeTopology
+from repro.platform.base import BufferLocation
+from repro.network.topology import FatTreeTopology
 from repro.sim import Environment
 from tests.helpers import dev_buffer, empty_dev_buffer
 
@@ -108,19 +109,63 @@ class TestFatTree:
         assert sum(first) > 0
         assert first == core_loads()
 
-    def test_oversubscription_slows_cross_pod_transfers(self):
-        def cross_pod_time(factor):
-            env = Environment()
-            topo = FatTreeTopology(env, k=4, oversubscription=factor)
-            a = topo.add_endpoint(0)
-            b = topo.add_endpoint(4)
-            got = []
-            b.on_receive(lambda seg: got.append(env.now))
-            a.send(Segment(0, 4, payload_bytes=256 * units.KIB))
-            env.run()
-            return got[0]
+    def test_switch_hop_costs_one_kernel_event(self):
+        """A cross-pod segment crosses six links and five switches in six
+        kernel events: each switch forwards inside its ingress link's
+        delivery, which already includes the forwarding latency."""
+        env = Environment()
+        topo = FatTreeTopology(env, k=4)
+        a = topo.add_endpoint(0)
+        b = topo.add_endpoint(4)  # pod 1
+        got = []
+        b.on_receive(lambda seg: got.append(env.now))
+        seg = Segment(0, 4, payload_bytes=1024)
+        before = Environment.total_events_processed
+        a.send(seg)
+        env.run()
+        assert Environment.total_events_processed - before == 6
+        link = a.uplink
+        serialization = seg.wire_bytes / link.rate
+        forwarding = topo._cores[0].forwarding_latency
+        # Per hop: the link delivers at now + (egress + latency - now) and
+        # a switch forwards one forwarding latency later, with the same
+        # two roundings as two separately scheduled events.
+        t = 0.0
+        for hop in range(6):
+            t = t + (t + serialization + link.latency - t)
+            if hop < 5:
+                t = t + forwarding
+        assert got == [t]
+        assert t == pytest.approx(6 * (serialization + link.latency)
+                                  + 5 * forwarding, rel=1e-12)
 
-        assert cross_pod_time(4.0) > cross_pod_time(1.0)
+    def test_flow_hash_keeps_one_flow_ordered(self):
+        """One (src, dst) flow takes one path through both ECMP tiers."""
+        env = Environment()
+        topo = FatTreeTopology(env, k=4)
+        a = topo.add_endpoint(0)
+        b = topo.add_endpoint(4)
+        got = []
+        b.on_receive(lambda seg: got.append(seg.seqno))
+        for i in range(16):
+            a.send(Segment(0, 4, payload_bytes=8 * units.KIB, seqno=i))
+        env.run()
+        assert got == list(range(16))
+
+    def test_cores_share_cross_pod_load(self):
+        """With several cross-pod flows, more than one core carries
+        traffic."""
+        env = Environment()
+        topo = FatTreeTopology(env, k=4)
+        eps = [topo.add_endpoint(a) for a in range(16)]
+        for ep in eps:
+            ep.on_receive(lambda seg: None)
+        for src in range(4):
+            for dst in range(4, 16):
+                eps[src].send(Segment(src, dst, payload_bytes=4096))
+        env.run()
+        loads = [core.segments_forwarded for core in topo._cores]
+        assert sum(load > 0 for load in loads) > 1
 
     def test_allreduce_on_fat_tree(self):
         """Numeric correctness of a CCLO collective across pods."""
@@ -140,83 +185,24 @@ class TestFatTree:
         for r in range(size):
             np.testing.assert_allclose(rvs[r].array, expected)
 
+    def test_collective_slower_than_single_switch(self):
+        """Cross-pod hops cost latency relative to the flat star."""
+        def bcast_time(topology_factory):
+            cluster = build_fpga_cluster(
+                8, protocol="rdma", platform="sim",
+                topology_factory=topology_factory)
+            views = [
+                cluster.nodes[r].platform.allocate(
+                    4096, BufferLocation.DEVICE).view()
+                for r in range(8)
+            ]
+            return cluster.run_collective(lambda r: CollectiveArgs(
+                opcode="bcast", nbytes=4096, root=0, tag=1 << 20,
+                rbuf=views[r]))
 
-class TestDragonfly:
-    def test_geometry(self):
-        env = Environment()
-        topo = DragonflyTopology(env, routers_per_group=4, hosts_per_router=4,
-                                 global_links_per_router=2)
-        assert topo.max_groups == 9
-        assert topo.capacity == 9 * 16
-        assert topo.group_of(0) == 0 and topo.group_of(16) == 1
-        assert topo.router_of(5) == 1
-
-    def test_gateway_assignment_is_symmetric_channel(self):
-        env = Environment()
-        topo = DragonflyTopology(env, routers_per_group=4, hosts_per_router=4,
-                                 global_links_per_router=2)
-        seen = set()
-        for g in range(topo.max_groups):
-            for other in range(topo.max_groups):
-                if other == g:
-                    continue
-                router, port = topo._gateway(g, other)
-                assert 0 <= router < 4 and 0 <= port < 2
-                seen.add((g, router, port))
-        # palmtree assignment: every (group, router, port) used exactly once
-        assert len(seen) == topo.max_groups * (topo.max_groups - 1)
-
-    def test_all_pair_reachability(self):
-        """Local, intra-group, and global minimal routes all deliver."""
-        env = Environment()
-        topo = DragonflyTopology(env, routers_per_group=2, hosts_per_router=2,
-                                 global_links_per_router=1)  # 3 groups, 12
-        n = topo.capacity
-        eps = [topo.add_endpoint(a) for a in range(n)]
-        got = []
-        for ep in eps:
-            ep.on_receive(lambda seg: got.append((seg.src, seg.dst)))
-        expected = []
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    eps[src].send(Segment(src, dst, payload_bytes=64))
-                    expected.append((src, dst))
-        env.run()
-        assert sorted(got) == sorted(expected)
-
-    def test_capacity_enforced(self):
-        env = Environment()
-        topo = DragonflyTopology(env, routers_per_group=2, hosts_per_router=2,
-                                 global_links_per_router=1)
-        with pytest.raises(NetworkError):
-            topo.add_endpoint(topo.capacity)
-
-    def test_scope_latency_ordering(self):
-        env = Environment()
-        topo = DragonflyTopology(env)
-        assert (topo.one_way_base_latency("router")
-                < topo.one_way_base_latency("group")
-                < topo.one_way_base_latency("global"))
-
-    def test_allreduce_on_dragonfly(self):
-        size = 8
-        cluster = build_fpga_cluster(
-            size, protocol="rdma", platform="sim",
-            topology_factory=lambda env: DragonflyTopology(
-                env, routers_per_group=2, hosts_per_router=2,
-                global_links_per_router=1))
-        n = 128
-        contribs = [np.full(n, float(r + 1), np.float32)
-                    for r in range(size)]
-        svs = [dev_buffer(cluster, r, contribs[r]) for r in range(size)]
-        rvs = [empty_dev_buffer(cluster, r, n) for r in range(size)]
-        cluster.run_collective(lambda r: CollectiveArgs(
-            opcode="allreduce", nbytes=contribs[0].nbytes, sbuf=svs[r],
-            rbuf=rvs[r]))
-        expected = np.sum(contribs, axis=0)
-        for r in range(size):
-            np.testing.assert_allclose(rvs[r].array, expected)
+        star = bcast_time(None)
+        fat_tree = bcast_time(lambda env: FatTreeTopology(env, k=4))
+        assert fat_tree > star
 
 
 class TestThousandNodeScale:
