@@ -289,7 +289,8 @@ def build_mpi_cluster(
     env: Optional[Environment] = None,
     link_rate: float = units.gbps(100),
 ) -> MpiCluster:
-    """Construct a software-MPI cluster (sessions/QPs pre-established)."""
+    """Construct a software-MPI cluster: TCP sessions are established up
+    front, RDMA queue pairs at their first verb."""
     if n_ranks < 1:
         raise ConfigurationError(f"need at least 1 rank, got {n_ranks}")
     env = env or Environment()
@@ -305,15 +306,11 @@ def build_mpi_cluster(
         ranks.append(MpiRank(env, r, addresses, nic, memory,
                              library=library, transport=transport))
 
-    for a in ranks:
-        for b in ranks:
-            if a is b:
-                continue
-            if transport == "rdma":
-                a.nic.create_qp(b.rank)
-            else:
-                a.nic.accept(b.rank)
     if transport == "tcp":
+        for a in ranks:
+            for b in ranks:
+                if a is not b:
+                    a.nic.accept(b.rank)
         handshakes = []
         for i, a in enumerate(ranks):
             for b in ranks[i + 1:]:

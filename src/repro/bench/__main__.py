@@ -272,7 +272,7 @@ def _validate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# trace / critpath / dashboard / check / diff
+# trace / critpath / check / diff
 # ---------------------------------------------------------------------------
 
 def _capture(args, **kwargs):
@@ -375,54 +375,6 @@ def _critpath(args) -> int:
     return 0
 
 
-def _dashboard(args) -> int:
-    from repro import units
-    from repro.network.fidelity import default_fidelity, fidelity_override
-    from repro.obs.dashboard import render_dashboard
-
-    name = args.scenario
-    fidelity = args.fidelity or default_fidelity()
-    with fidelity_override(fidelity):
-        cap = _capture(args, telemetry=units.us(10))
-    if cap is None:
-        return 2
-    diff_doc = None
-    if args.diff_path:
-        from repro.obs.diff import diff_runs, load_run, normalize_run
-
-        try:
-            base = load_run(args.diff_path)
-        except (OSError, ValueError) as exc:
-            print(f"--diff: {exc}", file=sys.stderr)
-            return 2
-        # A sweep's points never share a key with a traced capture's ops
-        # (fig10/mpi_f2f_collective/... vs allreduce/collective:allreduce#0).
-        if base["kind"] != "trace":
-            print(f"--diff: {args.diff_path} is a {base['kind']}; the "
-                  "dashboard diffs a bench trace/critpath JSON",
-                  file=sys.stderr)
-            return 2
-        cur = normalize_run({"artifact": cap.artifact,
-                             "ops": cap.breakdowns()},
-                            label=f"{name} (this run)")
-        rows = diff_runs(base, cur)
-        diff_doc = {"schema": 1, "a": args.diff_path,
-                    "b": f"{name} (this run)", "kind": base["kind"],
-                    "entries_a": len(base["entries"]),
-                    "entries_b": len(cur["entries"]),
-                    "rows": rows, "identical": not rows}
-    html = render_dashboard(cap, fidelity=fidelity, diff_doc=diff_doc)
-    out = args.out or f"{name}_dashboard.html"
-    with open(out, "w") as fh:
-        fh.write(html)
-    summary = cap.obs.summary()
-    print(f"dashboard {cap.artifact} [{fidelity}]: {summary['spans']} spans "
-          f"over {len(cap.op_ids)} collectives, "
-          f"{summary.get('telemetry_samples', 0)} telemetry samples -> "
-          f"{out} ({len(html) / 1024:.0f} KiB, self-contained)")
-    return 0
-
-
 def _check(args) -> int:
     path, fidelity = args.baseline, args.fidelity
     try:
@@ -475,7 +427,7 @@ def _check(args) -> int:
 
 
 def _diff(args) -> int:
-    from repro.obs.diff import diff_files, render_diff, render_diff_html
+    from repro.obs.diff import diff_files, render_diff
 
     try:
         doc = diff_files(args.a, args.b)
@@ -487,10 +439,6 @@ def _diff(args) -> int:
         _write_json(args.json_out, doc)
         print(f"wrote diff ({len(doc['rows'])} deltas) to {args.json_out}",
               file=sys.stderr)
-    if args.html_out:
-        with open(args.html_out, "w") as fh:
-            fh.write(render_diff_html(doc, standalone=True))
-        print(f"wrote diff HTML to {args.html_out}", file=sys.stderr)
     return 0
 
 
@@ -651,18 +599,6 @@ def _parser():
     json_flag(p, "the critical-path reports")
     flamegraph(p)
 
-    p = command("dashboard", _dashboard,
-                "replay a traced scenario with telemetry on and render one "
-                "self-contained HTML report")
-    scenario(p)
-    p.add_argument("--out", metavar="PATH",
-                   help="output file (default: <scenario>_dashboard.html)")
-    p.add_argument("--fidelity", choices=("packet", "flow"),
-                   help="render under this mode (default: $REPRO_FIDELITY)")
-    p.add_argument("--diff", dest="diff_path", metavar="RUN.json",
-                   help="embed the ranked delta table of a saved "
-                        "bench trace/critpath JSON against this run")
-
     p = command("check", _check,
                 "replay traced scenarios and diff their metrics against the "
                 "committed baseline; exit 1 on any regression")
@@ -688,8 +624,6 @@ def _parser():
     p.add_argument("a", metavar="A.json")
     p.add_argument("b", metavar="B.json")
     json_flag(p, "the full diff document")
-    p.add_argument("--html", dest="html_out", metavar="OUT",
-                   help="write the ranked table as a standalone HTML page")
     return parser, sub.choices
 
 

@@ -4,10 +4,10 @@ An :class:`Artifact` binds a name to its ``harness.run_*`` function, the
 renderer that turns the result into the printed table, its ``--quick``
 slice, the flow-vs-packet tolerance ``validate-fidelity`` allows, and the
 optional traced scenario (:mod:`repro.obs.capture`) that ``trace``,
-``critpath``, ``dashboard``, ``check`` and ``validate-fidelity --explain``
-replay.  Every ``python -m repro.bench`` subcommand iterates
-:data:`ARTIFACTS` or :data:`SCENARIOS`, so adding or gating an artifact is
-one declaration here plus its ``harness.run_*``.
+``critpath``, ``check`` and ``validate-fidelity --explain`` replay.  Every
+``python -m repro.bench`` subcommand iterates :data:`ARTIFACTS` or
+:data:`SCENARIOS`, so adding or gating an artifact is one declaration here
+plus its ``harness.run_*``.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def _render_fig17(result) -> str:
 #: name -> declaration, in ``bench all`` order.  The ``--quick`` slices
 #: are small enough for a CI smoke run.  Tolerances: artifacts with
 #: no multi-segment traffic must be bit-identical across fidelities;
-#: wire-bound ones cover the two documented flow approximations (TCP
-#: retransmission-buffer charging, collapsed RDMA WRITE landings).
+#: wire-bound ones cover the documented flow approximations (collapsed
+#: RDMA WRITE landings, the one-sub-burst fallback residue).
 ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
     Artifact("fig07", harness.run_fig07_sendrecv_throughput,
              _rows(["size", "accl_f2f_gbps", "accl_h2h_gbps",
@@ -121,7 +121,8 @@ ARTIFACTS: Dict[str, Artifact] = {a.name: a for a in (
                  title="Figure 12 — reduce latency vs ranks (us)"),
              tolerance=5e-3, scenario=capture.trace_fig12),
     Artifact("fig13", harness.run_fig13_tcp_xrt, _render_fig13,
-             # TCP bulk retx-buffer charging is the loosest model
+             # every TCP message sits below the flow admission floor, so
+             # flow runs the packet loop; the bound is headroom
              tolerance=1e-2),
     Artifact("fig16", harness.run_fig16_vecmat,
              _rows(["fc_size", "ranks", "backend", "compute_us",

@@ -711,7 +711,7 @@ def _kernel_scale_collective(opcode: str, size: int, n_nodes: int,
         opcode, size, n_nodes=n_nodes, sync_protocol=sync_protocol,
         algorithm=algorithm,
         cluster_builder=lambda n, **kw: build_fpga_cluster(
-            n, topology_factory=factory, peering="lazy", **kw))
+            n, topology_factory=factory, **kw))
 
 
 #: (collective, algorithm) pairs of the scale study; ``None`` = selector.
@@ -726,10 +726,10 @@ def run_figX_scale(node_counts=(16, 64, 256), size: int = 16 * MIB,
                    runner: Optional[SweepRunner] = None) -> List[dict]:
     """Collective completion time vs cluster size on a large fabric.
 
-    One hermetic fat-tree cluster per point (lazy RDMA peering), swept over
-    nodes x collective x algorithm.  Message sizes sit above the flow-mode
-    fast-forward floor for the whole-message algorithms, so this is the
-    artifact that exercises cluster scale in both fidelity modes.
+    One hermetic fat-tree cluster per point, swept over nodes x collective
+    x algorithm.  Message sizes sit above the flow-mode fast-forward floor
+    for the whole-message algorithms, so this is the artifact that
+    exercises cluster scale in both fidelity modes.
     ``busbw_gbps`` is bus bandwidth as nccl-tests defines it
     (https://github.com/NVIDIA/nccl-tests/blob/master/doc/PERFORMANCE.md):
     size / time, times 2(n-1)/n for an allreduce and 1 for a bcast.

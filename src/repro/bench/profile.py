@@ -95,8 +95,7 @@ def profile_scale(nodes: int = SCALE_NODES, quick: bool = False,
     factory = scale_topology_factory("fattree", nodes)
 
     def builder(n, **kw):
-        return build_fpga_cluster(n, topology_factory=factory,
-                                  peering="lazy", **kw)
+        return build_fpga_cluster(n, topology_factory=factory, **kw)
 
     def run_allreduce(cluster_builder) -> float:
         return accl_collective_time(

@@ -2,8 +2,8 @@
 
 ``build_fpga_cluster(8, protocol="rdma", platform="coyote")`` reproduces the
 paper's main configuration: Alveo-U55C-class nodes on a 100 Gb/s star
-fabric, with sessions/queue pairs exchanged up front (the CCL driver's POE
-initialization duty).
+fabric, with TCP sessions established up front (the CCL driver's POE
+initialization duty) and RDMA queue pairs created at their first verb.
 """
 
 from __future__ import annotations
@@ -101,14 +101,6 @@ class FpgaCluster:
         return self.env.now - start
 
 
-#: Node count at or above which ``peering="auto"`` defers RDMA queue-pair
-#: creation to first use.  QP exchange is a zero-sim-time control-plane
-#: step, so lazy creation is timing-identical; eager all-pairs setup is
-#: kept on small clusters purely because it front-loads configuration
-#: errors (the historical behaviour every existing test observes).
-LAZY_PEERING_THRESHOLD = 64
-
-
 def build_fpga_cluster(
     n_nodes: int,
     protocol: str = "rdma",
@@ -117,18 +109,15 @@ def build_fpga_cluster(
     env: Optional[Environment] = None,
     link_rate: float = units.gbps(100),
     topology_factory: Optional[Callable[[Environment], object]] = None,
-    peering: str = "auto",
+    peering: str = "lazy",
 ) -> FpgaCluster:
     """Construct an ``n_nodes`` cluster with communicator 0 ready to use.
 
-    Session establishment (TCP) and queue-pair exchange (RDMA) are
-    performed the way the host CCL driver initializes POEs before any
-    collective runs.  ``peering`` controls the RDMA side: ``"eager"``
-    creates all n*(n-1) queue pairs up front, ``"lazy"`` creates each QP at
-    its first verb (timing-identical — QP exchange charges no simulated
-    time — but O(active peers) in memory), and ``"auto"`` switches to lazy
-    at ``LAZY_PEERING_THRESHOLD`` nodes.  TCP handshakes advance simulated
-    time and always run eagerly.
+    TCP sessions are established the way the host CCL driver initializes
+    POEs before any collective runs; the handshakes advance simulated time.
+    An RDMA queue pair is created at its first verb (QP exchange charges
+    no simulated time), so a node holds one per peer it talks to.
+    ``peering`` accepts only ``"lazy"``, the one way QPs are made.
     """
     if n_nodes < 1:
         raise ConfigurationError(f"cluster needs n_nodes >= 1, got {n_nodes}")
@@ -136,8 +125,9 @@ def build_fpga_cluster(
         raise ConfigurationError(f"unknown protocol {protocol!r}")
     if platform not in _PLATFORMS:
         raise ConfigurationError(f"unknown platform {platform!r}")
-    if peering not in ("auto", "eager", "lazy"):
-        raise ConfigurationError(f"unknown peering mode {peering!r}")
+    if peering != "lazy":
+        raise ConfigurationError(
+            f"unknown peering mode {peering!r}; QPs are made lazily")
 
     env = env or Environment()
     if topology_factory is not None:
@@ -171,29 +161,14 @@ def build_fpga_cluster(
             )
         )
 
-    _establish_peering(env, nodes, protocol, peering)
+    if protocol == "tcp":
+        _establish_sessions(env, nodes)
     return FpgaCluster(env, nodes, topology, protocol)
 
 
-def _establish_peering(env: Environment, nodes: List[FpgaNode],
-                       protocol: str, peering: str = "auto") -> None:
-    """Session/QP setup, as the host drivers would perform."""
-    if protocol == "udp":
-        return
-    if protocol == "rdma":
-        if peering == "auto":
-            peering = ("lazy" if len(nodes) >= LAZY_PEERING_THRESHOLD
-                       else "eager")
-        if peering == "lazy":
-            for node in nodes:
-                node.poe.enable_lazy_qp()
-            return
-        for a in nodes:
-            for b in nodes:
-                if a is not b:
-                    a.poe.create_qp(b.address)
-        return
-    # TCP: i connects, j accepts, for every ordered pair.
+def _establish_sessions(env: Environment, nodes: List[FpgaNode]) -> None:
+    """TCP session setup, as the host drivers would perform."""
+    # i connects, j accepts, for every ordered pair.
     handshakes = []
     for i, a in enumerate(nodes):
         for b in nodes[i + 1:]:

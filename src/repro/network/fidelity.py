@@ -35,8 +35,9 @@ ENV_VAR = "REPRO_FIDELITY"
 #: burst.  Links count each decision in ``link.flow_decisions`` (exposed as
 #: ``link_flow_decisions{reason=...}`` callback gauges) and, under a span
 #: tracer, record a zero-duration ``phase="fidelity"`` span per decision —
-#: record-only markers that attribution ignores but the dashboard's decision
-#: log and the Chrome trace surface.  All counts stay zero in packet mode.
+#: record-only markers that attribution ignores and that serve the Chrome
+#: trace timeline (``bench trace --trace-out``).  All counts stay zero in
+#: packet mode.
 LINK_FLOW_DECISIONS = (
     "burst:carry",           # solo analytic train carried (closed form)
     "burst:expand:busy",     # downstream hop expanded: foreign occupancy

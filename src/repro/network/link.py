@@ -108,7 +108,8 @@ class Link(BandwidthResource):
     def _flow_decision(self, kind: str, burst: Optional[Burst] = None) -> None:
         """Count one flow-path decision; under a tracer also drop a
         zero-duration ``phase="fidelity"`` marker span (record-only:
-        attribution ignores the phase, the decision log renders it)."""
+        attribution ignores the phase, the Chrome trace timeline shows
+        it)."""
         d = self.flow_decisions
         d[kind] = d.get(kind, 0) + 1
         tracer = self._span_tracer
@@ -368,6 +369,7 @@ class Link(BandwidthResource):
         self._relay = (burst, base) if burst.seq_base == 0 else None
         self._last_owner = burst.meta
         self.segments_carried += n
+        burst.hops += 1
         Environment.total_events_fast_forwarded += n - 1
         latency = self.latency
         burst.head_at = f_head + latency
@@ -439,6 +441,7 @@ class Link(BandwidthResource):
         self._bytes_moved += burst.wire_total
         self._last_owner = owner
         self.segments_carried += n
+        burst.hops += 1
         Environment.total_events_fast_forwarded += n - 1
         self._deliver_burst(burst)
         return f_pen
@@ -576,6 +579,7 @@ class Link(BandwidthResource):
         self._last_owner = burst.meta
         self._convoy_token = token
         self.segments_carried += n
+        burst.hops += 1
         Environment.total_events_fast_forwarded += n - 1
         latency = self.latency
         burst.head_at = f_head + latency

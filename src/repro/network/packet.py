@@ -138,6 +138,9 @@ class Burst:
     #: carried downstream so later hops can recognize sibling trains (their
     #: slot grids are disjoint by construction and may share a serializer).
     convoy: Any = None
+    #: links that carried the train analytically so far; a flow-control
+    #: return for each of its segments would cross as many going back
+    hops: int = 0
     # -- timing state (absolute simulation times), updated per hop
     head_at: float = 0.0
     spacing: float = 0.0

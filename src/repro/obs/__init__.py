@@ -1,7 +1,8 @@
 """Unified observability: metrics registry, span tracing, exporters.
 
 The simulation platform exists to shorten "hardware debugging cycles"
-(§4.3); this package is what makes that claim operational.  Three layers:
+(§4.3); this package is what makes that claim operational.  Every
+report it produces is text or JSON (the Chrome trace opens in Perfetto):
 
 - :mod:`repro.obs.metrics` — a registry of callback gauges
   (:class:`Gauge`) that components register into;
@@ -12,14 +13,12 @@ The simulation platform exists to shorten "hardware debugging cycles"
   CSV metrics dumps and the :func:`attribute_op` per-op report;
 - :mod:`repro.obs.critpath` — per-collective critical paths with
   wait-cause attribution and collapsed-stack flamegraphs;
-- :mod:`repro.obs.timeseries` — :class:`TelemetrySession`, continuous
-  sim-time-cadenced registry snapshots in a bounded ring;
-- :mod:`repro.obs.dashboard` — a self-contained HTML report over one
-  traced artifact (``bench dashboard``);
 - :mod:`repro.obs.diff` — differential comparison of two runs, point by
   point for sweep trajectories and op by op with ranked wait-cause
   attribution for traced scenarios (``bench diff``).
 
+Each question has one report: phases (``bench trace``), wait causes and
+critical paths (``bench critpath``), ranked deltas (``bench diff``).
 Everything is opt-in: with no registry and no tracer attached (the
 default), instrumented components pay at most a ``None`` check.
 :func:`repro.obs.runtime.attach` wires a bundle into one built cluster;
@@ -50,11 +49,8 @@ from repro.obs.diff import (
     metric_delta_attribution,
     render_check_attribution,
     render_diff,
-    render_diff_html,
 )
 from repro.obs.runtime import Observability, attach
-from repro.obs.timeseries import TelemetrySession
-from repro.obs.dashboard import render_dashboard
 
 __all__ = [
     "Gauge", "MetricsRegistry",
@@ -65,7 +61,6 @@ __all__ = [
     "per_node_report", "render_per_node",
     "to_collapsed_stacks", "write_flamegraph",
     "diff_files", "diff_runs", "load_run", "metric_delta_attribution",
-    "render_check_attribution", "render_diff", "render_diff_html",
+    "render_check_attribution", "render_diff",
     "Observability", "attach",
-    "TelemetrySession", "render_dashboard",
 ]

@@ -7,10 +7,8 @@ returns the capture: open the exported Chrome JSON in Perfetto to see the
 collective's uC / DMP / POE / wire phases laid out per node, or read the
 :func:`~repro.obs.export.attribute_op` reports the CLI prints.
 
-Every scenario accepts ``telemetry=<cadence-seconds>`` to also record a
-continuous :class:`~repro.obs.timeseries.TelemetrySession` alongside the
-spans (``bench dashboard`` uses this), and no keyword it does not name: an
-unknown ``--arg`` key is a ``TypeError`` that the CLI reports with exit 2.
+A scenario accepts no keyword it does not name: an unknown ``--arg`` key
+is a ``TypeError`` that the CLI reports with exit 2.
 Scenarios run at the process-wide fidelity (``REPRO_FIDELITY``); fig07's
 16 MiB leg and fig12 are large enough to engage the flow fast-forward path
 when it is on.
@@ -57,14 +55,13 @@ class TraceCapture:
 
 
 def _traced_cluster(n_nodes: int, protocol: str = "rdma",
-                    platform: str = "coyote",
-                    telemetry: Optional[float] = None):
+                    platform: str = "coyote"):
     from repro.cluster.builder import build_fpga_cluster
     from repro.driver.api import attach_drivers
 
     cluster = build_fpga_cluster(n_nodes, protocol=protocol,
                                  platform=platform)
-    obs = attach(cluster, Observability(telemetry_cadence=telemetry))
+    obs = attach(cluster)
     return cluster, obs, attach_drivers(cluster)
 
 
@@ -78,29 +75,27 @@ def _check_sizes(arg: str, value: Any, *legs: int) -> None:
                              f"got {arg}={value!r}{leg}")
 
 
-def _drain(cluster, requests, obs: Optional[Observability] = None) -> None:
-    if obs is not None and obs.telemetry is not None:
-        obs.telemetry.poke()
+def _drain(cluster, requests) -> None:
     cluster.env.run(until=all_of(cluster.env,
                                  [r.event for r in requests]))
 
 
-def trace_fig08(telemetry: Optional[float] = None) -> TraceCapture:
+def trace_fig08() -> TraceCapture:
     """Invocation latency: host nop calls — pure uC dispatch, no wire."""
-    cluster, obs, drivers = _traced_cluster(2, telemetry=telemetry)
+    cluster, obs, drivers = _traced_cluster(2)
     for driver in drivers:
-        _drain(cluster, [driver.nop()], obs)
+        _drain(cluster, [driver.nop()])
     return TraceCapture(
         "fig08", "host nop invocations on 2 nodes (uC dispatch only)",
         obs, obs.tracer.op_ids())
 
 
-def trace_fig07(telemetry: Optional[float] = None) -> TraceCapture:
+def trace_fig07() -> TraceCapture:
     """Send/recv throughput: a small (eager), a large (rendezvous) and a
     bulk (flow-eligible) transfer, back to back — the eager/rendezvous
     protocol switch and, under ``REPRO_FIDELITY=flow``, the burst
     fast-forward path are all visible in one trace."""
-    cluster, obs, drivers = _traced_cluster(2, telemetry=telemetry)
+    cluster, obs, drivers = _traced_cluster(2)
     for tag, nbytes in ((7, 16 * units.KIB), (8, units.MIB),
                         (9, 16 * units.MIB)):
         data = np.ones(nbytes // 4, dtype=np.float32)
@@ -108,7 +103,7 @@ def trace_fig07(telemetry: Optional[float] = None) -> TraceCapture:
             drivers[0].send(drivers[0].wrap(data), nbytes, dst=1, tag=tag),
             drivers[1].recv(drivers[1].alloc(nbytes), nbytes, src=0,
                             tag=tag),
-        ], obs)
+        ])
     return TraceCapture(
         "fig07",
         "eager (16 KiB) + rendezvous (1 MiB) + bulk (16 MiB) send/recv "
@@ -116,22 +111,22 @@ def trace_fig07(telemetry: Optional[float] = None) -> TraceCapture:
         obs, obs.tracer.op_ids())
 
 
-def trace_allreduce(nbytes: int = 64 * units.KIB, n_nodes: int = 4,
-                    telemetry: Optional[float] = None) -> TraceCapture:
+def trace_allreduce(nbytes: int = 64 * units.KIB,
+                    n_nodes: int = 4) -> TraceCapture:
     """One cluster-wide allreduce — the richest per-phase picture."""
     _check_sizes("nbytes", nbytes)
-    cluster, obs, drivers = _traced_cluster(n_nodes, telemetry=telemetry)
+    cluster, obs, drivers = _traced_cluster(n_nodes)
     data = np.ones(nbytes // 4, dtype=np.float32)
     _drain(cluster, [
         d.allreduce(d.wrap(data), d.alloc(nbytes), nbytes) for d in drivers
-    ], obs)
+    ])
     return TraceCapture(
         "allreduce", f"{n_nodes}-node allreduce of {nbytes} B",
         obs, obs.tracer.op_ids())
 
 
-def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
-                telemetry: Optional[float] = None) -> TraceCapture:
+def trace_fig12(nbytes: int = 32 * units.MIB,
+                n_nodes: int = 4) -> TraceCapture:
     """Bulk reduce to a root: ring chunks at the flow admission floor.
 
     A 32 MiB reduce across 4 nodes moves 8 MiB ring chunks — exactly the
@@ -139,11 +134,11 @@ def trace_fig12(nbytes: int = 32 * units.MIB, n_nodes: int = 4,
     hop runs the burst admission/re-admission pipeline; under packet
     fidelity it is the heaviest traced scenario."""
     _check_sizes("nbytes", nbytes)
-    cluster, obs, drivers = _traced_cluster(n_nodes, telemetry=telemetry)
+    cluster, obs, drivers = _traced_cluster(n_nodes)
     data = np.ones(nbytes // 4, dtype=np.float32)
     _drain(cluster, [
         d.reduce(d.wrap(data), d.alloc(nbytes), nbytes, 0) for d in drivers
-    ], obs)
+    ])
     return TraceCapture(
         "fig12", f"{n_nodes}-node reduce of {nbytes} B to root 0",
         obs, obs.tracer.op_ids())
@@ -177,8 +172,7 @@ def throttle_links(cluster, pattern: str, factor: float) -> List[str]:
 
 def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
                      slow_link: Optional[str] = None,
-                     slow_factor: float = 8.0,
-                     telemetry: Optional[float] = None) -> TraceCapture:
+                     slow_factor: float = 8.0) -> TraceCapture:
     """One scale-study leg under a tracer: two bcasts on a three-tier
     fabric.
 
@@ -202,11 +196,9 @@ def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
     slow_factor = float(slow_factor)
     _check_sizes("size", size, max(size // 4, 256))
     factory = scale_topology_factory("fattree", n_nodes)
-    cluster = build_fpga_cluster(n_nodes, topology_factory=factory,
-                                 peering="lazy")
+    cluster = build_fpga_cluster(n_nodes, topology_factory=factory)
     obs = attach(cluster, Observability(
-        trace_capacity=max(200_000, n_nodes * 4_000),
-        telemetry_cadence=telemetry))
+        trace_capacity=max(200_000, n_nodes * 4_000)))
     throttled: List[str] = []
     if slow_link:
         throttled = throttle_links(cluster, str(slow_link), slow_factor)
@@ -217,7 +209,7 @@ def trace_figX_scale(n_nodes: int = 16, size: int = units.MIB,
             d.bcast(d.wrap(chunk) if i == 0 else d.alloc(nbytes),
                     nbytes, 0)
             for i, d in enumerate(drivers)
-        ], obs)
+        ])
     desc = (f"{n_nodes}-node fattree scale leg: bcasts of {size} and "
             f"{max(size // 4, 256)} B")
     if throttled:

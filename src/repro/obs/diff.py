@@ -21,8 +21,6 @@ Two identical runs diff to zero rows.  The same ranking (:func:`_cause_deltas`)
 powers ``bench check``'s failure output (:func:`render_check_attribution`):
 when the regression gate trips on a scenario, the ranked deltas of its
 ``wait_us.*`` / ``phase_us.*`` metrics print next to the bare number.
-:func:`render_diff_html` renders the ranked table as a section for the
-HTML dashboard (or a standalone page via ``bench diff --html``).
 """
 
 from __future__ import annotations
@@ -258,58 +256,6 @@ def render_diff(doc: Dict[str, Any], limit: int = 20) -> str:
         lines.append(f"... {len(rows) - limit} more row(s) elided "
                      "(see --json for all)")
     return "\n".join(lines)
-
-
-def render_diff_html(doc: Dict[str, Any], limit: int = 50,
-                     standalone: bool = False) -> str:
-    """The ranked delta table as an HTML fragment (dashboard section) or,
-    with ``standalone=True``, a full self-contained page."""
-    from html import escape
-
-    rows = doc["rows"]
-    if not rows:
-        body = ('<p class="note">No deltas: the two runs are '
-                'identical.</p>')
-    else:
-        cells = []
-        for rank, row in enumerate(rows[:limit], 1):
-            base = "-" if row["base_us"] is None else f"{row['base_us']:,.1f}"
-            cur = "-" if row["cur_us"] is None else f"{row['cur_us']:,.1f}"
-            color = "#b42318" if row["delta_us"] > 0 else "#027a48"
-            causes = escape(_causes_text(row["causes"])) or "-"
-            note = escape(row["note"] or "")
-            cells.append(
-                f"<tr><td class='num'>{rank}</td>"
-                f"<td><code>{escape(row['key'])}</code> {note}</td>"
-                f"<td class='num'>{base}</td><td class='num'>{cur}</td>"
-                f"<td class='num' style='color:{color}'>"
-                f"{_fmt_rel(row['rel'])}</td>"
-                f"<td class='num' style='color:{color}'>"
-                f"{row['delta_us']:+,.1f}</td>"
-                f"<td>{causes}</td></tr>")
-        more = (f'<p class="note">… {len(rows) - limit} more rows '
-                "elided.</p>" if len(rows) > limit else "")
-        body = (
-            f'<p class="note">{escape(doc["a"])} → {escape(doc["b"])} '
-            f'({len(rows)} deltas, ranked by regression magnitude).</p>'
-            "<table><tr><th class='num'>#</th><th>entry</th>"
-            "<th class='num'>base us</th><th class='num'>cur us</th>"
-            "<th class='num'>rel</th><th class='num'>delta us</th>"
-            f"<th>cause attribution</th></tr>{''.join(cells)}</table>{more}")
-    if not standalone:
-        return body
-    from repro.obs.dashboard import _CSS
-
-    return (
-        "<!DOCTYPE html>\n"
-        '<html lang="en"><head><meta charset="utf-8">'
-        "<title>repro diff</title>"
-        f"<style>{_CSS}</style></head><body>"
-        "<header><h1>repro · bench diff</h1>"
-        f'<div class="sub">{escape(doc["a"])} → {escape(doc["b"])}'
-        "</div></header>"
-        f"<main><section><h2>Ranked deltas</h2>{body}</section></main>"
-        "</body></html>\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """Wiring: attach an observability bundle to a built cluster.
 
 An :class:`Observability` pairs one :class:`MetricsRegistry` with one
-:class:`SpanTracer` (and, given a cadence, one
-:class:`~repro.obs.timeseries.TelemetrySession`).  :func:`attach` wires a
-bundle into every engine, POE, link and endpoint of an
-:class:`~repro.cluster.builder.FpgaCluster`; it is the only way to observe
-a run, and a cluster nobody attaches to carries no tracer and registers no
-gauge.
+:class:`SpanTracer`.  :func:`attach` wires a bundle into every engine, POE,
+link and endpoint of an :class:`~repro.cluster.builder.FpgaCluster`; it is
+the only way to observe a run, and a cluster nobody attaches to carries no
+tracer and registers no gauge.
 """
 
 from __future__ import annotations
@@ -15,43 +13,28 @@ from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanTracer
-from repro.obs.timeseries import TelemetrySession
 from repro.sim.kernel import Environment
 
 
 class Observability:
-    """One metrics registry + one span tracer, attached as a unit.
+    """One metrics registry + one span tracer, attached as a unit; neither
+    adds a heap event."""
 
-    ``telemetry_cadence`` (sim-seconds) additionally starts a
-    :class:`~repro.obs.timeseries.TelemetrySession` that snapshots the
-    registry continuously; ``None`` (the default) keeps telemetry off so
-    plain span tracing adds no heap events.
-    """
-
-    def __init__(self, trace_capacity: int = 100_000,
-                 telemetry_cadence: Optional[float] = None):
+    def __init__(self, trace_capacity: int = 100_000):
         self.registry = MetricsRegistry()
         self.tracer = SpanTracer(capacity=trace_capacity)
-        self.telemetry: Optional[TelemetrySession] = None
-        if telemetry_cadence is not None:
-            self.telemetry = TelemetrySession(self.registry,
-                                              telemetry_cadence)
 
     def attach(self, cluster) -> "Observability":
         return attach(cluster, self)
 
     def summary(self) -> dict:
         """Counts for run reports: metrics, spans, open and dropped spans."""
-        out = {
+        return {
             "metrics": len(self.registry),
             "spans": len(self.tracer.completed_spans),
             "unclosed_spans": self.tracer.unclosed_count,
             "spans_dropped": self.tracer.spans_dropped,
         }
-        if self.telemetry is not None:
-            out["telemetry_samples"] = self.telemetry.samples_taken
-            out["telemetry_dropped"] = self.telemetry.dropped
-        return out
 
 
 def attach(cluster, obs: Optional[Observability] = None) -> Observability:
@@ -83,8 +66,6 @@ def attach(cluster, obs: Optional[Observability] = None) -> Observability:
                    fn=lambda: float(Environment.total_events_processed))
     registry.gauge("kernel_sim_time_s",
                    fn=lambda: Environment.total_sim_time)
-    if obs.telemetry is not None:
-        obs.telemetry.attach(cluster.env)
     return obs
 
 

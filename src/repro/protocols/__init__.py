@@ -5,8 +5,8 @@ pairs); each POE here exposes the matching message-level service on top of the
 fabric:
 
 - :class:`UdpPoe` -- connectionless datagrams, no flow control (VNx-style).
-- :class:`TcpPoe` -- sessions, windowed flow control, retransmission buffer
-  accounting in FPGA memory (EasyNet-style, up to 1000 connections).
+- :class:`TcpPoe` -- sessions and windowed flow control (EasyNet-style,
+  up to 1000 connections).
 - :class:`RdmaPoe` -- queue pairs, two-sided SEND and one-sided WRITE verbs
   with credit-based flow control (Coyote network service).
 

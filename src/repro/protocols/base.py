@@ -110,13 +110,6 @@ class BasePoe:
     #: wait-cause label for time blocked on the :meth:`_return_bucket`
     #: (subclasses name their mechanism: TCP retx window, RDMA credits)
     flow_control_cause = "flow_control"
-    #: flow fidelity accounting — heap events the per-segment transmit /
-    #: receive paths would have dispatched per segment but the analytic
-    #: burst elides (flow-control yields, retx writes; credit/ack returns).
-    #: Feeds ``Environment.total_events_fast_forwarded``, which the perf
-    #: reports and ``bench check`` keep apart from real events.
-    _FLOW_TX_ELIDED_PER_SEGMENT = 0
-    _FLOW_RX_ELIDED_PER_SEGMENT = 0
     #: header kind of the flow-control return (RDMA credit, TCP ACK) a
     #: receiver sends back for every delivered data segment; ``None``
     #: sends none.  A message may not use this kind.
@@ -198,7 +191,8 @@ class BasePoe:
     def _flow_decision(self, header: MessageHeader, kind: str) -> None:
         """Count one flow admission/fallback decision for *header*; under a
         tracer also drop a zero-duration ``phase="fidelity"`` marker span
-        (record-only — attribution ignores it, the decision log shows it)."""
+        (record-only — attribution ignores it, the Chrome trace timeline
+        shows it)."""
         d = self.flow_tx_decisions
         d[kind] = d.get(kind, 0) + 1
         tracer = self._span_tracer
@@ -354,7 +348,6 @@ class BasePoe:
         protocol_name = self.protocol_name
         mtu = self.mtu
         segment_bytes = self.segment_bytes
-        post_segment = self._tx_post_segment
         sent_any = seqno > 0
         bulk = header.nbytes > segment_bytes
         if bulk:
@@ -387,10 +380,6 @@ class BasePoe:
                     seqno=seqno,
                 )
                 egress_done = endpoint_send(segment)
-                if post_segment is not None:
-                    post = post_segment(header, segment)
-                    if post is not None:
-                        yield post
                 remaining -= chunk
                 seqno += 1
                 sent_any = True
@@ -410,10 +399,6 @@ class BasePoe:
                 op_id=getattr(header.meta, "op_id", -1),
                 nbytes=header.nbytes, dst=header.dst_addr)
         return header
-
-    #: Subclass hook ``(header, segment)``: per-segment bookkeeping (e.g.
-    #: retx buffering); a delay return holds the next segment back.
-    _tx_post_segment: Optional[Callable[..., Optional[float]]] = None
 
     # -- flow-fidelity fast-forward ----------------------------------------
 
@@ -479,20 +464,15 @@ class BasePoe:
             if handoff is None:
                 self._flow_decision(header, "fallback:link_declined")
                 return nbytes - sent * seg, sent
-            # k-1 elided pacing sleeps plus the per-segment protocol work.
-            Environment.total_events_fast_forwarded += (
-                (k - 1) + k * self._FLOW_TX_ELIDED_PER_SEGMENT)
-            # Resume at the handoff, or later if the bulk bookkeeping
-            # takes longer.  A relative sleep to the handoff wakes at
+            # k-1 elided pacing sleeps.  The credit or window takes the
+            # burst skips cost no event in packet mode either.
+            Environment.total_events_fast_forwarded += k - 1
+            # Resume at the handoff.  A relative sleep to it wakes at
             # ``now + (handoff - now)``, which may miss it by an ulp; only
             # then does the wait take an Event at exactly the handoff.
             now = env._now
             pause = handoff - now
-            post = self._flow_tx_post(header, burst)
-            if post is not None and post > pause:
-                if post > 0.0:
-                    yield post
-            elif pause > 0.0:
+            if pause > 0.0:
                 if now + pause == handoff:
                     yield pause
                 else:
@@ -517,13 +497,6 @@ class BasePoe:
             bucket.has(bucket.capacity)
             and bucket.capacity >= self._flow_window_floor())
 
-    def _flow_tx_post(self, header: MessageHeader,
-                      burst: Burst) -> Optional[float]:
-        """Subclass hook: transmit-side bulk bookkeeping for a burst
-        (e.g. retx mirroring).  A delay return holds local completion
-        back until that long from now."""
-        return None
-
     def _flow_window_floor(self) -> float:
         """Flow-control capacity below which per-segment credits could run
         dry even on an idle path: roughly twice the bandwidth-delay product
@@ -542,9 +515,11 @@ class BasePoe:
         burst's bytes accumulate into the same reassembly state packet
         segments use (a message may arrive as a mix of sub-bursts and
         fallen-back segments), and delivery fires once the message is
-        whole.  Per-segment receive effects (credit returns, acks) are
+        whole.  Per-segment flow-control returns (credits, acks) are
         elided — on the idle paths that admit bursts they only refill
-        already-full buckets — and counted as fast-forwarded events.
+        already-full buckets — and counted as fast-forwarded events: one
+        kernel event per hop the burst crossed, as a packet-mode return
+        takes back along the same path.
         """
         header: MessageHeader = burst.meta
         key = (header.src_addr, header.msg_id)
@@ -555,8 +530,9 @@ class BasePoe:
         state.bytes_seen += burst.payload_bytes
         if burst.data is not None:
             state.data = burst.data
-        Environment.total_events_fast_forwarded += (
-            burst.n_segments * self._FLOW_RX_ELIDED_PER_SEGMENT)
+        if self.return_kind is not None:
+            Environment.total_events_fast_forwarded += (
+                burst.n_segments * burst.hops)
         if (header.kind == self.one_sided_kind
                 and self._segment_writer is not None):
             # Packet mode lands every segment as it arrives, and the

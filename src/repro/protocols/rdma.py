@@ -9,9 +9,10 @@ Supports the verbs the CCLO uses:
   written straight to virtualized memory through a writer hook installed by
   the platform integration; only an optional completion record surfaces.
 
-Queue pairs must be exchanged and registered before traffic flows (the CCL
-driver does that at communicator construction), and flow control is
-credit-based, which is what makes rendezvous algorithms safe at scale.
+A queue pair is created at the first verb toward a peer (QP exchange is an
+out-of-band control-plane step that charges no simulated time), and flow
+control is credit-based, which is what makes rendezvous algorithms safe at
+scale.
 """
 
 from __future__ import annotations
@@ -42,10 +43,6 @@ class RdmaPoe(BasePoe):
     poe_latency = units.ns(300)
     #: QP-level credit exhaustion is the RDMA flow-control stall
     flow_control_cause = "credit_stall"
-    #: per elided segment: one credit-take yield on the transmit side; one
-    #: 16-byte credit-return segment (three wire hops) on the receive side
-    _FLOW_TX_ELIDED_PER_SEGMENT = 1
-    _FLOW_RX_ELIDED_PER_SEGMENT = 3
     return_kind = "credit"
     return_bytes = 16
     one_sided_kind = "write"
@@ -62,9 +59,7 @@ class RdmaPoe(BasePoe):
         super().__init__(env, endpoint, name)
         self.credit_bytes = credit_bytes
         self._qp_nums = itertools.count(1)
-        self._qps: Dict[int, QueuePair] = {}
         self._by_remote: Dict[int, QueuePair] = {}
-        self._lazy_qp = False
         # One shared name for every QP's credit bucket: large clusters
         # create many QPs and per-QP f-strings are pure construction cost.
         self._credit_name = f"{self.name}.crd"
@@ -77,29 +72,20 @@ class RdmaPoe(BasePoe):
 
     @property
     def qp_count(self) -> int:
-        return len(self._qps)
+        return len(self._by_remote)
 
-    def enable_lazy_qp(self) -> None:
-        """Create queue pairs on first use instead of up front.
+    def qp_to(self, remote_addr: int) -> QueuePair:
+        """The queue pair toward *remote_addr*, created at the first verb.
 
-        QP exchange is an out-of-band, zero-sim-time control-plane step
-        (see :meth:`create_qp`), so deferring it to the first verb toward a
-        peer is timing-identical to eager all-pairs setup — but a node that
-        talks to k peers allocates k QPs instead of n-1, which is what
-        makes 1000-node clusters buildable.
+        QP number exchange is an out-of-band control-plane step that
+        charges no simulated time, so a node that talks to k peers holds k
+        QPs.  A QP to this engine's own address raises.
         """
-        self._lazy_qp = True
-
-    def create_qp(self, remote_addr: int) -> QueuePair:
-        """Create (or return) the queue pair toward *remote_addr*.
-
-        QP number exchange is an out-of-band control-plane step; its cost is
-        charged by the host driver during communicator setup, not here.
-        """
+        qp = self._by_remote.get(remote_addr)
+        if qp is not None:
+            return qp
         if remote_addr == self.address:
             raise ProtocolError(f"{self.name}: cannot create QP to self")
-        if remote_addr in self._by_remote:
-            return self._by_remote[remote_addr]
         qp = QueuePair(
             qp_num=next(self._qp_nums),
             local_addr=self.address,
@@ -107,19 +93,7 @@ class RdmaPoe(BasePoe):
             credits=TokenBucket(self.env, self.credit_bytes,
                                 name=self._credit_name),
         )
-        self._qps[qp.qp_num] = qp
         self._by_remote[remote_addr] = qp
-        return qp
-
-    def qp_to(self, remote_addr: int) -> QueuePair:
-        qp = self._by_remote.get(remote_addr)
-        if qp is None:
-            if self._lazy_qp and remote_addr != self.address:
-                return self.create_qp(remote_addr)
-            raise ProtocolError(
-                f"{self.name}: no queue pair to address {remote_addr}; "
-                "exchange QPs during communicator setup first"
-            )
         return qp
 
     def set_memory_writer(

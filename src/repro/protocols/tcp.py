@@ -3,14 +3,12 @@
 Models the properties that matter to collectives:
 
 - explicit sessions (up to 1000), established with a one-RTT handshake;
-- a sliding window bounding bytes in flight, replenished by ACK segments;
-- retransmission buffering: every transmitted segment is also written to a
-  POE-private region of FPGA memory, charging memory bandwidth (the paper:
-  "the TCP POE also needs to access protocol-internal buffers for
-  re-transmission").
+- a sliding window bounding bytes in flight, replenished by ACK segments.
 
-The fabric is lossless, so actual retransmission never triggers; its *cost*
-(the extra memory traffic) is what shapes performance and is modeled.
+The fabric is lossless, so retransmission never triggers.  The memory
+traffic of the POE's retransmission buffers (the paper: "the TCP POE also
+needs to access protocol-internal buffers for re-transmission") is not
+modeled.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import ProtocolError
-from repro.memory.model import Memory
-from repro.network.packet import Segment
-from repro.protocols.base import BasePoe, MessageHeader
+from repro.protocols.base import BasePoe
 from repro.sim import Event
 from repro.sim.resources import TokenBucket
 from repro import units
@@ -42,13 +38,9 @@ class TcpPoe(BasePoe):
     protocol_name = "tcp"
     mtu = 1460
     poe_latency = units.ns(500)
-    #: window stalls exist because every segment is mirrored into the
-    #: retransmission buffer; label them as that back-pressure
+    #: a closed window means unacknowledged bytes fill what the sender
+    #: holds for retransmission; label the stall as that back-pressure
     flow_control_cause = "retx_backpressure"
-    #: per elided segment: a window-take yield and a retx-write event on the
-    #: transmit side; one 58-byte ACK segment (three wire hops) back
-    _FLOW_TX_ELIDED_PER_SEGMENT = 2
-    _FLOW_RX_ELIDED_PER_SEGMENT = 3
     #: a cumulative ACK per delivered segment (coalescing would change
     #: little at 32 KiB segments) restores the sender's window
     return_kind = "ack"
@@ -61,13 +53,11 @@ class TcpPoe(BasePoe):
         self,
         env,
         endpoint,
-        retx_memory: Optional[Memory] = None,
         window_bytes: int = DEFAULT_WINDOW_BYTES,
         name: str = "",
     ):
         super().__init__(env, endpoint, name)
         self.window_bytes = window_bytes
-        self.retx_memory = retx_memory
         self._session_ids = itertools.count(1)
         self._sessions: Dict[int, TcpSession] = {}
         self._by_remote: Dict[int, TcpSession] = {}
@@ -133,7 +123,7 @@ class TcpPoe(BasePoe):
         link = self.endpoint.uplink
         return 2 * link.latency + units.ns(600)
 
-    # -- transmit path overrides ---------------------------------------------
+    # -- transmit path -------------------------------------------------------
 
     def transmit(self, dst_addr, nbytes, meta=None, data=None,
                  kind="send", session=0, pace=None, lead=0.0):
@@ -147,26 +137,6 @@ class TcpPoe(BasePoe):
             )
         return super().transmit(dst_addr, nbytes, meta, data, kind,
                                 sess.session_id, pace, lead)
-
-    def _tx_post_segment(self, header: MessageHeader,
-                         segment: Segment) -> Optional[float]:
-        # Retransmission buffering: the segment is mirrored into POE-private
-        # FPGA memory; that write shares the memory port with everyone else.
-        if self.retx_memory is not None and segment.payload_bytes > 0:
-            return self.retx_memory.access_delay(segment.payload_bytes)
-        return None
-
-    def _flow_tx_post(self, header: MessageHeader, burst):
-        # Retx mirroring in bulk: the head of the train is charged to the
-        # memory port up front (it overlaps serialization, as the
-        # per-segment writes did), while the last chunk's write is what the
-        # packet-level loop finishes on — local completion waits for it.
-        if self.retx_memory is None:
-            return None
-        head_bytes = burst.payload_bytes - burst.last_bytes
-        if head_bytes > 0:
-            self.retx_memory.access_delay(head_bytes)
-        return self.retx_memory.access_delay(burst.last_bytes)
 
     # -- flow-control returns ------------------------------------------------
 

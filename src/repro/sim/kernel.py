@@ -356,10 +356,12 @@ class Environment:
     #: would round differently whenever the event count changed.
     total_events_processed: int = 0
     total_sim_time: float = 0.0
-    #: events the flow-level fidelity mode modeled analytically instead of
-    #: dispatching (elided per-segment deliveries, pacing sleeps, credit
-    #: returns...).  The perf reports keep it beside, never added to,
-    #: ``total_events_processed``: it counts work the host did not do.
+    #: events packet mode dispatches that the flow-level fidelity mode
+    #: modeled analytically: a burst's segment deliveries after its first
+    #: at each hop, the sender's pacing sleeps between them, and one event
+    #: per hop for each segment's flow-control return.  The perf reports
+    #: keep it beside, never added to, ``total_events_processed``: it
+    #: counts work the host did not do.
     total_events_fast_forwarded: int = 0
 
     def __init__(self, initial_time: float = 0.0):

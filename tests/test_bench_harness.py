@@ -206,11 +206,9 @@ class TestRegistry:
     def test_traced_subcommands_accept_exactly_the_scenarios(
             self, stub_registry, tmp_path, capsys):
         baseline = str(tmp_path / "baseline.json")
-        html = str(tmp_path / "dashboard.html")
         for name in SCENARIOS:
             assert main(["trace", name]) == 0
             assert main(["critpath", name]) == 0
-            assert main(["dashboard", name, "--out", html]) == 0
             assert main(["validate-fidelity", "--explain", name]) == 0
         assert main(["check", *SCENARIOS, "--update",
                      "--baseline", baseline]) == 0
@@ -218,7 +216,6 @@ class TestRegistry:
         assert main(["check", "--baseline", baseline]) == 0
         assert "check ok" in capsys.readouterr().out
         for argv in (["trace", "fig09"], ["critpath", "fig09"],
-                     ["dashboard", "fig09"],
                      ["validate-fidelity", "--explain", "fig09"],
                      ["check", "fig09", "--baseline", baseline]):
             assert main(argv) == 2

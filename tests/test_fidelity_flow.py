@@ -19,9 +19,11 @@ from repro.bench.harness import (
     accl_collective_time,
 )
 from repro.errors import ConfigurationError, NetworkError
-from repro.network import Link, Segment
+from repro.network import Link, Segment, StarTopology
 from repro.network.fidelity import default_fidelity, fidelity_override
 from repro.network.packet import Burst
+from repro.protocols import RdmaPoe, TcpPoe
+from repro.protocols.base import BasePoe
 from repro.sim import Environment
 
 
@@ -153,7 +155,7 @@ class TestKernelEquivalence:
 
         def fat_tree_cluster(n, **kw):
             clusters.append(build_fpga_cluster(
-                n, topology_factory=factory, peering="lazy", **kw))
+                n, topology_factory=factory, **kw))
             return clusters[-1]
 
         def run():
@@ -176,6 +178,38 @@ class TestKernelEquivalence:
         assert decisions["admit"] == admitted
         assert _rel(packet, flow) < 1e-9
         assert flow_events <= packet_events / 10
+
+    @pytest.mark.parametrize("poe_cls", [RdmaPoe, TcpPoe])
+    def test_lone_send_fast_forwards_what_packet_dispatches(self, poe_cls):
+        """A 16 MiB send on a 2-node star is admitted, ends where packet
+        mode ends, and its real plus fast-forwarded events match packet
+        mode's real events to within one per sub-burst."""
+        def send(fidelity):
+            with fidelity_override(fidelity):
+                env = Environment()
+                topo = StarTopology(env)
+                a = poe_cls(env, topo.add_endpoint(0))
+                b = poe_cls(env, topo.add_endpoint(1))
+            if poe_cls is TcpPoe:
+                a.accept(1)
+                b.accept(0)
+            done = []
+            b.on_message(lambda hdr, data: done.append(env.now))
+            e0 = Environment.total_events_processed
+            ff0 = Environment.total_events_fast_forwarded
+            env.process(a.transmit(1, 16 * units.MIB))
+            env.run()
+            return (done[0], Environment.total_events_processed - e0,
+                    Environment.total_events_fast_forwarded - ff0,
+                    a.flow_tx_decisions)
+
+        packet_t, packet_events, _, _ = send("packet")
+        flow_t, flow_events, forwarded, decisions = send("flow")
+        assert decisions["admit"] == 1
+        assert _rel(packet_t, flow_t) < 1e-12
+        sub_bursts = 16 * units.MIB // (
+            BasePoe.segment_bytes * BasePoe._FLOW_SUBBURST_SEGMENTS)
+        assert abs(flow_events + forwarded - packet_events) <= sub_bursts
 
     def test_flow_reduces_heap_events(self):
         # One uncontended 16 MiB transfer: the segment train collapses to
@@ -496,7 +530,7 @@ class TestBulkConvoyShare:
             ff0 = Environment.total_events_fast_forwarded
             env.run(until=all_of(env, events))
         assert env.now == 0.0871252912
-        assert Environment.total_events_fast_forwarded - ff0 == 226_304
+        assert Environment.total_events_fast_forwarded - ff0 == 160_768
         assert cluster.engine(0).poe.flow_tx_decisions == {
             "admit": 4, "window:readmit": 1020}
         assert cluster.engine(1).poe.flow_tx_decisions == {}

@@ -193,16 +193,13 @@ class TestClusterBuilder:
             build_fpga_cluster(2, protocol="quic")
         with pytest.raises(ConfigurationError):
             build_fpga_cluster(2, platform="de10")
+        with pytest.raises(ConfigurationError, match="peering"):
+            build_fpga_cluster(2, peering="eager")
 
     def test_tcp_cluster_sessions_pre_established(self):
         cluster = build_fpga_cluster(4, protocol="tcp", platform="sim")
         for node in cluster.nodes:
             assert node.poe.session_count == 3
-
-    def test_rdma_cluster_qps_pre_established(self):
-        cluster = build_fpga_cluster(4, protocol="rdma", platform="sim")
-        for node in cluster.nodes:
-            assert node.poe.qp_count == 3
 
     def test_custom_link_rate(self):
         cluster = build_fpga_cluster(2, link_rate=units.gbps(10),

@@ -649,8 +649,6 @@ class TestProtocolProperties:
         b.on_message(lambda hdr, data: None)
         landed = []
         b.set_memory_writer(lambda hdr, data: landed.append(hdr.nbytes))
-        a.create_qp(1)
-        b.create_qp(0)
         env.process(a.transmit(1, nbytes, meta="d", kind="write"))
         env.run()
         assert landed == [nbytes]

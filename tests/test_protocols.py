@@ -5,7 +5,6 @@ import pytest
 
 from repro import units
 from repro.errors import ProtocolError
-from repro.memory import Memory
 from repro.network import StarTopology
 from repro.protocols import RdmaPoe, TcpPoe, UdpPoe
 from repro.protocols.base import DeferredPayload
@@ -141,23 +140,6 @@ class TestTcp:
         assert b.messages_received == 1
         assert a.acks_sent == 0 and b.acks_sent > 0
 
-    def test_retx_memory_charged(self):
-        env = Environment()
-        topo = StarTopology(env)
-        mem_a = Memory(env, capacity=units.GIB, bandwidth=460e9, name="hbm-a")
-        a = TcpPoe(env, topo.add_endpoint(0), retx_memory=mem_a)
-        b = TcpPoe(env, topo.add_endpoint(1))
-        b.on_message(lambda hdr, data: None)
-        b.accept(0)
-
-        def client():
-            yield a.connect(1)
-            yield from a.transmit(1, 128 * units.KIB)
-
-        env.process(client())
-        env.run()
-        assert mem_a.bytes_accessed == 128 * units.KIB
-
     def test_throughput_reaches_line_rate(self):
         env, a, b = make_pair(TcpPoe)
         done = {}
@@ -182,22 +164,30 @@ class TestRdma:
         env, a, b = make_pair(RdmaPoe)
         got = []
         b.on_message(lambda hdr, data: got.append(hdr))
-        a.create_qp(1)
-        b.create_qp(0)
         env.process(a.transmit(1, 4096, meta="rndz-init"))
         env.run()
         assert got[0].meta == "rndz-init"
         assert got[0].kind == "send"
 
-    def test_send_without_qp_rejected(self):
+    def test_qp_created_at_first_verb(self):
+        """No QP exists before traffic; the first verb toward a peer makes
+        one, and the receiver returns credits without one of its own."""
         env, a, b = make_pair(RdmaPoe)
-        with pytest.raises(ProtocolError, match="queue pair"):
-            a.transmit(1, 100)
+        b.on_message(lambda hdr, data: None)
+        assert a.qp_count == b.qp_count == 0
+        env.process(a.transmit(1, 2 * a.segment_bytes))
+        assert a.qp_count == 1
+        env.run()
+        assert b.messages_received == 1 and b.returns_sent == 2
+        assert b.qp_count == 0
+        credits = a.qp_to(1).credits
+        assert credits.available == credits.capacity
+        assert a.qp_count == 1
 
     def test_qp_to_self_rejected(self):
         env, a, _ = make_pair(RdmaPoe)
         with pytest.raises(ProtocolError):
-            a.create_qp(0)
+            a.qp_to(0)
 
     def test_one_sided_write_bypasses_handler(self):
         env, a, b = make_pair(RdmaPoe)
@@ -207,8 +197,6 @@ class TestRdma:
         b.set_memory_writer(
             lambda hdr, data: writes.append((hdr.meta, hdr.nbytes, data))
         )
-        a.create_qp(1)
-        b.create_qp(0)
         payload = np.ones(1024)
         env.process(a.transmit(1, payload.nbytes, meta="vaddr:0x1000",
                                data=payload, kind="write"))
@@ -224,8 +212,6 @@ class TestRdma:
     def test_write_without_memory_writer_is_error(self):
         env, a, b = make_pair(RdmaPoe)
         b.on_message(lambda hdr, data: None)
-        a.create_qp(1)
-        b.create_qp(0)
         env.process(a.transmit(1, 64, meta=None, kind="write"))
         with pytest.raises(ProtocolError, match="memory writer"):
             env.run()
@@ -234,8 +220,6 @@ class TestRdma:
         env, a, b = make_pair(RdmaPoe, credit_bytes=128 * units.KIB)
         got = []
         b.on_message(lambda hdr, data: got.append(env.now))
-        a.create_qp(1)
-        b.create_qp(0)
         env.process(a.transmit(1, 2 * units.MIB))
         env.run()
         assert len(got) == 1
@@ -246,8 +230,6 @@ class TestRdma:
         order = []
         b.on_message(lambda hdr, data: order.append(("send", hdr.meta)))
         b.set_memory_writer(lambda hdr, data: order.append(("write", None)))
-        a.create_qp(1)
-        b.create_qp(0)
 
         def sender():
             yield from a.transmit(1, 256 * units.KIB, meta="buf",
@@ -261,8 +243,8 @@ class TestRdma:
 
     def test_qp_reuse(self):
         env, a, b = make_pair(RdmaPoe)
-        qp1 = a.create_qp(1)
-        qp2 = a.create_qp(1)
+        qp1 = a.qp_to(1)
+        qp2 = a.qp_to(1)
         assert qp1 is qp2
         assert a.qp_count == 1
 
@@ -270,8 +252,6 @@ class TestRdma:
         env, a, b = make_pair(RdmaPoe)
         done = {}
         b.on_message(lambda hdr, data: done.setdefault("t", env.now))
-        a.create_qp(1)
-        b.create_qp(0)
         size = 16 * units.MIB
         env.process(a.transmit(1, size))
         env.run()
@@ -289,8 +269,6 @@ class TestRdma:
             lambda hdr, nbytes: landed.append((hdr.kind, nbytes)))
         a.set_segment_writer(
             lambda hdr, nbytes: at_sender.append((hdr.kind, nbytes)))
-        a.create_qp(1)
-        b.create_qp(0)
         seg = a.segment_bytes
 
         def sender():
@@ -319,8 +297,6 @@ class TestTransmit:
         env, a, b = make_pair(poe_cls)
         if poe_cls is TcpPoe:
             a.accept(1)
-        elif poe_cls is RdmaPoe:
-            a.create_qp(1)
         with pytest.raises(ProtocolError, match="negative"):
             a.transmit(1, -1)
         assert self._nothing_scheduled(env, a)
@@ -361,8 +337,6 @@ class TestTransmit:
         got, writes = [], []
         b.on_message(lambda hdr, data: got.append(hdr))
         b.set_memory_writer(lambda hdr, data: writes.append(hdr))
-        a.create_qp(1)
-        b.create_qp(0)
         env.process(a.transmit(1, 128, meta="x", kind=kind))
         env.run()
         assert [h.kind for h in got] == ["send"] and writes == []
@@ -372,8 +346,6 @@ class TestTransmit:
         got, writes = [], []
         b.on_message(lambda hdr, data: got.append(hdr))
         b.set_memory_writer(lambda hdr, data: writes.append((hdr, data)))
-        a.create_qp(1)
-        b.create_qp(0)
         env.process(a.transmit(1, 128, meta="desc", data="payload",
                                kind="write"))
         env.run()
@@ -383,15 +355,12 @@ class TestTransmit:
 
 
 def connected_pair(poe_cls, **kwargs):
-    """Two engines with the QP or session between them in place (UDP
-    needs neither)."""
+    """Two engines with the TCP session between them in place (RDMA makes
+    its QP at the first verb, UDP needs neither)."""
     env, a, b = make_pair(poe_cls, **kwargs)
     if poe_cls is TcpPoe:
         a.accept(1)
         b.accept(0)
-    elif poe_cls is RdmaPoe:
-        a.create_qp(1)
-        b.create_qp(0)
     return env, a, b
 
 

@@ -15,7 +15,6 @@ import pytest
 from repro import units
 from repro.cclo.microcontroller import CollectiveArgs
 from repro.cluster import build_fpga_cluster
-from repro.cluster.builder import LAZY_PEERING_THRESHOLD
 from repro.errors import NetworkError
 from repro.network import Segment
 from repro.network.fidelity import fidelity_override
@@ -234,20 +233,8 @@ class TestThousandNodeScale:
                 "allreduce", 256 * units.KIB, n_nodes=1024,
                 sync_protocol="rndz", algorithm="reduce_bcast",
                 cluster_builder=lambda n, **kw: build_fpga_cluster(
-                    n, topology_factory=factory, peering="lazy", **kw))
+                    n, topology_factory=factory, **kw))
         assert elapsed > 0
-
-    def test_auto_peering_goes_lazy_at_threshold(self):
-        small = build_fpga_cluster(4, protocol="rdma", platform="sim")
-        assert not small.nodes[0].poe._lazy_qp
-        big = build_fpga_cluster(
-            LAZY_PEERING_THRESHOLD, protocol="rdma", platform="sim",
-            topology_factory=lambda env: FatTreeTopology(env, k=8))
-        assert big.nodes[0].poe._lazy_qp
-        # lazy POEs materialize queue pairs on first use
-        assert not big.nodes[0].poe._qps
-        qp = big.nodes[0].poe.qp_to(1)
-        assert qp is big.nodes[0].poe.qp_to(1)
 
 
 class TestFigXScaleBusBandwidth:

@@ -1,16 +1,14 @@
-"""Fidelity-aware telemetry: flow-mode reconciliation, decision counters,
-continuous time-series sessions, and the self-contained HTML dashboard."""
+"""Fidelity-aware telemetry: flow-mode reconciliation, decision counters
+and markers, and divergence attribution (``validate-fidelity --explain``)."""
 
 import numpy as np
 import pytest
 
 from repro import units
 from repro.network.fidelity import fidelity_override
-from repro.obs import TelemetrySession, attribute_op, render_dashboard
+from repro.obs import attribute_op, to_chrome_trace
 from repro.obs.capture import trace_artifact
-from repro.obs.metrics import MetricsRegistry
 from repro.sim import all_of
-from repro.sim.kernel import Environment
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +90,11 @@ class TestFlowReconciliation:
         assert marks
         for span in marks:
             assert span.t0 == span.t1  # record-only: no simulated time
+        # they serve the Chrome trace timeline: one event per decision
+        events = [e for e in to_chrome_trace(fig07_flow.tracer)[
+            "traceEvents"] if e.get("cat") == "fidelity"]
+        assert len(events) == len(marks)
+        assert all("reason" in e["args"] for e in events)
 
     def test_packet_mode_records_no_flow_decisions(self):
         with fidelity_override("packet"):
@@ -135,110 +138,16 @@ class TestTimingInvarianceFlow:
             assert self._run_sendrecv(True) == self._run_sendrecv(False)
 
 
-class TestTelemetrySession:
-    def _registry(self):
-        """A registry with one callback gauge, and the tick that moves it."""
-        reg = MetricsRegistry()
-        ticks = [0]
-        reg.gauge("ticks_done", fn=lambda: ticks[0])
-
-        def tick():
-            ticks[0] += 1
-
-        return reg, tick
-
-    def test_rejects_bad_cadence_and_capacity(self):
-        reg, _ = self._registry()
-        with pytest.raises(ValueError):
-            TelemetrySession(reg, cadence=0.0)
-        with pytest.raises(ValueError):
-            TelemetrySession(reg, cadence=1.0, capacity=0)
-
-    def test_sampler_self_stops_and_pokes(self):
-        reg, tick = self._registry()
-        env = Environment()
-        ts = TelemetrySession(reg, cadence=units.us(1))
-        ts.attach(env)
-        env.schedule_callback(units.us(3.5), tick)
-        env.run()
-        first = ts.samples_taken
-        assert first >= 4  # t = 0, 1, 2, 3 us at least
-        # Heap drained -> sampler disarmed: a new run() phase without a
-        # poke() takes no samples and never keeps the sim alive.
-        env.schedule_callback(units.us(1), tick)
-        env.run()
-        assert ts.samples_taken == first
-        env.schedule_callback(units.us(1), tick)
-        ts.poke()
-        env.run()
-        assert ts.samples_taken > first
-        last = ts.samples[-1]
-        assert last["values"]["ticks_done"] == 3.0
-
-    def test_ring_capacity_counts_drops(self):
-        reg, tick = self._registry()
-        ts = TelemetrySession(reg, cadence=1.0, capacity=4)
-        for i in range(10):
-            tick()
-            ts.sample(float(i))
-        assert ts.samples_taken == 10
-        assert ts.dropped == 6
-        assert [s["t"] for s in ts.samples] == [6.0, 7.0, 8.0, 9.0]
-        assert [s["values"]["ticks_done"] for s in ts.samples] == [
-            7.0, 8.0, 9.0, 10.0]
-
-    def test_capture_scenarios_take_samples(self):
-        cap = trace_artifact("fig08", telemetry=units.us(5))
-        assert cap.obs.telemetry is not None
-        assert cap.obs.telemetry.samples_taken > 0
-        summary = cap.obs.summary()
-        assert summary["telemetry_samples"] == \
-            cap.obs.telemetry.samples_taken
-        assert summary["telemetry_dropped"] == 0
-
-
-class TestDashboard:
-    @pytest.fixture(scope="class")
-    def html(self):
-        cap = trace_artifact("fig07", telemetry=units.us(10))
-        return render_dashboard(cap, fidelity="packet")
-
-    def test_is_self_contained(self, html):
-        assert html.lstrip().startswith("<!DOCTYPE html>")
-        assert "http://" not in html and "https://" not in html
-        assert "<script src" not in html and "<link" not in html
-
-    def test_has_three_or_more_timeseries_charts(self, html):
-        assert html.count("<svg") >= 3
-
-    def test_has_breakdowns_decisions_and_flamegraph(self, html):
-        assert "Phase breakdown" in html
-        assert "Critical-path wait causes" in html
-        assert "Fidelity decision log" in html
-        assert "Flamegraph" in html
-
-    def test_flow_dashboard_lists_decisions(self, fig07_flow):
-        html = render_dashboard(fig07_flow, fidelity="flow")
-        assert "window:readmit" in html
-        assert "burst:carry" in html
-
-
 class TestCli:
-    def test_dashboard_writes_self_contained_html(self, tmp_path, capsys):
-        from repro.bench.__main__ import main
-
-        out = tmp_path / "dash.html"
-        assert main(["dashboard", "fig08", "--out", str(out)]) == 0
-        html = out.read_text()
-        assert html.lstrip().startswith("<!DOCTYPE html>")
-        assert "http://" not in html and "https://" not in html
-        assert "self-contained" in capsys.readouterr().out
-
     def test_dashboard_unknown_lists_available(self, capsys):
+        """There is no dashboard subcommand: the word routes to ``run``,
+        which rejects it as an artifact and lists the real ones."""
         from repro.bench.__main__ import main
 
-        assert main(["dashboard", "nope"]) == 2
-        assert "fig07" in capsys.readouterr().err
+        assert main(["dashboard", "fig07"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown artifacts: dashboard" in err
+        assert "fig07" in err
 
     def test_validate_explain_names_top_contributor(self, capsys):
         from repro.bench.__main__ import main
